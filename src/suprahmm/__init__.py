@@ -58,6 +58,7 @@ from .classifiers import (
     IncompleteBankError,
     ModelBank,
     TrainOptions,
+    UnscorableUtteranceError,
     VqBaselineModel,
     classify,
     lbg_codebook,

@@ -57,6 +57,11 @@ class IncompatibleFeaturesError(Exception):
     """Bank and utterance were built from different feature configurations."""
 
 
+class UnscorableUtteranceError(Exception):
+    """Every model of the bank gives an utterance zero likelihood (a -inf
+    score), so no label can be chosen."""
+
+
 # ---------------------------------------------------------------------------
 # GMM baseline
 # ---------------------------------------------------------------------------
@@ -352,7 +357,10 @@ def _score_utterance(bank: ModelBank, model, utterance: Utterance) -> float:
 
 
 def classify(bank: ModelBank, utterance: Utterance):
-    """(winning label, per-label score dict) for one utterance."""
+    """(winning label, per-label score dict) for one utterance.
+
+    Raises UnscorableUtteranceError when no model scores above -inf.
+    """
     if utterance.features.dim != bank.fingerprint["dim"]:
         raise IncompatibleFeaturesError(
             "utterance dim %d does not match bank dim %d"
@@ -366,6 +374,11 @@ def classify(bank: ModelBank, utterance: Utterance):
         scores[label] = score
         if score > best_score:
             best_label, best_score = label, score
+    if best_label is None:
+        raise UnscorableUtteranceError(
+            "utterance %r has zero likelihood under every model of the bank"
+            % utterance.record.id
+        )
     return best_label, scores
 
 

@@ -21,6 +21,7 @@ from .classifiers import (
     BANK_KINDS,
     IncompatibleFeaturesError,
     IncompleteBankError,
+    UnscorableUtteranceError,
     classify,
     csphmm3_score_components,
     load_bank,
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     except IncompatibleFeaturesError as exc:
         print("incompatible features: %s" % exc, file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (ManifestError, IncompleteBankError, OSError,
+    except (ManifestError, IncompleteBankError, UnscorableUtteranceError, OSError,
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO

@@ -9,6 +9,12 @@ at t = 2..r, the full-order tensor drives every later step.
 
 All probability math runs in log space; illegal moves are structurally
 absent from the sparse tensors and therefore carry exactly zero mass.
+
+The lattice recursions (forward, backward, Viterbi) carry a batch axis:
+log-emissions are (T, B, N), time first and one row per utterance, padded
+with log-emission 0 past each row's length and read at each row's own
+last frame.  Baum-Welch runs one batched E-step over the whole corpus per
+iteration, and a single utterance is the one-row case.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 LOG_ZERO = -np.inf
 
@@ -26,6 +31,7 @@ TRANSITION_FLOOR = 1e-6
 MIXTURE_WEIGHT_FLOOR = 1e-6
 VARIANCE_FLOOR_SCALE = 1e-4
 ABS_VARIANCE_FLOOR = 1e-8
+EMISSION_BLOCK_FRAMES = 256
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -67,6 +73,14 @@ def legal_contexts(topology: CircularTopology, order: int) -> list[tuple[int, ..
     for _ in range(order - 1):
         contexts = [c + (s,) for c in contexts for s in topology.successors(c[-1])]
     return sorted(contexts)
+
+
+def _lse_last(z: np.ndarray) -> np.ndarray:
+    """log-sum-exp over the last axis; rows that are all -inf give -inf."""
+    peak = z.max(axis=-1)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(z - shift[..., None]).sum(axis=-1)) + shift
 
 
 def _floored_row(probs: np.ndarray, floor: float) -> np.ndarray:
@@ -165,17 +179,26 @@ class GaussianMixtureEmission:
         return self.means.shape[2]
 
     def component_log_probs(self, obs: np.ndarray) -> np.ndarray:
-        """Weighted per-component log densities, shape (T, N, M)."""
-        x = obs[:, None, None, :]
-        sq = ((x - self.means[None]) ** 2 / self.variances[None]).sum(axis=3)
+        """Weighted per-component log densities, shape (T, N, M).
+
+        Frames are scored in blocks, so the (frames, N, M, D) temporary stays
+        small however many utterances are stacked into `obs`.
+        """
         log_det = np.log(self.variances).sum(axis=2)
         with np.errstate(divide="ignore"):
             log_w = np.log(self.weights)
-        return log_w[None] - 0.5 * (self.dim * _LOG_2PI + log_det[None] + sq)
+        out = np.empty((obs.shape[0],) + self.weights.shape)
+        for start in range(0, obs.shape[0], EMISSION_BLOCK_FRAMES):
+            x = obs[start : start + EMISSION_BLOCK_FRAMES, None, None, :]
+            sq = ((x - self.means[None]) ** 2 / self.variances[None]).sum(axis=3)
+            out[start : start + EMISSION_BLOCK_FRAMES] = (
+                log_w[None] - 0.5 * (self.dim * _LOG_2PI + log_det[None] + sq)
+            )
+        return out
 
     def log_prob_matrix(self, obs: np.ndarray) -> np.ndarray:
         """log b_q(O_t) for every frame and state, shape (T, N)."""
-        return logsumexp(self.component_log_probs(obs), axis=2)
+        return _lse_last(self.component_log_probs(obs))
 
     def copy(self) -> "GaussianMixtureEmission":
         return GaussianMixtureEmission(
@@ -371,8 +394,6 @@ class _Step:
 
     __slots__ = (
         "order",
-        "prev_states",
-        "next_states",
         "pred_idx",
         "pred_logw",
         "pred_row",
@@ -383,6 +404,20 @@ class _Step:
     )
 
 
+def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
+    """(T, B) mask of the frames inside each row."""
+    return np.arange(num_steps)[:, None] < lengths[None, :]
+
+
+def _pad_rows(stacked: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Scatter row-stacked (sum T, N) values into (T_max, B, N); zero past
+    each row's end."""
+    mask = _time_mask(lengths, int(lengths.max()))
+    padded = np.zeros(mask.shape + stacked.shape[1:])
+    padded.transpose(1, 0, 2)[mask.T] = stacked
+    return padded
+
+
 class CompositeLattice:
     """First-order view of an order-r circular model over context tuples.
 
@@ -390,6 +425,16 @@ class CompositeLattice:
     steps extend the tuple, stationary steps shift it.  Every state has at
     most two predecessors and two successors, so the DP recursions reduce
     to fixed-width gather/logaddexp operations.
+
+    The recursions step a batch of utterances through time together.
+    Log-emissions come as (T, B, N): time on axis 0, one row per
+    utterance, ring states last, with each row's frame count in
+    `lengths`.  Frames past a row's end carry log-emission 0, and every
+    row is read, reset or backtracked at its own last frame, so the
+    padding reaches no result.  Lattice values are stored (T, S, B) over
+    the S stationary states, so each time layer is one contiguous block
+    for the gathers, and returned as (T, B, S) views; a boot layer fills
+    the first states and leaves -inf in the rest.
     """
 
     def __init__(self, model: HmmModel):
@@ -400,7 +445,6 @@ class CompositeLattice:
         layers = [[(i,) for i in range(topology.num_states)]]
         for k in range(2, model.order + 1):
             layers.append(sorted(c + (s,) for c in layers[-1] for s in topology.successors(c[-1])))
-        self.boot_layers = layers[:-1] if model.order > 1 else []
         self.stationary_states = layers[-1]
         self.layer_emit = [np.array([c[-1] for c in layer]) for layer in layers]
 
@@ -409,8 +453,13 @@ class CompositeLattice:
             for k in range(1, model.order)
         ]
         self.stationary_step = self._build_stationary_step(model.tensors[model.order])
+        self.steps = self.boot_steps + [self.stationary_step]
         self.stationary_size = len(self.stationary_states)
         self.initial_log = self._safe_log(model.initial)
+        # Ring state of every composite index, one row per layer (padded).
+        self._emit_table = np.zeros((len(layers), self.stationary_size), dtype=np.intp)
+        for layer, emit in enumerate(self.layer_emit):
+            self._emit_table[layer, : emit.size] = emit
 
     @staticmethod
     def _safe_log(values: np.ndarray) -> np.ndarray:
@@ -425,8 +474,6 @@ class CompositeLattice:
 
         step = _Step()
         step.order = tensor.order
-        step.prev_states = prev_layer
-        step.next_states = next_layer
         n_next, n_prev = len(next_layer), len(prev_layer)
         width = topology.branch
 
@@ -462,8 +509,6 @@ class CompositeLattice:
 
         step = _Step()
         step.order = tensor.order
-        step.prev_states = states
-        step.next_states = states
         step.succ_idx = np.zeros((n, width), dtype=np.intp)
         step.succ_logw = np.full((n, width), LOG_ZERO)
         incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -485,88 +530,165 @@ class CompositeLattice:
         step.emit = self.layer_emit[-1]
         return step
 
-    def _step_for_time(self, t: int) -> _Step:
-        """Step structure feeding the lattice layer at (0-based) time t."""
-        if t < self.order:
-            return self.boot_steps[t - 1]
-        return self.stationary_step
+    def _step_index(self, t: int) -> int:
+        """Index in `steps` of the step feeding the layer at (0-based) time t."""
+        return min(t, self.order) - 1
+
+    def _flat_edges(self, kind: str, batch: int) -> list[np.ndarray]:
+        """Each step's `kind` edge indices (n, width) as flat (n, width, B)
+        indices into a C-ordered (n, B) layer, so a gather is one 1-D take."""
+        return [getattr(s, kind)[:, :, None] * batch + np.arange(batch) for s in self.steps]
+
+    def _emission_lattice(self, log_b: np.ndarray) -> np.ndarray:
+        """(T, S, B) log-emission of every lattice state: that of the ring
+        state its context tuple ends in."""
+        emit_b = log_b.transpose(0, 2, 1)
+        lattice_b = emit_b[:, self.layer_emit[-1]]
+        for t in range(min(self.order - 1, len(log_b))):
+            emit = self.layer_emit[t]
+            lattice_b[t, : emit.size] = emit_b[t, emit]
+        return lattice_b
+
+    def _start(self, lattice_b: np.ndarray) -> np.ndarray:
+        """(T, S, B) storage, -inf everywhere but the t = 0 layer."""
+        values = np.full(lattice_b.shape, LOG_ZERO)
+        n = self.layer_emit[0].size
+        values[0, :n] = self.initial_log[:, None] + lattice_b[0, :n]
+        return values
 
     @staticmethod
-    def _lse_rows(z: np.ndarray) -> np.ndarray:
+    def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
+        """log-sum-exp of (n, width, B) edge scores over the width slots."""
         if z.shape[1] == 1:
-            return z[:, 0].copy()
-        out = np.logaddexp(z[:, 0], z[:, 1])
+            out[...] = z[:, 0]
+            return
+        np.logaddexp(z[:, 0], z[:, 1], out=out)
         for col in range(2, z.shape[1]):
-            out = np.logaddexp(out, z[:, col])
-        return out
+            np.logaddexp(out, z[:, col], out=out)
 
-    def emission_lattice(self, log_b: np.ndarray) -> list[np.ndarray]:
-        """Per-layer emission log-probs for each of the T time steps."""
-        T = log_b.shape[0]
-        return [log_b[t, self.layer_emit[min(t, self.order - 1)]] for t in range(T)]
-
-    def forward(self, log_b: np.ndarray):
-        """Forward pass; returns (alphas per layer, total log-likelihood)."""
-        T = log_b.shape[0]
-        alphas = [self.initial_log + log_b[0]]
+    def forward(self, log_b: np.ndarray, lengths):
+        """Forward pass; returns (alphas (T, B, S), per-row log-likelihoods (B,))."""
+        T, B, _ = log_b.shape
+        lattice_b = self._emission_lattice(log_b)
+        edges = self._flat_edges("pred_idx", B)
+        alphas = self._start(lattice_b)
         for t in range(1, T):
-            step = self._step_for_time(t)
-            z = alphas[-1][step.pred_idx] + step.pred_logw
-            alphas.append(self._lse_rows(z) + log_b[t, step.emit])
-        return alphas, float(logsumexp(alphas[-1]))
+            k = self._step_index(t)
+            step, n = self.steps[k], self.steps[k].emit.size
+            z = alphas[t - 1].ravel()[edges[k]]
+            z += step.pred_logw[..., None]
+            out = alphas[t, :n]
+            self._lse_slots(z, out)
+            out += lattice_b[t, :n]
+        ends = alphas[np.asarray(lengths) - 1, :, np.arange(B)]
+        return alphas.transpose(0, 2, 1), _lse_last(ends)
 
-    def backward(self, log_b: np.ndarray) -> list[np.ndarray]:
-        T = log_b.shape[0]
-        betas = [np.zeros(len(self._layer_states(T - 1)))]
+    def backward(self, log_b: np.ndarray, lengths) -> np.ndarray:
+        """Backward pass; returns betas (T, B, S), 0 at each row's last frame."""
+        T, B, _ = log_b.shape
+        lattice_b = self._emission_lattice(log_b)
+        edges = self._flat_edges("succ_idx", B)
+        ending: dict[int, list[int]] = {}
+        for row, n in enumerate(lengths):
+            ending.setdefault(int(n) - 1, []).append(row)
+        betas = np.full(lattice_b.shape, LOG_ZERO)
+        betas[T - 1, : self.layer_emit[min(T - 1, self.order - 1)].size] = 0.0
         for t in range(T - 1, 0, -1):
-            step = self._step_for_time(t)
-            z = step.succ_logw + (betas[-1] + log_b[t, step.emit])[step.succ_idx]
-            betas.append(self._lse_rows(z))
-        betas.reverse()
-        return betas
+            k = self._step_index(t)
+            step, n = self.steps[k], self.steps[k].emit.size
+            nxt = betas[t, :n] + lattice_b[t, :n]
+            z = nxt.ravel()[edges[k]]
+            z += step.succ_logw[..., None]
+            prev = betas[t - 1, : z.shape[0]]
+            self._lse_slots(z, prev)
+            if t - 1 in ending:
+                prev[:, ending[t - 1]] = 0.0
+        return betas.transpose(0, 2, 1)
 
-    def _layer_states(self, t: int):
-        if t < self.order - 1:
-            return self.boot_layers[t]
-        return self.stationary_states
+    def viterbi(self, log_b: np.ndarray, lengths):
+        """Best path of every row and its log-probability.
 
-    def viterbi(self, log_b: np.ndarray):
-        """Best path and its log-probability; ties prefer the lowest
-        composite-state index (layers are sorted lexicographically)."""
-        T = log_b.shape[0]
-        scores = self.initial_log + log_b[0]
-        backptr = []
+        Returns (list of B state paths, each as long as its row, scores
+        (B,)).  Each row is backtracked from its own last frame; ties
+        prefer the lowest composite-state index (layers are sorted
+        lexicographically, and a later edge slot must score strictly
+        higher to win).
+        """
+        T, B, _ = log_b.shape
+        lattice_b = self._emission_lattice(log_b)
+        edges = self._flat_edges("pred_idx", B)
+        scores = self._start(lattice_b)
+        slots = np.zeros(scores.shape, dtype=np.intp)  # winning edge slot
         for t in range(1, T):
-            step = self._step_for_time(t)
-            z = scores[step.pred_idx] + step.pred_logw
-            best = np.argmax(z, axis=1)
-            backptr.append(step.pred_idx[np.arange(z.shape[0]), best])
-            scores = z[np.arange(z.shape[0]), best] + log_b[t, step.emit]
-        final = int(np.argmax(scores))
-        best_lp = float(scores[final])
-        idx_path = [final]
-        for ptr in reversed(backptr):
-            idx_path.append(int(ptr[idx_path[-1]]))
-        idx_path.reverse()
-        states = [int(self._layer_states(t)[i][-1]) for t, i in enumerate(idx_path)]
-        return np.array(states, dtype=np.intp), best_lp
+            k = self._step_index(t)
+            step, n = self.steps[k], self.steps[k].emit.size
+            z = scores[t - 1].ravel()[edges[k]]
+            z += step.pred_logw[..., None]
+            out, slot = scores[t, :n], slots[t, :n]
+            out[...] = z[:, 0]
+            for col in range(1, z.shape[1]):
+                slot[z[:, col] > out] = col
+                np.maximum(out, z[:, col], out=out)
+            out += lattice_b[t, :n]
+        lengths = np.asarray(lengths)
+        rows = np.arange(B)
+        ends = scores[lengths - 1, :, rows]
+        final = np.argmax(ends, axis=1)
+
+        preds = [s.pred_idx.tolist() for s in self.steps]
+        step_of = [self._step_index(t) for t in range(T)]
+        slot_of = slots.transpose(0, 2, 1).tolist()
+        layer_of = np.minimum(np.arange(T), self.order - 1)
+        paths = []
+        for row, n in enumerate(lengths.tolist()):
+            idx = [0] * n
+            idx[-1] = cur = int(final[row])
+            for t in range(n - 1, 0, -1):
+                idx[t - 1] = cur = preds[step_of[t]][cur][slot_of[t][row][cur]]
+            paths.append(self._emit_table[layer_of[:n], idx])
+        return paths, ends[rows, final]
+
+
+def _emission_batch(model: HmmModel, corpus):
+    """Checked utterances as padded log-emissions (T_max, B, N) plus row
+    lengths."""
+    frames_list = [_as_frames(seq) for seq in corpus]
+    for frames in frames_list:
+        _check_dim(model, frames)
+    lengths = np.array([f.shape[0] for f in frames_list])
+    log_b = model.emissions.log_prob_matrix(np.vstack(frames_list))
+    return _pad_rows(log_b, lengths), lengths
 
 
 def forward_log_likelihood(model: HmmModel, observations) -> float:
     """log P(O | model): the exact sum over all legal state paths."""
-    frames = _as_frames(observations)
-    _check_dim(model, frames)
-    log_b = model.emissions.log_prob_matrix(frames)
-    _, ll = CompositeLattice(model).forward(log_b)
-    return ll
+    log_b, lengths = _emission_batch(model, [observations])
+    _, ll = CompositeLattice(model).forward(log_b, lengths)
+    return float(ll[0])
+
+
+def forward_and_align(model: HmmModel, observations):
+    """(log P(O | model), Viterbi state path) from one emission matrix and
+    one lattice."""
+    log_b, lengths = _emission_batch(model, [observations])
+    lattice = CompositeLattice(model)
+    _, ll = lattice.forward(log_b, lengths)
+    paths, _ = lattice.viterbi(log_b, lengths)
+    return float(ll[0]), paths[0]
+
+
+def viterbi_align_batch(model: HmmModel, corpus):
+    """Viterbi paths and joint log-probabilities of many utterances, aligned
+    in one batched pass: (list of state paths, list of scores)."""
+    log_b, lengths = _emission_batch(model, corpus)
+    paths, scores = CompositeLattice(model).viterbi(log_b, lengths)
+    return paths, scores.tolist()
 
 
 def viterbi_align(model: HmmModel, observations):
     """Most likely state path and its joint log-probability."""
-    frames = _as_frames(observations)
-    _check_dim(model, frames)
-    log_b = model.emissions.log_prob_matrix(frames)
-    return CompositeLattice(model).viterbi(log_b)
+    paths, scores = viterbi_align_batch(model, [observations])
+    return paths[0], scores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +697,14 @@ def viterbi_align(model: HmmModel, observations):
 
 
 class _Accumulators:
-    """Expected sufficient statistics; merging across utterances is a sum."""
+    """Expected sufficient statistics; merging across batches is a sum.
 
-    def __init__(self, model: HmmModel):
+    Frame sums are taken about `center` (the corpus mean), so the M-step
+    variance E[(x-c)^2] - E[x-c]^2 keeps its precision under large offsets.
+    """
+
+    def __init__(self, model: HmmModel, center: np.ndarray):
+        self.center = center
         self.initial = np.zeros(model.num_states)
         self.tensor_counts = {
             k: np.zeros_like(t.matrix) for k, t in model.tensors.items()
@@ -588,55 +715,85 @@ class _Accumulators:
         self.weighted_sq_sum = np.zeros((em.num_states, em.num_mixtures, em.dim))
 
 
-def _accumulate_utterance(lattice: CompositeLattice, model: HmmModel,
-                          frames: np.ndarray, acc: _Accumulators) -> float:
-    comp_log = model.emissions.component_log_probs(frames)
-    log_b = logsumexp(comp_log, axis=2)
-    alphas, ll = lattice.forward(log_b)
-    if not np.isfinite(ll):
-        raise ValueError("observation sequence has zero likelihood under the model")
-    betas = lattice.backward(log_b)
-    T = frames.shape[0]
+def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.ndarray,
+                      lengths: np.ndarray, acc: _Accumulators) -> np.ndarray:
+    """E-step over row-stacked frames of B utterances; returns their (B,)
+    log-likelihoods.  Raises ValueError if any utterance has zero
+    likelihood."""
     order = model.order
+    num_states = model.num_states
+    comp_log = model.emissions.component_log_probs(stacked)
+    log_b_stacked = _lse_last(comp_log)
+    log_b = _pad_rows(log_b_stacked, lengths)
+    T = log_b.shape[0]
+    mask = _time_mask(lengths, T)
 
-    # State-level posteriors, folded from lattice tuples onto ring states.
-    gamma_states = np.zeros((T, model.num_states))
-    for t in range(T):
-        g = np.exp(alphas[t] + betas[t] - ll)
-        np.add.at(gamma_states[t], lattice.layer_emit[min(t, order - 1)], g)
+    alphas, ll = lattice.forward(log_b, lengths)
+    bad = np.flatnonzero(~np.isfinite(ll))
+    if bad.size:
+        raise ValueError("observation sequence %d has zero likelihood under the model"
+                         % bad[0])
+    betas = lattice.backward(log_b, lengths)
 
-    acc.initial += gamma_states[0]
+    # Lattice posteriors, folded onto ring states one layer at a time.
+    # Posteriors at padded frames are computed but never read.
+    gamma_lattice = alphas + betas
+    gamma_lattice -= ll[:, None]
+    np.exp(gamma_lattice, out=gamma_lattice)
+    gamma_states = np.empty((T, lengths.size, num_states))
+    ring = np.eye(num_states)
+    for layer, emit in enumerate(lattice.layer_emit):
+        times = slice(layer, layer + 1) if layer < order - 1 else slice(order - 1, None)
+        gamma_states[times] = gamma_lattice[times, :, : emit.size] @ ring[emit]
+    del gamma_lattice
 
-    # Mixture responsibilities.
+    acc.initial += gamma_states[0].sum(axis=0)
+
+    # Mixture responsibilities over the stacked frames, built in place of
+    # the component log-densities.
+    resp = comp_log
     with np.errstate(invalid="ignore"):
-        post = np.exp(comp_log - log_b[:, :, None])
-    post = np.where(np.isfinite(post), post, 0.0)
-    resp = gamma_states[:, :, None] * post
+        resp -= log_b_stacked[:, :, None]
+        np.exp(resp, out=resp)
+    resp[~np.isfinite(resp)] = 0.0
+    resp *= gamma_states.transpose(1, 0, 2)[mask.T][:, :, None]
+    flat = resp.reshape(resp.shape[0], -1).T
+    centered = stacked - acc.center
     acc.occupancy += resp.sum(axis=0)
-    acc.weighted_sum += np.einsum("tnm,td->nmd", resp, frames)
-    acc.weighted_sq_sum += np.einsum("tnm,td->nmd", resp, frames**2)
+    acc.weighted_sum += (flat @ centered).reshape(acc.weighted_sum.shape)
+    acc.weighted_sq_sum += (flat @ centered**2).reshape(acc.weighted_sq_sum.shape)
+    del resp, comp_log, flat
 
-    # Boot transitions (one edge per destination state).
+    # Boot transitions (one edge per destination state), over every row
+    # still inside its utterance at time t.
     for t in range(1, min(order, T)):
         step = lattice.boot_steps[t - 1]
-        xi = np.exp(
-            alphas[t - 1][step.pred_idx[:, 0]]
+        n = step.emit.size
+        log_xi = (
+            alphas[t - 1][:, step.pred_idx[:, 0]]
             + step.pred_logw[:, 0]
-            + log_b[t, step.emit]
-            + betas[t]
-            - ll
+            + log_b[t][:, step.emit]
+            + betas[t, :, :n]
+            - ll[:, None]
         )
+        xi = np.exp(np.where(mask[t][:, None], log_xi, LOG_ZERO)).sum(axis=0)
         np.add.at(acc.tensor_counts[step.order], (step.pred_row, step.pred_col), xi)
 
-    # Stationary transitions, vectorized over time.  Stationary layers are
-    # t = order-1 .. T-1; source rows coincide with main-tensor rows.
+    # Stationary transitions, over (time, row), one successor slot at a
+    # time.  Destinations are t = order .. T-1; source rows coincide with
+    # main-tensor rows.
     if T > order:
         step = lattice.stationary_step
-        alpha_stat = np.stack(alphas[order - 1 : T - 1])
-        beta_stat = np.stack(betas[order:T])
-        tail = beta_stat[:, step.succ_idx] + log_b[order:T, step.emit][:, step.succ_idx]
-        xi = np.exp(alpha_stat[:, :, None] + step.succ_logw[None] + tail - ll)
-        acc.tensor_counts[order] += xi.sum(axis=0)
+        dest = betas[order:]  # the betas are not read again: reuse them
+        dest += log_b[order:][:, :, step.emit]
+        dest[~mask[order:]] = LOG_ZERO
+        source = alphas[order - 1 : T - 1]
+        for col in range(step.succ_idx.shape[1]):
+            log_xi = np.take(dest, step.succ_idx[:, col], axis=2)
+            log_xi += source
+            log_xi += step.succ_logw[:, col]
+            log_xi -= ll[:, None]
+            acc.tensor_counts[order][:, col] += np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
     return ll
 
 
@@ -658,9 +815,9 @@ def _m_step(model: HmmModel, acc: _Accumulators, transition_floor: float,
             continue  # state never visited: keep previous parameters
         em.weights[q] = _floored_row(occ / occ.sum(), weight_floor)
         for m in np.flatnonzero(occ > 0):
-            mean = acc.weighted_sum[q, m] / occ[m]
-            var = acc.weighted_sq_sum[q, m] / occ[m] - mean**2
-            em.means[q, m] = mean
+            offset = acc.weighted_sum[q, m] / occ[m]
+            var = acc.weighted_sq_sum[q, m] / occ[m] - offset**2
+            em.means[q, m] = acc.center + offset
             em.variances[q, m] = np.maximum(var, variance_floor)
     return new
 
@@ -690,9 +847,11 @@ def baum_welch_train(
 ):
     """EM on the composite lattice; returns (model, per-iteration log-likelihoods).
 
-    The i-th returned log-likelihood is the total corpus score of the model
-    entering iteration i, so the list is non-decreasing.  Stops early once
-    the relative gain falls below `tol` (pass None to always run max_iters).
+    Each iteration runs one batched E-step over every utterance of the
+    corpus.  The i-th returned log-likelihood is the total corpus score of
+    the model entering iteration i, so the list is non-decreasing.  Stops
+    early once the relative gain falls below `tol` (pass None to always
+    run max_iters).
     """
     if not corpus:
         raise ValueError("training corpus must be non-empty")
@@ -705,16 +864,16 @@ def baum_welch_train(
         variance_floor = corpus_variance_floor(frames_list)
     variance_floor = np.broadcast_to(np.asarray(variance_floor, dtype=np.float64),
                                      (model.dim,))
+    stacked = np.vstack(frames_list)
+    lengths = np.array([f.shape[0] for f in frames_list])
+    center = stacked.mean(axis=0)
 
     current = model
     log_likelihoods: list[float] = []
     for _ in range(max_iters):
-        lattice = CompositeLattice(current)
-        acc = _Accumulators(current)
-        total = 0.0
-        for frames in frames_list:
-            total += _accumulate_utterance(lattice, current, frames, acc)
-        log_likelihoods.append(total)
+        acc = _Accumulators(current, center)
+        lls = _accumulate_batch(CompositeLattice(current), current, stacked, lengths, acc)
+        log_likelihoods.append(sum(lls.tolist()))
         current = _m_step(current, acc, transition_floor, weight_floor, variance_floor)
         if tol is not None and len(log_likelihoods) >= 2:
             prev = log_likelihoods[-2]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import PROSODY_DIM
-from .hmm import HmmModel, forward_log_likelihood, viterbi_align
+from .hmm import HmmModel, forward_and_align, viterbi_align_batch
 
 PROSODY_VARIANCE_FLOOR = 1e-4
 SUPRA_TRANSITION_FLOOR = 1e-6
@@ -288,8 +288,7 @@ def score_components(model: Csphmm3Model, observations, prosody) -> tuple[float,
     The prosody argument must expose segment_vectors(frame_segments) and
     utterance_vector(); segments come from the acoustic Viterbi alignment.
     """
-    acoustic_ll = forward_log_likelihood(model.acoustic, observations)
-    path, _ = viterbi_align(model.acoustic, observations)
+    acoustic_ll, path = forward_and_align(model.acoustic, observations)
     segmentation = segment_by_alignment(path, model.supra.layout)
     vectors = prosody.segment_vectors(segmentation.frame_segments)
     supra_ll = suprasegmental_log_likelihood(
@@ -317,15 +316,16 @@ def train_on_alignments(
 ) -> SuprasegmentalModel:
     """Fit the prosody layer on top of a trained acoustic model.
 
-    Each training utterance is Viterbi-aligned, segmented by the layout,
-    and its segment summaries are pooled for the Gaussian fits.
+    The training utterances are Viterbi-aligned in one batch, each
+    alignment is segmented by the layout, and the segment summaries are
+    pooled for the Gaussian fits.
     """
     if layout is None:
         layout = SuprasegmentalLayout.halves(acoustic.num_states)
+    paths, _ = viterbi_align_batch(acoustic, corpus_features)
     segment_obs = []
     utterance_obs = []
-    for feats, prosody in zip(corpus_features, corpus_prosody):
-        path, _ = viterbi_align(acoustic, feats)
+    for path, prosody in zip(paths, corpus_prosody):
         segmentation = segment_by_alignment(path, layout)
         vectors = prosody.segment_vectors(segmentation.frame_segments)
         segment_obs.append((segmentation.groups, vectors))

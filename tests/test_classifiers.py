@@ -1,5 +1,7 @@
 """Model banks, baselines, and the argmax recognizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from suprahmm.classifiers import (
     IncompleteBankError,
     ModelBank,
     TrainOptions,
+    UnscorableUtteranceError,
     classify,
     lbg_codebook,
     load_bank,
@@ -23,6 +26,8 @@ from suprahmm.corpus import (
     group_by_emotion,
     synthesize_corpus,
 )
+from suprahmm.evaluation import evaluate_split
+from suprahmm.features import FeatureSequence
 
 
 def mini_spec(seed=11, **overrides):
@@ -218,6 +223,20 @@ class TestClassify:
         label, scores = classify(bank, corpus.utterances[0])
         assert label == "b_label"
         assert scores["a_label"] == scores["b_label"]
+
+    def test_zero_likelihood_under_every_model_raises_typed_error(self, mini_corpus):
+        _, train, test = mini_corpus
+        bank = train_bank("GMM", group_by_emotion(train), MINI_OPTIONS)
+        utt = test[0]
+        # Frames of 1e160 overflow every squared distance: each model
+        # scores -inf and no label can win.
+        huge = dataclasses.replace(
+            utt, features=FeatureSequence(np.full_like(utt.features.frames, 1e160)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(UnscorableUtteranceError, match=utt.record.id):
+                classify(bank, huge)
+            with pytest.raises(UnscorableUtteranceError, match=utt.record.id):
+                evaluate_split(bank, [test[1], huge])
 
     def test_fingerprint_mismatch_rejected(self, csp_bank):
         # Build an utterance with a different feature dimensionality.

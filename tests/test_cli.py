@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from suprahmm.corpus import (
     save_synthetic_corpus,
     synthesize_corpus,
 )
+from suprahmm.features import FeatureSequence, load_features, save_features
 
 RATE = 16000
 
@@ -252,6 +254,23 @@ class TestClassify:
         assert main(["classify", "--bank", str(csp),
                      "--corpus", str(tiny_corpus_dir),
                      "--utterance", "missing", "--config", tiny_config]) == EXIT_IO
+
+    def test_unscorable_utterance_is_data_error(self, tiny_corpus_dir, tiny_config,
+                                                trained_banks, tmp_path, capsys):
+        # Frames of 1e160 give zero likelihood under every model: a data
+        # error (exit 3) naming the utterance, not a None label.
+        _, chm = trained_banks
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
+        frames = load_features(corpus / entry["features"]).frames
+        save_features(corpus / entry["features"],
+                      FeatureSequence(np.full_like(frames, 1e160)))
+        with np.errstate(over="ignore"):
+            code = main(["classify", "--bank", str(chm), "--corpus", str(corpus),
+                         "--utterance", entry["id"], "--config", tiny_config])
+        assert code == EXIT_IO
+        assert entry["id"] in capsys.readouterr().err
 
 
 class TestTtestAndReport:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from suprahmm.corpus import prosody_synthetic_spec, synthesize_corpus
 from suprahmm.hmm import (
     CircularTopology,
     GaussianMixtureEmission,
@@ -351,6 +352,21 @@ class TestTrainingChain:
         for lls in history.values():
             for prev, cur in zip(lls[:-1], lls[1:]):
                 assert cur - prev >= -1e-8 * abs(prev)
+
+    def test_translation_leaves_final_log_likelihood_unchanged(self):
+        # Training is translation-equivariant, so the order-3 corpus score
+        # must survive a 1e6 offset; E[x^2] - mean^2 without centering
+        # moved it by about 2e-2.
+        corpus = synthesize_corpus(prosody_synthetic_spec(seed=1))
+        frames = [u.features.frames for u in corpus.utterances[:12]]
+        finals = []
+        for offset in (0.0, 1e6):
+            _, history = train_circular_chain(
+                [f + offset for f in frames], num_states=4, num_mixtures=2,
+                iters=(3, 3, 3), tol=None,
+            )
+            finals.append(history["order3"][-1])
+        assert finals[1] == pytest.approx(finals[0], rel=1e-9)
 
 
 class TestSerialization:
