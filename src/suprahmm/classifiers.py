@@ -15,25 +15,33 @@ configured order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .corpus import DEFAULT_EMOTIONS, Utterance, group_by_emotion
+from .corpus import DEFAULT_EMOTIONS, Utterance
 from .hmm import (
     ABS_VARIANCE_FLOOR,
     MIXTURE_WEIGHT_FLOOR,
+    TRANSITION_FLOOR,
     VARIANCE_FLOOR_SCALE,
+    GaussianMixtureEmission,
+    HmmModel,
     _as_frames,
-    _floored_row,
+    _lse_last,
     forward_log_likelihood,
+    kmeans_mixture,
     lloyd_kmeans,
+    mixture_statistics,
+    squared_distances,
     train_circular_chain,
+    update_mixtures,
 )
 from .suprasegmental import (
+    PROSODY_VARIANCE_FLOOR,
     Csphmm3Model,
     SuprasegmentalLayout,
     fuse_scores,
@@ -45,8 +53,6 @@ BANK_KINDS = ("CSPHMM3", "CHMM3", "GMM", "VQ")
 
 DEFAULT_GMM_COMPONENTS = 32
 DEFAULT_VQ_CODEBOOK = 64
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class IncompleteBankError(Exception):
@@ -69,24 +75,17 @@ class UnscorableUtteranceError(Exception):
 
 @dataclass
 class GmmBaselineModel:
-    """Diagonal Gaussian mixture over pooled frames of one emotion."""
+    """Diagonal Gaussian mixture over pooled frames of one emotion: weights
+    (M,), means and variances (M, D), scored as a one-state emission."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
     def frame_log_likelihoods(self, frames: np.ndarray) -> np.ndarray:
-        x = frames[:, None, :]
-        sq = ((x - self.means[None]) ** 2 / self.variances[None]).sum(axis=2)
-        log_det = np.log(self.variances).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
-        return logsumexp(log_w[None] - 0.5 * (self.dim * _LOG_2PI + log_det[None] + sq),
-                         axis=1)
+        emission = GaussianMixtureEmission(self.weights[None], self.means[None],
+                                           self.variances[None])
+        return emission.log_prob_matrix(frames)[:, 0]
 
     def score(self, frames: np.ndarray) -> float:
         return float(self.frame_log_likelihoods(frames).mean())
@@ -107,49 +106,33 @@ class GmmBaselineModel:
 
 def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
               max_iters: int = 20, tol: float | None = 1e-5, seed: int = 0):
-    """EM for a diagonal GMM; returns (model, per-iteration mean frame LL)."""
+    """EM for a diagonal GMM, run as a one-state mixture emission through
+    the HMM's mixture E-step and M-step; returns (model, per-iteration mean
+    frame LL)."""
     frames = _as_frames(frames)
     rng = np.random.default_rng(seed)
     num_components = min(num_components, frames.shape[0])
 
     global_var = np.maximum(frames.var(axis=0), ABS_VARIANCE_FLOOR)
     var_floor = np.maximum(VARIANCE_FLOOR_SCALE * global_var, ABS_VARIANCE_FLOOR)
+    center = frames.mean(axis=0)
+    centered = frames - center
 
-    centroids, assign = lloyd_kmeans(frames, num_components, rng)
-    counts = np.bincount(assign, minlength=num_components).astype(np.float64)
-    model = GmmBaselineModel(
-        _floored_row(counts / counts.sum(), MIXTURE_WEIGHT_FLOOR),
-        centroids,
-        np.tile(global_var, (num_components, 1)),
-    )
+    weights, means = kmeans_mixture(frames, num_components, rng, MIXTURE_WEIGHT_FLOOR)
+    emission = GaussianMixtureEmission(weights[None], means[None],
+                                       np.tile(global_var, (1, num_components, 1)))
 
     history = []
     for _ in range(max_iters):
-        x = frames[:, None, :]
-        sq = ((x - model.means[None]) ** 2 / model.variances[None]).sum(axis=2)
-        log_det = np.log(model.variances).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            comp = np.log(model.weights)[None] - 0.5 * (
-                model.dim * _LOG_2PI + log_det[None] + sq
-            )
-        frame_ll = logsumexp(comp, axis=1)
+        comp_log = emission.component_log_probs(frames)
+        frame_ll = _lse_last(comp_log)
         history.append(float(frame_ll.mean()))
-        resp = np.exp(comp - frame_ll[:, None])
-        occ = resp.sum(axis=0)
-        live = occ > 0
-        weights = model.weights.copy()
-        weights[live] = occ[live] / occ.sum()
-        means = model.means.copy()
-        variances = model.variances.copy()
-        means[live] = (resp.T @ frames)[live] / occ[live, None]
-        variances[live] = np.maximum(
-            (resp.T @ frames**2)[live] / occ[live, None] - means[live] ** 2, var_floor
-        )
-        model = GmmBaselineModel(_floored_row(weights, MIXTURE_WEIGHT_FLOOR),
-                                 means, variances)
+        stats = mixture_statistics(comp_log, frame_ll, np.ones_like(frame_ll), centered)
+        update_mixtures(emission, stats, center, MIXTURE_WEIGHT_FLOOR, var_floor)
         if tol is not None and len(history) >= 2:
             if history[-1] - history[-2] < tol * abs(history[-2]):
                 break
+    model = GmmBaselineModel(emission.weights[0], emission.means[0], emission.variances[0])
     return model, history
 
 
@@ -165,8 +148,7 @@ class VqBaselineModel:
     centroids: np.ndarray
 
     def distortion(self, frames: np.ndarray) -> float:
-        d = ((frames[:, None, :] - self.centroids[None]) ** 2).sum(axis=2)
-        return float(d.min(axis=1).mean())
+        return float(squared_distances(frames, self.centroids).min(axis=1).mean())
 
     def score(self, frames: np.ndarray) -> float:
         return -self.distortion(frames)
@@ -177,20 +159,6 @@ class VqBaselineModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "VqBaselineModel":
         return cls(np.array(doc["centroids"]))
-
-
-def _refine(frames, centroids, iters=10):
-    """Lloyd refinement; returns (centroids, distortion history)."""
-    history = []
-    for _ in range(iters):
-        d = ((frames[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-        assign = d.argmin(axis=1)
-        history.append(float(d.min(axis=1).mean()))
-        for c in range(centroids.shape[0]):
-            members = frames[assign == c]
-            if members.shape[0]:
-                centroids[c] = members.mean(axis=0)
-    return centroids, history
 
 
 def lbg_codebook(frames, num_centroids: int = DEFAULT_VQ_CODEBOOK, seed: int = 0,
@@ -211,26 +179,19 @@ def lbg_codebook(frames, num_centroids: int = DEFAULT_VQ_CODEBOOK, seed: int = 0
     rng = np.random.default_rng(seed)
     epsilon = 0.05 * np.maximum(frames.std(axis=0), 1e-6)
 
-    centroids = frames.mean(axis=0, keepdims=True)
-    centroids, history = _refine(frames, centroids, refine_iters)
+    centroids, _, history = lloyd_kmeans(frames, frames.mean(axis=0, keepdims=True),
+                                         refine_iters)
     while centroids.shape[0] < num_centroids:
         room = num_centroids - centroids.shape[0]
-        if room >= centroids.shape[0]:
-            split = centroids
-            keep = np.empty((0, frames.shape[1]))
-        else:
-            d = ((frames[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        order = np.arange(centroids.shape[0])
+        if room < centroids.shape[0]:
+            d = squared_distances(frames, centroids)
             assign = d.argmin(axis=1)
-            cell_distortion = np.zeros(centroids.shape[0])
-            for c in range(centroids.shape[0]):
-                members = d[assign == c, c]
-                cell_distortion[c] = members.sum()
-            order = np.argsort(-cell_distortion)
-            split = centroids[order[:room]]
-            keep = centroids[order[room:]]
+            order = np.argsort(-np.array([d[assign == c, c].sum() for c in order]))
+        split, keep = centroids[order[:room]], centroids[order[room:]]
         jitter = epsilon * rng.standard_normal(split.shape)
         centroids = np.vstack([keep, split - jitter, split + jitter])
-        centroids, hist = _refine(frames, centroids, refine_iters)
+        centroids, _, hist = lloyd_kmeans(frames, centroids, refine_iters)
         history.extend(hist)
     return VqBaselineModel(centroids), history
 
@@ -266,6 +227,17 @@ class TrainOptions:
             "gmm_components": self.gmm_components,
             "vq_codebook_size": self.vq_codebook_size,
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrainOptions":
+        """Inverse of to_dict; a key missing from the document keeps its
+        default."""
+        kwargs = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+        if "iters" in kwargs:
+            kwargs["iters"] = tuple(kwargs["iters"])
+        layout = kwargs.get("layout")
+        kwargs["layout"] = SuprasegmentalLayout(tuple(layout)) if layout else None
+        return cls(**kwargs)
 
 
 @dataclass
@@ -366,20 +338,26 @@ def classify(bank: ModelBank, utterance: Utterance):
             "utterance dim %d does not match bank dim %d"
             % (utterance.features.dim, bank.fingerprint["dim"])
         )
-    scores = {}
-    best_label = None
-    best_score = -np.inf
-    for label in bank.labels:
-        score = _score_utterance(bank, bank.models[label], utterance)
-        scores[label] = score
+    scores = {label: _score_utterance(bank, bank.models[label], utterance)
+              for label in bank.labels}
+    return pick_label(bank.labels, scores.values(), utterance.record.id), scores
+
+
+def pick_label(labels, scores, utterance_id) -> str:
+    """The first label with the highest score; NaN never wins.
+
+    Raises UnscorableUtteranceError when no score is above -inf.
+    """
+    best_label, best_score = None, -np.inf
+    for label, score in zip(labels, scores):
         if score > best_score:
             best_label, best_score = label, score
     if best_label is None:
         raise UnscorableUtteranceError(
             "utterance %r has zero likelihood under every model of the bank"
-            % utterance.record.id
+            % utterance_id
         )
-    return best_label, scores
+    return best_label
 
 
 def csphmm3_score_components(bank: ModelBank, utterances):
@@ -405,29 +383,22 @@ def csphmm3_score_components(bank: ModelBank, utterances):
 
 BANK_MANIFEST = "bank.json"
 
-_MODEL_CODECS = {
-    "CSPHMM3": (lambda m: m.to_dict(), Csphmm3Model.from_dict),
-    "GMM": (lambda m: m.to_dict(), GmmBaselineModel.from_dict),
-    "VQ": (lambda m: m.to_dict(), VqBaselineModel.from_dict),
+# The model class of each bank kind: models encode with to_dict and decode
+# with from_dict.
+_MODEL_TYPES = {
+    "CSPHMM3": Csphmm3Model,
+    "CHMM3": HmmModel,
+    "GMM": GmmBaselineModel,
+    "VQ": VqBaselineModel,
 }
-
-
-def _hmm_codec():
-    from .hmm import HmmModel
-
-    return (lambda m: m.to_dict(), HmmModel.from_dict)
 
 
 def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
     """Directory layout: one JSON document per emotion plus bank.json."""
     os.makedirs(out_dir, exist_ok=True)
-    encode, _ = _MODEL_CODECS.get(bank.kind) or _hmm_codec()
     for label in bank.labels:
         with open(os.path.join(out_dir, label + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(encode(bank.models[label]), fh, indent=2, sort_keys=True)
-    from .hmm import TRANSITION_FLOOR
-    from .suprasegmental import PROSODY_VARIANCE_FLOOR
-
+            json.dump(bank.models[label].to_dict(), fh, indent=2, sort_keys=True)
     manifest = {
         "format": "model-bank",
         "version": 1,
@@ -455,23 +426,11 @@ def load_bank(path) -> ModelBank:
     if manifest.get("format") != "model-bank":
         raise ValueError("%s does not contain a model bank" % path)
     kind = manifest["kind"]
-    _, decode = _MODEL_CODECS.get(kind) or _hmm_codec()
+    if kind not in _MODEL_TYPES:
+        raise ValueError("unknown bank kind %r" % kind)
     models = {}
     for label in manifest["labels"]:
         with open(os.path.join(path, label + ".json"), "r", encoding="utf-8") as fh:
-            models[label] = decode(json.load(fh))
-    opts = manifest.get("options", {})
-    layout = opts.get("layout")
-    options = TrainOptions(
-        num_states=opts.get("num_states", 6),
-        num_mixtures=opts.get("num_mixtures", 3),
-        iters=tuple(opts.get("iters", (6, 6, 8))),
-        tol=opts.get("tol", 1e-4),
-        seed=opts.get("seed", 0),
-        alpha=opts.get("alpha", 0.5),
-        layout=SuprasegmentalLayout(tuple(layout)) if layout else None,
-        gmm_components=opts.get("gmm_components", DEFAULT_GMM_COMPONENTS),
-        vq_codebook_size=opts.get("vq_codebook_size", DEFAULT_VQ_CODEBOOK),
-    )
-    return ModelBank(kind, tuple(manifest["labels"]), models,
-                     manifest["fingerprint"], options)
+            models[label] = _MODEL_TYPES[kind].from_dict(json.load(fh))
+    return ModelBank(kind, tuple(manifest["labels"]), models, manifest["fingerprint"],
+                     TrainOptions.from_dict(manifest.get("options", {})))

@@ -14,8 +14,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import __version__
 from .classifiers import (
     BANK_KINDS,
@@ -25,6 +23,7 @@ from .classifiers import (
     classify,
     csphmm3_score_components,
     load_bank,
+    pick_label,
     save_bank,
     train_bank,
 )
@@ -53,6 +52,7 @@ from .evaluation import (
     report_from_predictions,
 )
 from .features import extract_features, load_wav, save_features, save_features_csv
+from .suprasegmental import fuse_scores
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,9 +180,9 @@ def _sweep_reports(bank, test_side, alphas, metadata):
     labels = bank.labels
     reports = []
     for alpha in alphas:
-        fused = (1.0 - alpha) * acoustic + alpha * supra
-        winners = fused.argmax(axis=1)
-        pairs = [(labels[w], utt.emotion) for w, utt in zip(winners, test_side)]
+        fused = fuse_scores(acoustic, supra, alpha)
+        pairs = [(pick_label(labels, row, utt.record.id), utt.emotion)
+                 for row, utt in zip(fused, test_side)]
         meta = dict(metadata)
         meta["alpha"] = alpha
         reports.append((alpha, report_from_predictions(labels, pairs, meta)))
@@ -326,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap")
 
     p = sub.add_parser("extract", help="extract features from a WAV manifest")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", action="store_true", help="also write CSV dumps")

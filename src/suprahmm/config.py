@@ -53,7 +53,6 @@ class ExperimentConfig:
     split: dict | None = None
     labels: list | None = None
     seed: int = 0
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.labels is not None:
@@ -113,7 +112,6 @@ class ExperimentConfig:
             "split": self.split,
             "labels": self.labels,
             "seed": self.seed,
-            "output_dir": self.output_dir,
         }
 
 
@@ -144,7 +142,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             doc["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError("%s must be an integer" % SEED_ENV_VAR) from exc
-    known = {"features", "model", "split", "labels", "seed", "output_dir"}
+    known = {"features", "model", "split", "labels", "seed"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError("unknown config sections: %s" % sorted(unknown))
@@ -154,5 +152,4 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         split=doc.get("split"),
         labels=doc.get("labels"),
         seed=doc.get("seed", 0),
-        output_dir=doc.get("output_dir"),
     )

@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -517,7 +517,10 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
     spec = SyntheticSpec.from_dict(sidecar["spec"])
     utterances = []
     for entry in sidecar["utterances"]:
-        features = load_features(os.path.join(path, entry["features"]))
+        try:
+            features = load_features(os.path.join(path, entry["features"]))
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from exc
         prosody = FrameProsody(
             np.array(entry["prosody"]["f0_hz"]),
             np.array(entry["prosody"]["voiced"], dtype=bool),

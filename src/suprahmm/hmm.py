@@ -390,18 +390,11 @@ def joint_log_prob(model: HmmModel, states, observations) -> float:
 
 
 class _Step:
-    """One lattice time step with both predecessor and successor views."""
+    """One lattice time step: its edges by destination (pred_*, rows of
+    sources) and by source (succ_*, rows of successors)."""
 
-    __slots__ = (
-        "order",
-        "pred_idx",
-        "pred_logw",
-        "pred_row",
-        "pred_col",
-        "succ_idx",
-        "succ_logw",
-        "emit",
-    )
+    __slots__ = ("order", "emit", "pred_idx", "pred_logw", "pred_row", "pred_col",
+                 "succ_idx", "succ_logw")
 
 
 def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
@@ -440,24 +433,15 @@ class CompositeLattice:
     def __init__(self, model: HmmModel):
         self.model = model
         self.order = model.order
-        topology = model.topology
-
-        layers = [[(i,) for i in range(topology.num_states)]]
-        for k in range(2, model.order + 1):
-            layers.append(sorted(c + (s,) for c in layers[-1] for s in topology.successors(c[-1])))
-        self.stationary_states = layers[-1]
+        layers = [legal_contexts(model.topology, k) for k in range(1, model.order + 1)]
         self.layer_emit = [np.array([c[-1] for c in layer]) for layer in layers]
 
-        self.boot_steps = [
-            self._build_boot_step(layers[k - 1], layers[k], model.tensors[k])
-            for k in range(1, model.order)
-        ]
-        self.stationary_step = self._build_stationary_step(model.tensors[model.order])
-        self.steps = self.boot_steps + [self.stationary_step]
-        self.stationary_size = len(self.stationary_states)
+        pairs = list(zip(layers, layers[1:])) + [(layers[-1], layers[-1])]
+        self.steps = [self._build_step(prev, nxt, model.tensors[k])
+                      for k, (prev, nxt) in enumerate(pairs, start=1)]
         self.initial_log = self._safe_log(model.initial)
         # Ring state of every composite index, one row per layer (padded).
-        self._emit_table = np.zeros((len(layers), self.stationary_size), dtype=np.intp)
+        self._emit_table = np.zeros((len(layers), len(layers[-1])), dtype=np.intp)
         for layer, emit in enumerate(self.layer_emit):
             self._emit_table[layer, : emit.size] = emit
 
@@ -466,68 +450,42 @@ class CompositeLattice:
         with np.errstate(divide="ignore"):
             return np.log(values)
 
-    def _build_boot_step(self, prev_layer, next_layer, tensor) -> _Step:
+    def _build_step(self, prev_layer, next_layer, tensor) -> _Step:
+        """One lattice step, built from its edge list.
+
+        Every source context moves to each successor of its last state.
+        The destination tuple is the extended one while the layers grow
+        (a boot step) and the shifted one at full length (the stationary
+        step).  The successor view lists edges by source in successor
+        order; the predecessor view lists them by destination with sources
+        ascending, which gives Viterbi its lowest-index tie-break.
+        """
         topology = self.model.topology
-        prev_index = {c: i for i, c in enumerate(prev_layer)}
+        length = len(next_layer[0])
         next_index = {c: i for i, c in enumerate(next_layer)}
-        log_matrix = self._safe_log(tensor.matrix)
+        edges = [
+            (next_index[(ctx + (s,))[-length:]], src, tensor.row_index(ctx), col)
+            for src, ctx in enumerate(prev_layer)
+            for col, s in enumerate(topology.successors(ctx[-1]))
+        ]
+        dst, src, row, col = (np.array(a, dtype=np.intp) for a in zip(*edges))
+        logw = self._safe_log(tensor.matrix)[row, col]
 
         step = _Step()
         step.order = tensor.order
-        n_next, n_prev = len(next_layer), len(prev_layer)
-        width = topology.branch
-
-        step.pred_idx = np.zeros((n_next, 1), dtype=np.intp)
-        step.pred_logw = np.full((n_next, 1), LOG_ZERO)
-        step.pred_row = np.zeros(n_next, dtype=np.intp)
-        step.pred_col = np.zeros(n_next, dtype=np.intp)
-        step.succ_idx = np.zeros((n_prev, width), dtype=np.intp)
-        step.succ_logw = np.full((n_prev, width), LOG_ZERO)
-
-        for j, ctx in enumerate(next_layer):
-            prefix, last = ctx[:-1], ctx[-1]
-            row = tensor.row_index(prefix)
-            col = topology.successors(prefix[-1]).index(last)
-            step.pred_idx[j, 0] = prev_index[prefix]
-            step.pred_logw[j, 0] = log_matrix[row, col]
-            step.pred_row[j] = row
-            step.pred_col[j] = col
-        for i, ctx in enumerate(prev_layer):
-            for col, s in enumerate(topology.successors(ctx[-1])):
-                step.succ_idx[i, col] = next_index[ctx + (s,)]
-                step.succ_logw[i, col] = log_matrix[tensor.row_index(ctx), col]
-        step.emit = self.layer_emit[len(next_layer[0]) - 1]
-        return step
-
-    def _build_stationary_step(self, tensor) -> _Step:
-        topology = self.model.topology
-        states = self.stationary_states
-        index = {c: i for i, c in enumerate(states)}
-        log_matrix = self._safe_log(tensor.matrix)
-        width = topology.branch
-        n = len(states)
-
-        step = _Step()
-        step.order = tensor.order
-        step.succ_idx = np.zeros((n, width), dtype=np.intp)
-        step.succ_logw = np.full((n, width), LOG_ZERO)
-        incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for i, ctx in enumerate(states):
-            row = tensor.row_index(ctx)
-            for col, s in enumerate(topology.successors(ctx[-1])):
-                dst = index[ctx[1:] + (s,)]
-                step.succ_idx[i, col] = dst
-                step.succ_logw[i, col] = log_matrix[row, col]
-                incoming[dst].append((i, log_matrix[row, col]))
-
-        max_in = max(len(edges) for edges in incoming)
-        step.pred_idx = np.zeros((n, max_in), dtype=np.intp)
-        step.pred_logw = np.full((n, max_in), LOG_ZERO)
-        for j, edges in enumerate(incoming):
-            for slot, (src, logw) in enumerate(sorted(edges)):
-                step.pred_idx[j, slot] = src
-                step.pred_logw[j, slot] = logw
-        step.emit = self.layer_emit[-1]
+        step.emit = self.layer_emit[length - 1]
+        step.succ_idx = dst.reshape(len(prev_layer), -1)
+        step.succ_logw = logw.reshape(len(prev_layer), -1)
+        by_dst = np.argsort(dst, kind="stable")  # keeps sources ascending
+        in_degree = np.bincount(dst, minlength=len(next_layer))
+        slot = np.arange(dst.size) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
+        shape = (len(next_layer), int(in_degree.max()))
+        step.pred_idx, step.pred_row, step.pred_col = (
+            np.zeros(shape, dtype=np.intp) for _ in range(3))
+        step.pred_logw = np.full(shape, LOG_ZERO)
+        for table, values in ((step.pred_idx, src), (step.pred_row, row),
+                              (step.pred_col, col), (step.pred_logw, logw)):
+            table[dst[by_dst], slot] = values[by_dst]
         return step
 
     def _step_index(self, t: int) -> int:
@@ -697,7 +655,7 @@ def viterbi_align(model: HmmModel, observations):
 
 
 class _Accumulators:
-    """Expected sufficient statistics; merging across batches is a sum.
+    """Expected sufficient statistics of one E-step.
 
     Frame sums are taken about `center` (the corpus mean), so the M-step
     variance E[(x-c)^2] - E[x-c]^2 keeps its precision under large offsets.
@@ -709,10 +667,8 @@ class _Accumulators:
         self.tensor_counts = {
             k: np.zeros_like(t.matrix) for k, t in model.tensors.items()
         }
-        em = model.emissions
-        self.occupancy = np.zeros((em.num_states, em.num_mixtures))
-        self.weighted_sum = np.zeros((em.num_states, em.num_mixtures, em.dim))
-        self.weighted_sq_sum = np.zeros((em.num_states, em.num_mixtures, em.dim))
+        # Mixture occupancy and centered frame sums, from `mixture_statistics`.
+        self.occupancy = self.weighted_sum = self.weighted_sq_sum = None
 
 
 def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.ndarray,
@@ -749,25 +705,14 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
 
     acc.initial += gamma_states[0].sum(axis=0)
 
-    # Mixture responsibilities over the stacked frames, built in place of
-    # the component log-densities.
-    resp = comp_log
-    with np.errstate(invalid="ignore"):
-        resp -= log_b_stacked[:, :, None]
-        np.exp(resp, out=resp)
-    resp[~np.isfinite(resp)] = 0.0
-    resp *= gamma_states.transpose(1, 0, 2)[mask.T][:, :, None]
-    flat = resp.reshape(resp.shape[0], -1).T
-    centered = stacked - acc.center
-    acc.occupancy += resp.sum(axis=0)
-    acc.weighted_sum += (flat @ centered).reshape(acc.weighted_sum.shape)
-    acc.weighted_sq_sum += (flat @ centered**2).reshape(acc.weighted_sq_sum.shape)
-    del resp, comp_log, flat
+    acc.occupancy, acc.weighted_sum, acc.weighted_sq_sum = mixture_statistics(
+        comp_log, log_b_stacked, gamma_states.transpose(1, 0, 2)[mask.T], stacked - acc.center)
+    del comp_log
 
     # Boot transitions (one edge per destination state), over every row
     # still inside its utterance at time t.
     for t in range(1, min(order, T)):
-        step = lattice.boot_steps[t - 1]
+        step = lattice.steps[t - 1]
         n = step.emit.size
         log_xi = (
             alphas[t - 1][:, step.pred_idx[:, 0]]
@@ -777,13 +722,14 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
             - ll[:, None]
         )
         xi = np.exp(np.where(mask[t][:, None], log_xi, LOG_ZERO)).sum(axis=0)
-        np.add.at(acc.tensor_counts[step.order], (step.pred_row, step.pred_col), xi)
+        np.add.at(acc.tensor_counts[step.order],
+                  (step.pred_row[:, 0], step.pred_col[:, 0]), xi)
 
     # Stationary transitions, over (time, row), one successor slot at a
     # time.  Destinations are t = order .. T-1; source rows coincide with
     # main-tensor rows.
     if T > order:
-        step = lattice.stationary_step
+        step = lattice.steps[-1]
         dest = betas[order:]  # the betas are not read again: reuse them
         dest += log_b[order:][:, :, step.emit]
         dest[~mask[order:]] = LOG_ZERO
@@ -797,6 +743,45 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     return ll
 
 
+def mixture_statistics(comp_log: np.ndarray, log_b: np.ndarray, state_post: np.ndarray,
+                       centered: np.ndarray):
+    """Mixture E-step over stacked frames: occupancy (N, M) and the
+    responsibility-weighted sums of the centered frames and of their
+    squares (N, M, D), from component log-densities (T, N, M, overwritten),
+    their log-sum-exp and the state posteriors (T, N)."""
+    resp = comp_log
+    with np.errstate(invalid="ignore"):
+        resp -= log_b[:, :, None]
+        np.exp(resp, out=resp)
+    resp[~np.isfinite(resp)] = 0.0
+    resp *= state_post[:, :, None]
+    flat = resp.reshape(resp.shape[0], -1).T
+    shape = resp.shape[1:] + centered.shape[1:]
+    return (resp.sum(axis=0), (flat @ centered).reshape(shape),
+            (flat @ centered**2).reshape(shape))
+
+
+def update_mixtures(emissions: GaussianMixtureEmission, stats, center: np.ndarray,
+                    weight_floor: float, variance_floor: np.ndarray) -> None:
+    """Mixture M-step in place, from the `mixture_statistics` sums taken
+    about `center`.
+
+    A state with no occupancy keeps its parameters; a component with none
+    keeps its mean and variance and gets the floored weight.
+    """
+    occupancy, weighted_sum, weighted_sq_sum = stats
+    for q in range(emissions.num_states):
+        occ = occupancy[q]
+        if occ.sum() <= 0:
+            continue
+        emissions.weights[q] = _floored_row(occ / occ.sum(), weight_floor)
+        live = occ > 0
+        offset = weighted_sum[q, live] / occ[live, None]
+        emissions.means[q, live] = center + offset
+        emissions.variances[q, live] = np.maximum(
+            weighted_sq_sum[q, live] / occ[live, None] - offset**2, variance_floor)
+
+
 def _m_step(model: HmmModel, acc: _Accumulators, transition_floor: float,
             weight_floor: float, variance_floor: np.ndarray) -> HmmModel:
     new = model.copy()
@@ -808,17 +793,8 @@ def _m_step(model: HmmModel, acc: _Accumulators, transition_floor: float,
         for i in np.flatnonzero(totals > 0):
             tensor.matrix[i] = _floored_row(counts[i] / totals[i], transition_floor)
 
-    em = new.emissions
-    for q in range(em.num_states):
-        occ = acc.occupancy[q]
-        if occ.sum() <= 0:
-            continue  # state never visited: keep previous parameters
-        em.weights[q] = _floored_row(occ / occ.sum(), weight_floor)
-        for m in np.flatnonzero(occ > 0):
-            offset = acc.weighted_sum[q, m] / occ[m]
-            var = acc.weighted_sq_sum[q, m] / occ[m] - offset**2
-            em.means[q, m] = acc.center + offset
-            em.variances[q, m] = np.maximum(var, variance_floor)
+    stats = (acc.occupancy, acc.weighted_sum, acc.weighted_sq_sum)
+    update_mixtures(new.emissions, stats, acc.center, weight_floor, variance_floor)
     return new
 
 
@@ -936,30 +912,44 @@ def sample_sequence(model: HmmModel, num_frames: int, rng_seed):
 # ---------------------------------------------------------------------------
 
 
-def lloyd_kmeans(data: np.ndarray, num_clusters: int, rng, iters: int = 10):
-    """Plain k-means; empty clusters keep their previous centroid.
+def squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, K) squared Euclidean distance of every row of `data` to every centroid."""
+    return ((data[:, None, :] - centroids[None]) ** 2).sum(axis=2)
 
-    Returns (centroids (K, D), assignment (n,)).
+
+def kmeans_mixture(data: np.ndarray, num_mixtures: int, rng, weight_floor: float):
+    """Starting (weights (M,), means (M, D)) of one mixture: k-means from
+    distinct random rows of `data`, the last one repeated when `data` has
+    fewer rows than `num_mixtures`; weights are the floored cluster
+    shares."""
+    rows = data[rng.choice(data.shape[0], size=min(num_mixtures, data.shape[0]),
+                           replace=False)]
+    seeds = np.vstack([rows, np.repeat(rows[-1:], num_mixtures - rows.shape[0], axis=0)])
+    centroids, assign, _ = lloyd_kmeans(data, seeds)
+    counts = np.bincount(assign, minlength=num_mixtures).astype(np.float64)
+    return _floored_row(counts / counts.sum(), weight_floor), centroids
+
+
+def lloyd_kmeans(data: np.ndarray, centroids: np.ndarray, iters: int = 10):
+    """Lloyd's k-means from the given centroids; an empty cluster keeps its
+    centroid.
+
+    Returns (centroids (K, D), assignment (n,) of the last pass, mean
+    squared distortion of every pass).
     """
     data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    if n == 0:
-        raise ValueError("cannot cluster an empty data set")
-    k = min(num_clusters, n)
-    pick = rng.choice(n, size=k, replace=False)
-    centroids = data[pick].copy()
-    if k < num_clusters:
-        extra = np.repeat(centroids[-1:], num_clusters - k, axis=0)
-        centroids = np.vstack([centroids, extra])
-    assign = np.zeros(n, dtype=np.intp)
+    centroids = np.array(centroids, dtype=np.float64)
+    assign = np.zeros(data.shape[0], dtype=np.intp)
+    history = []
     for _ in range(iters):
-        dists = ((data[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        dists = squared_distances(data, centroids)
         assign = dists.argmin(axis=1)
-        for c in range(num_clusters):
+        history.append(float(dists.min(axis=1).mean()))
+        for c in range(centroids.shape[0]):
             members = data[assign == c]
             if members.shape[0]:
                 centroids[c] = members.mean(axis=0)
-    return centroids, assign
+    return centroids, assign, history
 
 
 def initial_model(
@@ -975,7 +965,6 @@ def initial_model(
     frames_list = [_as_frames(seq) for seq in corpus]
     if not frames_list:
         raise ValueError("corpus must be non-empty")
-    dim = frames_list[0].shape[1]
     topology = CircularTopology(num_states)
     rng = np.random.default_rng(seed)
 
@@ -988,22 +977,17 @@ def initial_model(
             if chunk.shape[0]:
                 per_state[state].append(chunk)
 
-    weights = np.zeros((num_states, num_mixtures))
-    means = np.zeros((num_states, num_mixtures, dim))
+    weights, means = zip(*(
+        kmeans_mixture(np.vstack(chunks) if chunks else pooled, num_mixtures, rng, weight_floor)
+        for chunks in per_state))
     variances = np.tile(global_var, (num_states, num_mixtures, 1))
-    for q in range(num_states):
-        data = np.vstack(per_state[q]) if per_state[q] else pooled
-        centroids, assign = lloyd_kmeans(data, num_mixtures, rng)
-        means[q] = centroids
-        counts = np.bincount(assign, minlength=num_mixtures).astype(np.float64)
-        weights[q] = _floored_row(counts / counts.sum(), weight_floor)
 
     return HmmModel(
         topology,
         1,
         np.full(num_states, 1.0 / num_states),
         {1: TransitionTensor.uniform(topology, 1)},
-        GaussianMixtureEmission(weights, means, variances),
+        GaussianMixtureEmission(np.array(weights), np.array(means), variances),
     )
 
 

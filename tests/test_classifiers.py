@@ -1,6 +1,7 @@
 """Model banks, baselines, and the argmax recognizer."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from suprahmm.corpus import (
 )
 from suprahmm.evaluation import evaluate_split
 from suprahmm.features import FeatureSequence
+from suprahmm.suprasegmental import SuprasegmentalLayout
+
+from oracles import mixture_log_density
 
 
 def mini_spec(seed=11, **overrides):
@@ -79,6 +83,27 @@ class TestGmmBaseline:
         rng = np.random.default_rng(2)
         model, _ = train_gmm(rng.normal(size=(100, 2)), 5)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_frame_scores_match_direct_density(self):
+        rng = np.random.default_rng(9)
+        model, _ = train_gmm(rng.normal(size=(120, 3)), 3)
+        frames = rng.normal(size=(5, 3))
+        want = [mixture_log_density(x, model.weights, model.means, model.variances)
+                for x in frames]
+        np.testing.assert_allclose(model.frame_log_likelihoods(frames), want, rtol=1e-12)
+
+    def test_translation_leaves_fit_unchanged(self):
+        # EM is translation-equivariant, and sums taken about the frame
+        # mean keep it so under a 1e6 offset; E[x^2] - mean^2 moved the
+        # variances by about 2e-2 relative and the mean frame LL by 2e-4.
+        rng = np.random.default_rng(12)
+        frames = np.vstack([rng.normal(-2.0, 1.0, size=(400, 4)),
+                            rng.normal(3.0, 0.5, size=(400, 4))])
+        (base, base_history), (moved, moved_history) = [
+            train_gmm(frames + offset, num_components=4, max_iters=10, tol=None)
+            for offset in (0.0, 1e6)]
+        np.testing.assert_allclose(moved_history, base_history, rtol=1e-9)
+        np.testing.assert_allclose(moved.variances, base.variances, rtol=1e-6)
 
 
 class TestLbg:
@@ -155,6 +180,21 @@ class TestBankTraining:
             loaded = load_bank(out)
             assert loaded.kind == kind
             assert loaded.labels == bank.labels
+
+    def test_options_round_trip_and_missing_keys_keep_defaults(self):
+        options = dataclasses.replace(MINI_OPTIONS, tol=None,
+                                      layout=SuprasegmentalLayout((0, 0, 1, 1, 2, 2)))
+        assert TrainOptions.from_dict(options.to_dict()) == options
+        assert TrainOptions.from_dict({"num_states": 4}) == TrainOptions(num_states=4)
+
+    def test_unknown_kind_on_disk_rejected(self, mini_corpus, tmp_path):
+        _, train, _ = mini_corpus
+        save_bank(train_bank("VQ", group_by_emotion(train), MINI_OPTIONS), tmp_path)
+        manifest = json.loads((tmp_path / "bank.json").read_text())
+        manifest["kind"] = "SVM"
+        (tmp_path / "bank.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="SVM"):
+            load_bank(tmp_path)
 
     def test_repeat_training_gives_byte_identical_banks(self, mini_corpus, tmp_path):
         _, train, _ = mini_corpus

@@ -184,6 +184,24 @@ class TestTrain:
                      "--kind", "CHMM3", "--out", str(tmp_path / "bank"),
                      "--config", tiny_config]) == EXIT_IO
 
+    def test_truncated_feature_file_is_data_error(self, tmp_path, tiny_corpus_dir,
+                                                  tiny_config, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
+        path = corpus / entry["features"]
+        path.write_bytes(path.read_bytes()[:-8])
+        assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
+                     "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
+        assert entry["features"] in capsys.readouterr().err
+
+    def test_jobs_is_a_usage_error(self, tmp_path, tiny_corpus_dir):
+        # --jobs belongs to extract, the one command with parallel work.
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--corpus", str(tiny_corpus_dir), "--kind", "VQ",
+                  "--out", str(tmp_path / "bank"), "--jobs", "2"])
+        assert exc.value.code == EXIT_CONFIG
+
 
 class TestEvaluate:
     def test_report_files_and_column_sums(self, tmp_path, tiny_corpus_dir,
@@ -230,6 +248,26 @@ class TestEvaluate:
                      "--corpus", str(tiny_corpus_dir),
                      "--out", str(tmp_path / "x"), "--config", tiny_config,
                      "--alpha-sweep", "0,2"]) == EXIT_CONFIG
+
+    def test_alpha_sweep_unscorable_utterance_is_data_error(
+            self, tmp_path, tiny_corpus_dir, tiny_config, trained_banks, capsys):
+        # The sweep picks labels by the rule classify uses: an utterance
+        # that every model scores at -inf (NaN at alpha 1, from 0 * -inf)
+        # is exit 3, as in plain evaluate.
+        csp, _ = trained_banks
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        for entry in json.loads((corpus / "corpus.json").read_text())["utterances"]:
+            frames = load_features(corpus / entry["features"]).frames
+            save_features(corpus / entry["features"],
+                          FeatureSequence(np.full_like(frames, 1e160)))
+        for alphas in ("0.5", "1"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main(["evaluate", "--bank", str(csp), "--corpus", str(corpus),
+                             "--out", str(tmp_path / "x"), "--config", tiny_config,
+                             "--alpha-sweep", alphas])
+            assert code == EXIT_IO
+            assert "zero likelihood" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -334,6 +372,13 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"model": {"bogus_knob": 1}}))
         assert main(["synth", "--out", str(tmp_path / "c"),
                      "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_output_dir_is_an_unknown_section(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"output_dir": "runs"}))
+        assert main(["synth", "--out", str(tmp_path / "c"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert "output_dir" in capsys.readouterr().err
 
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPRAHMM_SEED", "not-a-number")

@@ -8,6 +8,7 @@ import pytest
 from suprahmm.corpus import prosody_synthetic_spec, synthesize_corpus
 from suprahmm.hmm import (
     CircularTopology,
+    CompositeLattice,
     GaussianMixtureEmission,
     HmmModel,
     TransitionTensor,
@@ -17,6 +18,7 @@ from suprahmm.hmm import (
     joint_log_prob,
     legal_contexts,
     legal_successors,
+    lloyd_kmeans,
     promote_order,
     sample_sequence,
     sequence_log_prob,
@@ -169,6 +171,48 @@ class TestForward:
         model = random_model(rng, 3, 2, 2)
         obs = rng.normal(size=(6, 2))
         assert forward_log_likelihood(model, obs) == forward_log_likelihood(model, obs)
+
+
+class TestLatticeSteps:
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    @pytest.mark.parametrize("num_states", range(1, 7))
+    def test_both_views_list_the_same_legal_edges(self, num_states, order):
+        # Every predecessor slot names a source context, the successor slot
+        # that reaches this destination from it, and the tensor row and
+        # probability of that move; sources ascend within a destination.
+        model = random_model(np.random.default_rng(num_states + 10 * order),
+                             num_states, 1, 1, order=order)
+        lattice = CompositeLattice(model)
+        layers = [legal_contexts(model.topology, k) for k in range(1, order + 1)]
+        assert len(lattice.steps) == order
+        for k, step in enumerate(lattice.steps, start=1):
+            tensor = model.tensors[k]
+            sources, dests = layers[k - 1], layers[min(k, order - 1)]
+            edges = len(sources) * model.topology.branch
+            assert step.pred_idx.size == step.succ_idx.size == edges
+            for j, dst in enumerate(dests):
+                assert list(step.pred_idx[j]) == sorted(step.pred_idx[j])
+                for slot, i in enumerate(step.pred_idx[j]):
+                    ctx = sources[i]
+                    assert (ctx + dst[-1:])[-len(dst):] == dst
+                    assert step.succ_idx[i, step.pred_col[j, slot]] == j
+                    assert step.pred_row[j, slot] == tensor.row_index(ctx)
+                    assert math.exp(step.pred_logw[j, slot]) == pytest.approx(
+                        tensor.prob(ctx, dst[-1]), rel=1e-12)
+
+
+class TestLloydKmeans:
+    def test_empty_cluster_keeps_its_centroid_and_distortion_falls(self):
+        rng = np.random.default_rng(8)
+        data = np.vstack([rng.normal(0.0, 1.0, size=(60, 2)),
+                          rng.normal(8.0, 1.0, size=(60, 2))])
+        start = np.array([[1.0, 1.0], [7.0, 7.0], [100.0, 100.0]])
+        centroids, assign, history = lloyd_kmeans(data, start, iters=5)
+        np.testing.assert_array_equal(centroids[2], start[2])
+        assert set(assign.tolist()) == {0, 1}
+        assert len(history) == 5
+        assert all(cur <= prev for prev, cur in zip(history[:-1], history[1:]))
+        assert start[0, 0] == 1.0  # the caller's array is not modified
 
 
 class TestViterbi:
