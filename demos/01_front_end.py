@@ -11,7 +11,6 @@ from suprahmm import (
     AudioClip,
     MfccConfig,
     extract_features,
-    extract_prosody,
     frame_prosody,
     mfcc,
 )
@@ -56,8 +55,8 @@ print("\npitch glide: %d frames, %.0f%% voiced"
 # Split frames down the middle and summarize each side.
 ids = np.zeros(len(track), dtype=int)
 ids[len(track) // 2:] = 1
-low, high = extract_prosody(clip, ids, cfg)
-print("segment 0: mean f0 = %.0f Hz over %d frames"
-      % (np.exp(low.mean_log_f0), int(low.duration_frames)))
-print("segment 1: mean f0 = %.0f Hz over %d frames"
-      % (np.exp(high.mean_log_f0), int(high.duration_frames)))
+# Columns: mean log F0, its SD, voiced ratio, mean log-energy, energy
+# range, duration in frames.
+for seg, row in enumerate(track.segment_vectors(ids)):
+    print("segment %d: mean f0 = %.0f Hz over %d frames"
+          % (seg, np.exp(row[0]), int(row[5])))

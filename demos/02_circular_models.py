@@ -17,7 +17,6 @@ from suprahmm import (
     TransitionTensor,
     forward_log_likelihood,
     joint_log_prob,
-    legal_successors,
     promote_order,
     sample_sequence,
     sequence_log_prob,
@@ -28,7 +27,7 @@ from suprahmm import (
 topology = CircularTopology(6)
 print("legal moves on a 6-state ring:")
 for state in range(6):
-    print("  state %d -> %s" % (state, sorted(legal_successors(topology, state))))
+    print("  state %d -> %s" % (state, sorted(topology.successors(state))))
 
 # --- a hand-built order-1 model ----------------------------------------------
 rng = np.random.default_rng(7)

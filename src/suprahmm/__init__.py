@@ -14,10 +14,8 @@ from .features import (
     FeatureSequence,
     FrameProsody,
     MfccConfig,
-    ProsodySegmentVector,
     append_deltas,
     extract_features,
-    extract_prosody,
     frame_and_window,
     frame_prosody,
     load_features,
@@ -36,7 +34,6 @@ from .hmm import (
     forward_log_likelihood,
     initial_model,
     joint_log_prob,
-    legal_successors,
     promote_order,
     sample_sequence,
     sequence_log_prob,
@@ -60,6 +57,7 @@ from .classifiers import (
     TrainOptions,
     UnscorableUtteranceError,
     VqBaselineModel,
+    bank_scores,
     classify,
     lbg_codebook,
     load_bank,

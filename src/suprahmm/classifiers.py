@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DEFAULT_EMOTIONS, Utterance
+from .corpus import DEFAULT_EMOTIONS, ManifestError, Utterance
 from .hmm import (
     ABS_VARIANCE_FLOOR,
     MIXTURE_WEIGHT_FLOOR,
@@ -32,7 +32,7 @@ from .hmm import (
     HmmModel,
     _as_frames,
     _lse_last,
-    forward_log_likelihood,
+    forward_log_likelihood_batch,
     kmeans_mixture,
     lloyd_kmeans,
     mixture_statistics,
@@ -45,7 +45,7 @@ from .suprasegmental import (
     Csphmm3Model,
     SuprasegmentalLayout,
     fuse_scores,
-    score_components,
+    score_components_batch,
     train_on_alignments,
 )
 
@@ -318,14 +318,33 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
     return ModelBank(kind, labels, models, fingerprint, options)
 
 
-def _score_utterance(bank: ModelBank, model, utterance: Utterance) -> float:
+def bank_scores(bank: ModelBank, utterances):
+    """Scores of every utterance under every model of the bank.
+
+    Returns (scores (U, L) with columns in label order, parts).  For a
+    CSPHMM3 bank, parts is the (acoustic, suprasegmental) pair of (U, L)
+    matrices that the scores fuse at each model's alpha; for the other
+    kinds it is None.  Each HMM model scores all utterances in one batch.
+    """
+    for utt in utterances:
+        if utt.features.dim != bank.fingerprint["dim"]:
+            raise IncompatibleFeaturesError(
+                "utterance %r dim %d does not match bank dim %d"
+                % (utt.record.id, utt.features.dim, bank.fingerprint["dim"])
+            )
+    models = [bank.models[label] for label in bank.labels]
+    features = [u.features for u in utterances]
     if bank.kind == "CSPHMM3":
-        return fuse_scores(*score_components(model, utterance.features,
-                                             utterance.prosody), model.alpha)
+        prosodies = [u.prosody for u in utterances]
+        parts = [score_components_batch(m, features, prosodies) for m in models]
+        acoustic = np.column_stack([a for a, _ in parts])
+        supra = np.column_stack([s for _, s in parts])
+        alphas = np.array([m.alpha for m in models])
+        return fuse_scores(acoustic, supra, alphas), (acoustic, supra)
     if bank.kind == "CHMM3":
-        return forward_log_likelihood(model, utterance.features)
-    frames = utterance.features.frames
-    return model.score(frames)
+        return np.column_stack([forward_log_likelihood_batch(m, features)
+                                for m in models]), None
+    return np.array([[m.score(f.frames) for m in models] for f in features]), None
 
 
 def classify(bank: ModelBank, utterance: Utterance):
@@ -333,14 +352,9 @@ def classify(bank: ModelBank, utterance: Utterance):
 
     Raises UnscorableUtteranceError when no model scores above -inf.
     """
-    if utterance.features.dim != bank.fingerprint["dim"]:
-        raise IncompatibleFeaturesError(
-            "utterance dim %d does not match bank dim %d"
-            % (utterance.features.dim, bank.fingerprint["dim"])
-        )
-    scores = {label: _score_utterance(bank, bank.models[label], utterance)
-              for label in bank.labels}
-    return pick_label(bank.labels, scores.values(), utterance.record.id), scores
+    scores, _ = bank_scores(bank, [utterance])
+    row = scores[0].tolist()
+    return pick_label(bank.labels, row, utterance.record.id), dict(zip(bank.labels, row))
 
 
 def pick_label(labels, scores, utterance_id) -> str:
@@ -358,23 +372,6 @@ def pick_label(labels, scores, utterance_id) -> str:
             % utterance_id
         )
     return best_label
-
-
-def csphmm3_score_components(bank: ModelBank, utterances):
-    """(acoustic, suprasegmental) score matrices of shape (U, L) for an
-    alpha sweep without re-aligning per alpha."""
-    if bank.kind != "CSPHMM3":
-        raise ValueError("component scores only exist for CSPHMM3 banks")
-    acoustic = np.empty((len(utterances), len(bank.labels)))
-    supra = np.empty_like(acoustic)
-    for i, utt in enumerate(utterances):
-        if utt.features.dim != bank.fingerprint["dim"]:
-            raise IncompatibleFeaturesError("utterance dim mismatch")
-        for j, label in enumerate(bank.labels):
-            acoustic[i, j], supra[i, j] = score_components(
-                bank.models[label], utt.features, utt.prosody
-            )
-    return acoustic, supra
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +418,27 @@ def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
 
 
 def load_bank(path) -> ModelBank:
+    """Read a bank written by save_bank.
+
+    Raises ManifestError when bank.json is not a model bank of a known kind
+    or a model document does not decode.
+    """
     with open(os.path.join(path, BANK_MANIFEST), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != "model-bank":
-        raise ValueError("%s does not contain a model bank" % path)
-    kind = manifest["kind"]
+        raise ManifestError("%s does not contain a model bank" % path)
+    kind = manifest.get("kind")
     if kind not in _MODEL_TYPES:
-        raise ValueError("unknown bank kind %r" % kind)
+        raise ManifestError("%s: unknown bank kind %r" % (path, kind))
     models = {}
     for label in manifest["labels"]:
-        with open(os.path.join(path, label + ".json"), "r", encoding="utf-8") as fh:
-            models[label] = _MODEL_TYPES[kind].from_dict(json.load(fh))
+        model_path = os.path.join(path, label + ".json")
+        with open(model_path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        try:
+            models[label] = _MODEL_TYPES[kind].from_dict(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError("%s: not a %s model: %s"
+                                % (model_path, kind, exc)) from exc
     return ModelBank(kind, tuple(manifest["labels"]), models, manifest["fingerprint"],
                      TrainOptions.from_dict(manifest.get("options", {})))

@@ -20,8 +20,8 @@ from .classifiers import (
     IncompatibleFeaturesError,
     IncompleteBankError,
     UnscorableUtteranceError,
+    bank_scores,
     classify,
-    csphmm3_score_components,
     load_bank,
     pick_label,
     save_bank,
@@ -176,7 +176,7 @@ def cmd_train(args, config: ExperimentConfig) -> int:
 
 
 def _sweep_reports(bank, test_side, alphas, metadata):
-    acoustic, supra = csphmm3_score_components(bank, test_side)
+    _, (acoustic, supra) = bank_scores(bank, test_side)
     labels = bank.labels
     reports = []
     for alpha in alphas:

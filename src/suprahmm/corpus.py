@@ -37,7 +37,9 @@ DEFAULT_EMOTIONS = ("neutral", "hot_anger", "sadness", "happiness", "disgust", "
 
 
 class ManifestError(Exception):
-    """Malformed manifest: bad header, bad row, duplicate key, missing file."""
+    """Malformed input data: a manifest with a bad header, bad row, duplicate
+    key or missing file, or a damaged corpus.json, bank.json, model document
+    or feature file."""
 
 
 @dataclass(frozen=True)
@@ -513,7 +515,7 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
     with open(os.path.join(path, CORPUS_SIDECAR), "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     if sidecar.get("format") != "synthetic-corpus":
-        raise ValueError("%s does not contain a synthetic corpus" % path)
+        raise ManifestError("%s does not contain a synthetic corpus" % path)
     spec = SyntheticSpec.from_dict(sidecar["spec"])
     utterances = []
     for entry in sidecar["utterances"]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ModelBank, classify
+from .classifiers import ModelBank, bank_scores, pick_label
 
 CRITICAL_T_005 = 1.645
 
@@ -129,13 +129,13 @@ def confusion_from_pairs(labels, pairs) -> ConfusionMatrix:
 
 def evaluate_split(bank: ModelBank, utterances, metadata: dict | None = None
                    ) -> EvaluationReport:
-    """Classify every test utterance and tally the confusion matrix."""
+    """Label every test utterance from one bank score matrix and tally the
+    confusion matrix."""
     if not utterances:
         raise ValueError("test corpus must be non-empty")
-    pairs = []
-    for utt in utterances:
-        predicted, _ = classify(bank, utt)
-        pairs.append((predicted, utt.emotion))
+    scores, _ = bank_scores(bank, utterances)
+    pairs = [(pick_label(bank.labels, row, utt.record.id), utt.emotion)
+             for row, utt in zip(scores, utterances)]
     meta = {
         "kind": bank.kind,
         "num_test_utterances": len(utterances),

@@ -114,50 +114,6 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
-PROSODY_FIELDS = (
-    "mean_log_f0",
-    "std_log_f0",
-    "voiced_ratio",
-    "mean_log_energy",
-    "energy_range",
-    "duration_frames",
-)
-
-
-@dataclass(frozen=True)
-class ProsodySegmentVector:
-    """Fixed-length prosodic summary of a frame segment.
-
-    Unvoiced-only segments carry the sentinel convention:
-    mean_log_f0 = std_log_f0 = 0 with voiced_ratio = 0.
-    """
-
-    mean_log_f0: float
-    std_log_f0: float
-    voiced_ratio: float
-    mean_log_energy: float
-    energy_range: float
-    duration_frames: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.voiced_ratio <= 1.0:
-            raise ValueError("voiced_ratio must lie in [0, 1]")
-        if self.duration_frames < 1:
-            raise ValueError("segment duration must be >= 1 frame")
-        if not all(np.isfinite(getattr(self, f)) for f in PROSODY_FIELDS):
-            raise ValueError("prosody vector contains non-finite fields")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in PROSODY_FIELDS], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "ProsodySegmentVector":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (PROSODY_DIM,):
-            raise ValueError("prosody vector must have %d entries" % PROSODY_DIM)
-        return cls(*values.tolist())
-
-
 def preemphasize(clip: AudioClip, coeff: float) -> AudioClip:
     """First-order high-pass: out[n] = in[n] - coeff * in[n-1], out[0] = in[0]."""
     if not 0.0 <= coeff < 1.0:
@@ -288,8 +244,10 @@ def extract_features(clip: AudioClip, cfg: MfccConfig | None = None) -> FeatureS
 class FrameProsody:
     """Per-frame pitch, voicing, and log-energy tracks.
 
-    f0_hz is 0 on unvoiced frames.  Segment summaries aggregate these
-    tracks into ProsodySegmentVector rows.
+    f0_hz is 0 on unvoiced frames.  A segment summary is a row of
+    PROSODY_DIM values: mean and standard deviation of log F0 over the
+    voiced frames (both 0 when none is voiced), voiced ratio, mean
+    log-energy, log-energy range, and duration in frames.
     """
 
     f0_hz: np.ndarray
@@ -387,17 +345,6 @@ def frame_prosody(clip: AudioClip, cfg: MfccConfig | None = None) -> FrameProsod
     voiced = (r0 > 0) & (peak_val >= VOICING_THRESHOLD)
     f0 = np.where(voiced, rate / peak_lag, 0.0)
     return FrameProsody(f0, voiced, log_energy)
-
-
-def extract_prosody(
-    clip: AudioClip,
-    segment_ids: np.ndarray,
-    cfg: MfccConfig | None = None,
-) -> list[ProsodySegmentVector]:
-    """Per-segment prosodic summaries for a frame-to-segment alignment."""
-    track = frame_prosody(clip, cfg)
-    matrix = track.segment_vectors(segment_ids)
-    return [ProsodySegmentVector.from_array(row) for row in matrix]
 
 
 # ---------------------------------------------------------------------------

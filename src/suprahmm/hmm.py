@@ -60,11 +60,6 @@ class CircularTopology:
         return 1 if self.num_states == 1 else 2
 
 
-def legal_successors(topology: CircularTopology, state: int) -> set[int]:
-    """The set of states reachable from `state` in one step."""
-    return set(topology.successors(state))
-
-
 def legal_contexts(topology: CircularTopology, order: int) -> list[tuple[int, ...]]:
     """All length-`order` state tuples whose consecutive moves are legal, sorted."""
     if order < 1:
@@ -618,21 +613,17 @@ def _emission_batch(model: HmmModel, corpus):
     return _pad_rows(log_b, lengths), lengths
 
 
+def forward_log_likelihood_batch(model: HmmModel, corpus) -> np.ndarray:
+    """log P(O | model) of many utterances, (B,), from one emission matrix,
+    one lattice and one batched forward pass."""
+    log_b, lengths = _emission_batch(model, corpus)
+    _, lls = CompositeLattice(model).forward(log_b, lengths)
+    return lls
+
+
 def forward_log_likelihood(model: HmmModel, observations) -> float:
     """log P(O | model): the exact sum over all legal state paths."""
-    log_b, lengths = _emission_batch(model, [observations])
-    _, ll = CompositeLattice(model).forward(log_b, lengths)
-    return float(ll[0])
-
-
-def forward_and_align(model: HmmModel, observations):
-    """(log P(O | model), Viterbi state path) from one emission matrix and
-    one lattice."""
-    log_b, lengths = _emission_batch(model, [observations])
-    lattice = CompositeLattice(model)
-    _, ll = lattice.forward(log_b, lengths)
-    paths, _ = lattice.viterbi(log_b, lengths)
-    return float(ll[0]), paths[0]
+    return float(forward_log_likelihood_batch(model, [observations])[0])
 
 
 def viterbi_align_batch(model: HmmModel, corpus):

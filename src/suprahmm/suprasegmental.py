@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import PROSODY_DIM
-from .hmm import HmmModel, forward_and_align, viterbi_align_batch
+from .hmm import CompositeLattice, HmmModel, _emission_batch, viterbi_align_batch
 
 PROSODY_VARIANCE_FLOOR = 1e-4
 SUPRA_TRANSITION_FLOOR = 1e-6
@@ -282,19 +282,40 @@ class Csphmm3Model:
         )
 
 
-def score_components(model: Csphmm3Model, observations, prosody) -> tuple[float, float]:
-    """(acoustic forward score, suprasegmental score) for one utterance.
+def _segment_summaries(paths, prosodies, layout: SuprasegmentalLayout):
+    """Per utterance: (segment groups (S,), segment prosody vectors (S, P),
+    utterance vector (P,)) of its alignment segmented by the layout."""
+    for path, prosody in zip(paths, prosodies):
+        segmentation = segment_by_alignment(path, layout)
+        yield (segmentation.groups, prosody.segment_vectors(segmentation.frame_segments),
+               prosody.utterance_vector())
 
-    The prosody argument must expose segment_vectors(frame_segments) and
-    utterance_vector(); segments come from the acoustic Viterbi alignment.
+
+def score_components_batch(model: Csphmm3Model, features, prosodies):
+    """(acoustic forward scores (U,), suprasegmental scores (U,)) of many
+    utterances.
+
+    One emission matrix and one lattice serve a batched forward pass and a
+    batched Viterbi alignment; each prosody track must expose
+    segment_vectors(frame_segments) and utterance_vector(), and is
+    segmented along its utterance's alignment.
     """
-    acoustic_ll, path = forward_and_align(model.acoustic, observations)
-    segmentation = segment_by_alignment(path, model.supra.layout)
-    vectors = prosody.segment_vectors(segmentation.frame_segments)
-    supra_ll = suprasegmental_log_likelihood(
-        model.supra, segmentation.groups, vectors, prosody.utterance_vector()
-    )
-    return acoustic_ll, supra_ll
+    log_b, lengths = _emission_batch(model.acoustic, features)
+    lattice = CompositeLattice(model.acoustic)
+    _, acoustic = lattice.forward(log_b, lengths)
+    paths, _ = lattice.viterbi(log_b, lengths)
+    supra = np.array([
+        suprasegmental_log_likelihood(model.supra, groups, vectors, utterance_vector)
+        for groups, vectors, utterance_vector
+        in _segment_summaries(paths, prosodies, model.supra.layout)
+    ])
+    return acoustic, supra
+
+
+def score_components(model: Csphmm3Model, observations, prosody) -> tuple[float, float]:
+    """(acoustic forward score, suprasegmental score) for one utterance."""
+    acoustic, supra = score_components_batch(model, [observations], [prosody])
+    return float(acoustic[0]), float(supra[0])
 
 
 def fuse_scores(acoustic_ll: float, supra_ll: float, alpha: float) -> float:
@@ -323,12 +344,7 @@ def train_on_alignments(
     if layout is None:
         layout = SuprasegmentalLayout.halves(acoustic.num_states)
     paths, _ = viterbi_align_batch(acoustic, corpus_features)
-    segment_obs = []
-    utterance_obs = []
-    for path, prosody in zip(paths, corpus_prosody):
-        segmentation = segment_by_alignment(path, layout)
-        vectors = prosody.segment_vectors(segmentation.frame_segments)
-        segment_obs.append((segmentation.groups, vectors))
-        utterance_obs.append(prosody.utterance_vector())
-    return train_suprasegmental(segment_obs, np.vstack(utterance_obs), layout,
-                                variance_floor=variance_floor)
+    summaries = list(_segment_summaries(paths, corpus_prosody, layout))
+    return train_suprasegmental([(groups, vectors) for groups, vectors, _ in summaries],
+                                np.vstack([utterance for _, _, utterance in summaries]),
+                                layout, variance_floor=variance_floor)

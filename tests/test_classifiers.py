@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suprahmm.classifiers import (
     IncompatibleFeaturesError,
@@ -12,6 +14,7 @@ from suprahmm.classifiers import (
     ModelBank,
     TrainOptions,
     UnscorableUtteranceError,
+    bank_scores,
     classify,
     lbg_codebook,
     load_bank,
@@ -21,6 +24,7 @@ from suprahmm.classifiers import (
 )
 from suprahmm.corpus import (
     DEFAULT_EMOTIONS,
+    ManifestError,
     SyntheticSpec,
     default_split,
     default_synthetic_spec,
@@ -28,8 +32,8 @@ from suprahmm.corpus import (
     synthesize_corpus,
 )
 from suprahmm.evaluation import evaluate_split
-from suprahmm.features import FeatureSequence
-from suprahmm.suprasegmental import SuprasegmentalLayout
+from suprahmm.features import FeatureSequence, FrameProsody
+from suprahmm.suprasegmental import SuprasegmentalLayout, fuse_scores
 
 from oracles import mixture_log_density
 
@@ -58,6 +62,25 @@ def mini_corpus():
 def csp_bank(mini_corpus):
     _, train, _ = mini_corpus
     return train_bank("CSPHMM3", group_by_emotion(train), MINI_OPTIONS)
+
+
+@pytest.fixture(scope="module")
+def banks(mini_corpus, csp_bank):
+    _, train, _ = mini_corpus
+    grouped = group_by_emotion(train)
+    trained = {kind: train_bank(kind, grouped, MINI_OPTIONS)
+               for kind in ("CHMM3", "GMM", "VQ")}
+    return {"CSPHMM3": csp_bank, **trained}
+
+
+def truncated(utt, num_frames):
+    """The utterance cut to its first num_frames frames (None keeps all)."""
+    cut = slice(num_frames)
+    prosody = utt.prosody
+    return dataclasses.replace(
+        utt, features=FeatureSequence(utt.features.frames[cut]),
+        prosody=FrameProsody(prosody.f0_hz[cut], prosody.voiced[cut],
+                             prosody.log_energy[cut]))
 
 
 class TestGmmBaseline:
@@ -193,7 +216,7 @@ class TestBankTraining:
         manifest = json.loads((tmp_path / "bank.json").read_text())
         manifest["kind"] = "SVM"
         (tmp_path / "bank.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="SVM"):
+        with pytest.raises(ManifestError, match="SVM"):
             load_bank(tmp_path)
 
     def test_repeat_training_gives_byte_identical_banks(self, mini_corpus, tmp_path):
@@ -286,3 +309,33 @@ class TestClassify:
         mismatched = synthesize_corpus(SyntheticSpec.from_dict(doc))
         with pytest.raises(IncompatibleFeaturesError):
             classify(csp_bank, mismatched.utterances[0])
+
+
+class TestBankScores:
+    # Lengths 1..3 are at or below the order-3 models' order; None keeps
+    # the utterance whole (30-50 frames), so a batch mixes short and long
+    # rows.
+    @pytest.mark.parametrize("kind", ["CSPHMM3", "CHMM3", "GMM", "VQ"])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.one_of(st.none(), st.integers(1, 8))),
+                          min_size=1, max_size=6))
+    def test_batched_rows_equal_single_rows_and_classify(self, kind, picks,
+                                                         mini_corpus, banks):
+        _, _, test = mini_corpus
+        bank = banks[kind]
+        utts = [truncated(test[i % len(test)], n) for i, n in picks]
+        scores, parts = bank_scores(bank, utts)
+        assert scores.shape == (len(utts), len(bank.labels))
+        for row, utt in zip(scores, utts):
+            single, _ = bank_scores(bank, [utt])
+            np.testing.assert_array_equal(single[0], row)
+            _, by_label = classify(bank, utt)
+            assert list(by_label) == list(bank.labels)
+            assert all(type(v) is float for v in by_label.values())
+            np.testing.assert_array_equal(list(by_label.values()), row)
+        if kind == "CSPHMM3":
+            np.testing.assert_array_equal(fuse_scores(*parts, bank.options.alpha),
+                                          scores)
+        else:
+            assert parts is None

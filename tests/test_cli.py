@@ -195,6 +195,17 @@ class TestTrain:
                      "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
         assert entry["features"] in capsys.readouterr().err
 
+    def test_corpus_of_wrong_format_is_data_error(self, tmp_path, tiny_corpus_dir,
+                                                  tiny_config, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        sidecar = json.loads((corpus / "corpus.json").read_text())
+        sidecar["format"] = "model-bank"
+        (corpus / "corpus.json").write_text(json.dumps(sidecar))
+        assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
+                     "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
+        assert "does not contain a synthetic corpus" in capsys.readouterr().err
+
     def test_jobs_is_a_usage_error(self, tmp_path, tiny_corpus_dir):
         # --jobs belongs to extract, the one command with parallel work.
         with pytest.raises(SystemExit) as exc:
@@ -232,6 +243,37 @@ class TestEvaluate:
         for alpha in ("0.00", "0.25", "0.50", "0.75", "1.00"):
             assert (out / ("report_alpha_%s.json" % alpha)).is_file()
             assert (out / ("report_alpha_%s.txt" % alpha)).is_file()
+
+    def test_alpha_sweep_at_bank_alpha_matches_plain_evaluate(
+            self, tmp_path, tiny_corpus_dir, tiny_config, trained_banks):
+        csp, _ = trained_banks
+        alpha = json.loads((csp / "bank.json").read_text())["options"]["alpha"]
+        plain, sweep = tmp_path / "plain", tmp_path / "sweep"
+        assert main(["evaluate", "--bank", str(csp), "--corpus", str(tiny_corpus_dir),
+                     "--out", str(plain), "--config", tiny_config]) == EXIT_OK
+        assert main(["evaluate", "--bank", str(csp), "--corpus", str(tiny_corpus_dir),
+                     "--out", str(sweep), "--config", tiny_config,
+                     "--alpha-sweep", repr(alpha)]) == EXIT_OK
+        want = json.loads((plain / "report.json").read_text())["counts"]
+        got = json.loads((sweep / ("report_alpha_%.2f.json" % alpha)).read_text())
+        assert got["counts"] == want
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("bank.json", "format", "synthetic-corpus"),
+        ("bank.json", "kind", "SVM"),
+        ("neutral.json", "format", "circular-hmm"),  # rejected by from_dict
+    ])
+    def test_damaged_bank_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
+                                        trained_banks, name, key, value, capsys):
+        csp, _ = trained_banks
+        bank = tmp_path / "bank"
+        shutil.copytree(csp, bank)
+        doc = json.loads((bank / name).read_text())
+        doc[key] = value
+        (bank / name).write_text(json.dumps(doc))
+        assert main(["evaluate", "--bank", str(bank), "--corpus", str(tiny_corpus_dir),
+                     "--out", str(tmp_path / "x"), "--config", tiny_config]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_alpha_sweep_needs_csphmm3(self, tmp_path, tiny_corpus_dir,
                                        tiny_config, trained_banks):

@@ -12,10 +12,8 @@ from suprahmm.features import (
     FeatureSequence,
     LOG_ENERGY_FLOOR,
     MfccConfig,
-    ProsodySegmentVector,
     append_deltas,
     extract_features,
-    extract_prosody,
     filterbank_energies,
     frame_and_window,
     frame_prosody,
@@ -180,53 +178,52 @@ class TestDeltas:
 
 
 class TestProsody:
+    # Segment vector columns: 0 mean log F0, 1 its SD, 2 voiced ratio,
+    # 3 mean log-energy, 4 log-energy range, 5 duration in frames.
+
     def test_pure_tone_pitch_and_voicing(self):
         clip = tone(200, duration_s=0.3)
-        segment_ids = np.zeros(frame_prosody(clip).f0_hz.size, dtype=int)
-        (vec,) = extract_prosody(clip, segment_ids)
-        assert vec.voiced_ratio == 1.0
-        assert abs(vec.mean_log_f0 - math.log(200)) < 0.05 * math.log(200)
+        track = frame_prosody(clip)
+        segment_ids = np.zeros(track.f0_hz.size, dtype=int)
+        (vec,) = track.segment_vectors(segment_ids)
+        assert vec[2] == 1.0
+        assert abs(vec[0] - math.log(200)) < 0.05 * math.log(200)
 
     def test_silence_is_unvoiced_with_sentinels(self):
         clip = silence()
         track = frame_prosody(clip)
         segment_ids = np.zeros(len(track), dtype=int)
-        (vec,) = extract_prosody(clip, segment_ids)
-        assert vec.voiced_ratio == 0.0
-        assert vec.mean_log_f0 == 0.0
-        assert vec.std_log_f0 == 0.0
+        (vec,) = track.segment_vectors(segment_ids)
+        assert vec[2] == 0.0
+        assert vec[0] == 0.0
+        assert vec[1] == 0.0
 
     def test_duration_counts_frames(self):
         clip = tone(150, duration_s=0.5)
         track = frame_prosody(clip)
         ids = np.zeros(len(track), dtype=int)
         ids[30:] = 1
-        vecs = extract_prosody(clip, ids)
-        assert vecs[0].duration_frames == 30.0
-        assert vecs[1].duration_frames == float(len(track) - 30)
+        vecs = track.segment_vectors(ids)
+        assert vecs[0][5] == 30.0
+        assert vecs[1][5] == float(len(track) - 30)
 
     def test_empty_segment_rejected(self):
         clip = tone(150)
         track = frame_prosody(clip)
         ids = np.full(len(track), 2)  # segments 0 and 1 have no frames
         with pytest.raises(ValueError):
-            extract_prosody(clip, ids)
+            track.segment_vectors(ids)
 
     def test_alignment_must_cover_all_frames(self):
         clip = tone(150)
         with pytest.raises(ValueError):
-            extract_prosody(clip, np.zeros(3, dtype=int))
+            frame_prosody(clip).segment_vectors(np.zeros(3, dtype=int))
 
     def test_utterance_vector_matches_single_segment(self):
         clip = tone(120, duration_s=0.3)
         track = frame_prosody(clip)
         whole = track.segment_vectors(np.zeros(len(track), dtype=int))[0]
         np.testing.assert_array_equal(track.utterance_vector(), whole)
-
-    def test_vector_round_trip(self):
-        vec = ProsodySegmentVector(5.3, 0.1, 0.8, -2.0, 1.5, 42.0)
-        again = ProsodySegmentVector.from_array(vec.as_array())
-        assert again == vec
 
 
 class TestIo:
