@@ -5,8 +5,6 @@ exhaustive sum over every legal state path, and shows that promoting a
 trained model to the next order leaves every sequence score unchanged.
 """
 
-import itertools
-
 import numpy as np
 from scipy.special import logsumexp
 

@@ -420,8 +420,8 @@ def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
 def load_bank(path) -> ModelBank:
     """Read a bank written by save_bank.
 
-    Raises ManifestError when bank.json is not a model bank of a known kind
-    or a model document does not decode.
+    Raises ManifestError when bank.json is not a model bank of a known kind,
+    lacks its labels or fingerprint, or a model document does not decode.
     """
     with open(os.path.join(path, BANK_MANIFEST), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -430,6 +430,9 @@ def load_bank(path) -> ModelBank:
     kind = manifest.get("kind")
     if kind not in _MODEL_TYPES:
         raise ManifestError("%s: unknown bank kind %r" % (path, kind))
+    for key in ("labels", "fingerprint"):
+        if key not in manifest:
+            raise ManifestError("%s: bank manifest has no %r" % (path, key))
     models = {}
     for label in manifest["labels"]:
         model_path = os.path.join(path, label + ".json")

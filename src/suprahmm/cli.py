@@ -107,7 +107,9 @@ def _resolve_labels(config: ExperimentConfig, corpus_labels):
 
 def _apply_split(utterances, split: SplitSpec | None, side: str):
     if split is None:
-        return utterances
+        raise ConfigError(
+            "a WAV manifest has no built-in train/test split: add a 'split' section "
+            "(train_speakers, test_speakers, train_texts, test_texts) to the config")
     by_id = {u.record.id: u for u in utterances}
     train_recs, test_recs = make_split([u.record for u in utterances], split)
     chosen = train_recs if side == "train" else test_recs
@@ -201,6 +203,7 @@ def cmd_evaluate(args, config: ExperimentConfig) -> int:
         "kind": bank.kind,
         "num_test_utterances": len(test_side),
         "provenance": _provenance(config),
+        "split": split.to_dict(),
     }
 
     if args.alpha_sweep:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .classifiers import DEFAULT_GMM_COMPONENTS, DEFAULT_VQ_CODEBOOK, TrainOptions
 from .features import MfccConfig
@@ -23,16 +23,7 @@ class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
 
-_FEATURE_KEYS = {
-    "preemphasis_coeff": 0.97,
-    "frame_length_ms": 25.0,
-    "frame_shift_ms": 10.0,
-    "fft_size": 512,
-    "num_mel_filters": 26,
-    "num_cepstra": 16,
-    "delta_window": 2,
-    "sample_rate_hz": 16000,
-}
+_FEATURE_KEYS = {**asdict(MfccConfig()), "sample_rate_hz": 16000}
 
 _MODEL_KEYS = {
     "num_states": 6,
@@ -76,16 +67,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be an integer")
 
     def mfcc_config(self) -> MfccConfig:
-        f = self.features
-        return MfccConfig(
-            preemphasis_coeff=f["preemphasis_coeff"],
-            frame_length_ms=f["frame_length_ms"],
-            frame_shift_ms=f["frame_shift_ms"],
-            fft_size=f["fft_size"],
-            num_mel_filters=f["num_mel_filters"],
-            num_cepstra=f["num_cepstra"],
-            delta_window=f["delta_window"],
-        )
+        return MfccConfig(**{f.name: self.features[f.name] for f in fields(MfccConfig)})
 
     def train_options(self) -> TrainOptions:
         m = self.model

@@ -5,7 +5,10 @@ and the clockwise successor (i+1) mod N.  Higher-order chains are scored
 and trained by reduction to a first-order lattice over context tuples, so
 forward, Viterbi, and Baum-Welch stay textbook-standard.  An order-r model
 keeps one tensor per context length 1..r: the shorter ones boot the chain
-at t = 2..r, the full-order tensor drives every later step.
+at t = 2..r, the full-order tensor drives every later step.  Every time
+layer of the lattice is one S-wide layer over the S full-order contexts:
+a shorter boot context sits at its left-padded full-order tuple (its first
+state repeated), and the other states of a boot layer hold -inf.
 
 All probability math runs in log space; illegal moves are structurally
 absent from the sparse tensors and therefore carry exactly zero mass.
@@ -385,11 +388,11 @@ def joint_log_prob(model: HmmModel, states, observations) -> float:
 
 
 class _Step:
-    """One lattice time step: its edges by destination (pred_*, rows of
-    sources) and by source (succ_*, rows of successors)."""
+    """One lattice time step over the S full-order contexts: its edges by
+    destination (pred_*, rows of sources) and by source (succ_*, rows of
+    successors), plus `src`, the lattice index of every tensor row."""
 
-    __slots__ = ("order", "emit", "pred_idx", "pred_logw", "pred_row", "pred_col",
-                 "succ_idx", "succ_logw")
+    __slots__ = ("src", "pred_idx", "pred_logw", "succ_idx", "succ_logw")
 
 
 def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
@@ -409,78 +412,75 @@ def _pad_rows(stacked: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class CompositeLattice:
     """First-order view of an order-r circular model over context tuples.
 
-    Lattice states at time t are the last min(t, r) path states; boot
-    steps extend the tuple, stationary steps shift it.  Every state has at
-    most two predecessors and two successors, so the DP recursions reduce
-    to fixed-width gather/logaddexp operations.
+    Every time layer lives on the S sorted full-order contexts.  The state
+    at time t is the last min(t + 1, r) path states; a shorter context c of
+    length k is stored at the index of c[:1] * (r - k) + c, c padded on the
+    left with copies of its first state.  The padded tuple is legal (the
+    self-loop always is) and padding keeps lexicographic order, so every
+    step, boot or stationary, moves context P to (P + (s,))[1:]; a boot
+    layer holds -inf at every state that is not a padded context.  Every
+    state has at most two predecessors and two successors, so the DP
+    recursions reduce to fixed-width gather/logaddexp operations.
 
     The recursions step a batch of utterances through time together.
     Log-emissions come as (T, B, N): time on axis 0, one row per
     utterance, ring states last, with each row's frame count in
     `lengths`.  Frames past a row's end carry log-emission 0, and every
     row is read, reset or backtracked at its own last frame, so the
-    padding reaches no result.  Lattice values are stored (T, S, B) over
-    the S stationary states, so each time layer is one contiguous block
-    for the gathers, and returned as (T, B, S) views; a boot layer fills
-    the first states and leaves -inf in the rest.
+    padding reaches no result.  Lattice values are stored (T, S, B), so
+    each time layer is one contiguous block for the gathers, and returned
+    as (T, B, S) views.
     """
 
     def __init__(self, model: HmmModel):
         self.model = model
         self.order = model.order
-        layers = [legal_contexts(model.topology, k) for k in range(1, model.order + 1)]
-        self.layer_emit = [np.array([c[-1] for c in layer]) for layer in layers]
-
-        pairs = list(zip(layers, layers[1:])) + [(layers[-1], layers[-1])]
-        self.steps = [self._build_step(prev, nxt, model.tensors[k])
-                      for k, (prev, nxt) in enumerate(pairs, start=1)]
+        contexts = legal_contexts(model.topology, model.order)
+        self._index = {c: j for j, c in enumerate(contexts)}
+        self.emit = np.array([c[-1] for c in contexts])  # ring state of each context
+        self.start = np.array([self._index[(i,) * model.order]
+                               for i in range(model.num_states)])
+        self.steps = [self._build_step(model.tensors[k]) for k in range(1, model.order + 1)]
         self.initial_log = self._safe_log(model.initial)
-        # Ring state of every composite index, one row per layer (padded).
-        self._emit_table = np.zeros((len(layers), len(layers[-1])), dtype=np.intp)
-        for layer, emit in enumerate(self.layer_emit):
-            self._emit_table[layer, : emit.size] = emit
 
     @staticmethod
     def _safe_log(values: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(values)
 
-    def _build_step(self, prev_layer, next_layer, tensor) -> _Step:
-        """One lattice step, built from its edge list.
+    def _build_step(self, tensor: TransitionTensor) -> _Step:
+        """The lattice step driven by `tensor`, built from its edge list.
 
-        Every source context moves to each successor of its last state.
-        The destination tuple is the extended one while the layers grow
-        (a boot step) and the shifted one at full length (the stationary
-        step).  The successor view lists edges by source in successor
-        order; the predecessor view lists them by destination with sources
+        Tensor row `ctx` sits at its padded context and moves to each
+        successor of its last state; the destination is the shifted padded
+        tuple, which is the extended context while the layers grow (a boot
+        step) and the shifted one at full length (the stationary step).
+        The successor view covers all S sources in successor order, with
+        -inf on the slots of sources that are not tensor rows; the
+        predecessor view lists the edges by destination with sources
         ascending, which gives Viterbi its lowest-index tie-break.
         """
-        topology = self.model.topology
-        length = len(next_layer[0])
-        next_index = {c: i for i, c in enumerate(next_layer)}
-        edges = [
-            (next_index[(ctx + (s,))[-length:]], src, tensor.row_index(ctx), col)
-            for src, ctx in enumerate(prev_layer)
-            for col, s in enumerate(topology.successors(ctx[-1]))
-        ]
-        dst, src, row, col = (np.array(a, dtype=np.intp) for a in zip(*edges))
-        logw = self._safe_log(tensor.matrix)[row, col]
-
+        pad = self.order - tensor.order
+        successors = self.model.topology.successors
         step = _Step()
-        step.order = tensor.order
-        step.emit = self.layer_emit[length - 1]
-        step.succ_idx = dst.reshape(len(prev_layer), -1)
-        step.succ_logw = logw.reshape(len(prev_layer), -1)
+        step.src = np.array([self._index[ctx[:1] * pad + ctx] for ctx in tensor.contexts],
+                            dtype=np.intp)
+        step.succ_idx = np.array([[self._index[(ctx + (s,))[1:]] for s in successors(ctx[-1])]
+                                  for ctx in self._index], dtype=np.intp)
+        step.succ_logw = np.full(step.succ_idx.shape, LOG_ZERO)
+        step.succ_logw[step.src] = self._safe_log(tensor.matrix)
+
+        dst = step.succ_idx[step.src].ravel()
+        src = np.repeat(step.src, step.succ_idx.shape[1])
+        logw = step.succ_logw[step.src].ravel()
         by_dst = np.argsort(dst, kind="stable")  # keeps sources ascending
-        in_degree = np.bincount(dst, minlength=len(next_layer))
+        in_degree = np.bincount(dst, minlength=len(self._index))
         slot = np.arange(dst.size) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
-        shape = (len(next_layer), int(in_degree.max()))
-        step.pred_idx, step.pred_row, step.pred_col = (
-            np.zeros(shape, dtype=np.intp) for _ in range(3))
+        shape = (len(self._index), int(in_degree.max()))
+        step.pred_idx = np.zeros(shape, dtype=np.intp)
         step.pred_logw = np.full(shape, LOG_ZERO)
-        for table, values in ((step.pred_idx, src), (step.pred_row, row),
-                              (step.pred_col, col), (step.pred_logw, logw)):
-            table[dst[by_dst], slot] = values[by_dst]
+        step.pred_idx[dst[by_dst], slot] = src[by_dst]
+        step.pred_logw[dst[by_dst], slot] = logw[by_dst]
         return step
 
     def _step_index(self, t: int) -> int:
@@ -488,30 +488,20 @@ class CompositeLattice:
         return min(t, self.order) - 1
 
     def _flat_edges(self, kind: str, batch: int) -> list[np.ndarray]:
-        """Each step's `kind` edge indices (n, width) as flat (n, width, B)
-        indices into a C-ordered (n, B) layer, so a gather is one 1-D take."""
+        """Each step's `kind` edge indices (S, width) as flat (S, width, B)
+        indices into a C-ordered (S, B) layer, so a gather is one 1-D take."""
         return [getattr(s, kind)[:, :, None] * batch + np.arange(batch) for s in self.steps]
 
-    def _emission_lattice(self, log_b: np.ndarray) -> np.ndarray:
-        """(T, S, B) log-emission of every lattice state: that of the ring
-        state its context tuple ends in."""
-        emit_b = log_b.transpose(0, 2, 1)
-        lattice_b = emit_b[:, self.layer_emit[-1]]
-        for t in range(min(self.order - 1, len(log_b))):
-            emit = self.layer_emit[t]
-            lattice_b[t, : emit.size] = emit_b[t, emit]
-        return lattice_b
-
     def _start(self, lattice_b: np.ndarray) -> np.ndarray:
-        """(T, S, B) storage, -inf everywhere but the t = 0 layer."""
+        """(T, S, B) storage, -inf everywhere but the length-1 contexts at
+        t = 0."""
         values = np.full(lattice_b.shape, LOG_ZERO)
-        n = self.layer_emit[0].size
-        values[0, :n] = self.initial_log[:, None] + lattice_b[0, :n]
+        values[0, self.start] = self.initial_log[:, None] + lattice_b[0, self.start]
         return values
 
     @staticmethod
     def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
-        """log-sum-exp of (n, width, B) edge scores over the width slots."""
+        """log-sum-exp of (S, width, B) edge scores over the width slots."""
         if z.shape[1] == 1:
             out[...] = z[:, 0]
             return
@@ -522,40 +512,44 @@ class CompositeLattice:
     def forward(self, log_b: np.ndarray, lengths):
         """Forward pass; returns (alphas (T, B, S), per-row log-likelihoods (B,))."""
         T, B, _ = log_b.shape
-        lattice_b = self._emission_lattice(log_b)
+        lattice_b = log_b.transpose(0, 2, 1)[:, self.emit]
         edges = self._flat_edges("pred_idx", B)
         alphas = self._start(lattice_b)
         for t in range(1, T):
             k = self._step_index(t)
-            step, n = self.steps[k], self.steps[k].emit.size
             z = alphas[t - 1].ravel()[edges[k]]
-            z += step.pred_logw[..., None]
-            out = alphas[t, :n]
-            self._lse_slots(z, out)
-            out += lattice_b[t, :n]
-        ends = alphas[np.asarray(lengths) - 1, :, np.arange(B)]
+            z += self.steps[k].pred_logw[..., None]
+            self._lse_slots(z, alphas[t])
+            alphas[t] += lattice_b[t]
+        # Each row's last layer with its live states (the rows of the tensor
+        # that leaves it, in lattice order) packed to the front: the sum in
+        # the log-sum-exp groups terms by position, and packed, a score
+        # does not depend on where the padded contexts sit.
+        lengths = np.asarray(lengths)
+        ends = np.full((B, alphas.shape[1]), LOG_ZERO)
+        for k, step in enumerate(self.steps, start=1):
+            rows = np.flatnonzero(np.minimum(lengths, self.order) == k)
+            ends[rows, : step.src.size] = alphas[lengths[rows] - 1, :, rows][:, step.src]
         return alphas.transpose(0, 2, 1), _lse_last(ends)
 
     def backward(self, log_b: np.ndarray, lengths) -> np.ndarray:
         """Backward pass; returns betas (T, B, S), 0 at each row's last frame."""
         T, B, _ = log_b.shape
-        lattice_b = self._emission_lattice(log_b)
+        lattice_b = log_b.transpose(0, 2, 1)[:, self.emit]
         edges = self._flat_edges("succ_idx", B)
         ending: dict[int, list[int]] = {}
         for row, n in enumerate(lengths):
             ending.setdefault(int(n) - 1, []).append(row)
         betas = np.full(lattice_b.shape, LOG_ZERO)
-        betas[T - 1, : self.layer_emit[min(T - 1, self.order - 1)].size] = 0.0
+        betas[T - 1] = 0.0
         for t in range(T - 1, 0, -1):
             k = self._step_index(t)
-            step, n = self.steps[k], self.steps[k].emit.size
-            nxt = betas[t, :n] + lattice_b[t, :n]
+            nxt = betas[t] + lattice_b[t]
             z = nxt.ravel()[edges[k]]
-            z += step.succ_logw[..., None]
-            prev = betas[t - 1, : z.shape[0]]
-            self._lse_slots(z, prev)
+            z += self.steps[k].succ_logw[..., None]
+            self._lse_slots(z, betas[t - 1])
             if t - 1 in ending:
-                prev[:, ending[t - 1]] = 0.0
+                betas[t - 1][:, ending[t - 1]] = 0.0
         return betas.transpose(0, 2, 1)
 
     def viterbi(self, log_b: np.ndarray, lengths):
@@ -563,26 +557,25 @@ class CompositeLattice:
 
         Returns (list of B state paths, each as long as its row, scores
         (B,)).  Each row is backtracked from its own last frame; ties
-        prefer the lowest composite-state index (layers are sorted
+        prefer the lowest lattice index (contexts are sorted
         lexicographically, and a later edge slot must score strictly
         higher to win).
         """
         T, B, _ = log_b.shape
-        lattice_b = self._emission_lattice(log_b)
+        lattice_b = log_b.transpose(0, 2, 1)[:, self.emit]
         edges = self._flat_edges("pred_idx", B)
         scores = self._start(lattice_b)
         slots = np.zeros(scores.shape, dtype=np.intp)  # winning edge slot
         for t in range(1, T):
             k = self._step_index(t)
-            step, n = self.steps[k], self.steps[k].emit.size
             z = scores[t - 1].ravel()[edges[k]]
-            z += step.pred_logw[..., None]
-            out, slot = scores[t, :n], slots[t, :n]
+            z += self.steps[k].pred_logw[..., None]
+            out, slot = scores[t], slots[t]
             out[...] = z[:, 0]
             for col in range(1, z.shape[1]):
                 slot[z[:, col] > out] = col
                 np.maximum(out, z[:, col], out=out)
-            out += lattice_b[t, :n]
+            out += lattice_b[t]
         lengths = np.asarray(lengths)
         rows = np.arange(B)
         ends = scores[lengths - 1, :, rows]
@@ -591,14 +584,13 @@ class CompositeLattice:
         preds = [s.pred_idx.tolist() for s in self.steps]
         step_of = [self._step_index(t) for t in range(T)]
         slot_of = slots.transpose(0, 2, 1).tolist()
-        layer_of = np.minimum(np.arange(T), self.order - 1)
         paths = []
         for row, n in enumerate(lengths.tolist()):
             idx = [0] * n
             idx[-1] = cur = int(final[row])
             for t in range(n - 1, 0, -1):
                 idx[t - 1] = cur = preds[step_of[t]][cur][slot_of[t][row][cur]]
-            paths.append(self._emit_table[layer_of[:n], idx])
+            paths.append(self.emit[idx])
         return paths, ends[rows, final]
 
 
@@ -667,8 +659,6 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     """E-step over row-stacked frames of B utterances; returns their (B,)
     log-likelihoods.  Raises ValueError if any utterance has zero
     likelihood."""
-    order = model.order
-    num_states = model.num_states
     comp_log = model.emissions.component_log_probs(stacked)
     log_b_stacked = _lse_last(comp_log)
     log_b = _pad_rows(log_b_stacked, lengths)
@@ -682,16 +672,13 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
                          % bad[0])
     betas = lattice.backward(log_b, lengths)
 
-    # Lattice posteriors, folded onto ring states one layer at a time.
-    # Posteriors at padded frames are computed but never read.
+    # Lattice posteriors, folded onto ring states.  Posteriors at padded
+    # frames are computed but never read; the empty states of a boot layer
+    # hold 0.
     gamma_lattice = alphas + betas
     gamma_lattice -= ll[:, None]
     np.exp(gamma_lattice, out=gamma_lattice)
-    gamma_states = np.empty((T, lengths.size, num_states))
-    ring = np.eye(num_states)
-    for layer, emit in enumerate(lattice.layer_emit):
-        times = slice(layer, layer + 1) if layer < order - 1 else slice(order - 1, None)
-        gamma_states[times] = gamma_lattice[times, :, : emit.size] @ ring[emit]
+    gamma_states = gamma_lattice @ np.eye(model.num_states)[lattice.emit]
     del gamma_lattice
 
     acc.initial += gamma_states[0].sum(axis=0)
@@ -700,37 +687,24 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
         comp_log, log_b_stacked, gamma_states.transpose(1, 0, 2)[mask.T], stacked - acc.center)
     del comp_log
 
-    # Boot transitions (one edge per destination state), over every row
-    # still inside its utterance at time t.
-    for t in range(1, min(order, T)):
-        step = lattice.steps[t - 1]
-        n = step.emit.size
-        log_xi = (
-            alphas[t - 1][:, step.pred_idx[:, 0]]
-            + step.pred_logw[:, 0]
-            + log_b[t][:, step.emit]
-            + betas[t, :, :n]
-            - ll[:, None]
-        )
-        xi = np.exp(np.where(mask[t][:, None], log_xi, LOG_ZERO)).sum(axis=0)
-        np.add.at(acc.tensor_counts[step.order],
-                  (step.pred_row[:, 0], step.pred_col[:, 0]), xi)
-
-    # Stationary transitions, over (time, row), one successor slot at a
-    # time.  Destinations are t = order .. T-1; source rows coincide with
-    # main-tensor rows.
-    if T > order:
-        step = lattice.steps[-1]
-        dest = betas[order:]  # the betas are not read again: reuse them
-        dest += log_b[order:][:, :, step.emit]
-        dest[~mask[order:]] = LOG_ZERO
-        source = alphas[order - 1 : T - 1]
+    # Transitions, one step and one successor slot at a time, over the
+    # (time, row) frames that step feeds: t = k for a boot step k < order,
+    # t = order .. T-1 for the stationary step (a step with k >= T feeds
+    # none).  Sources that are not rows of the step's tensor carry weight
+    # -inf.
+    for k, step in enumerate(lattice.steps[: T - 1], start=1):
+        times = slice(k, T if k == model.order else k + 1)
+        dest = betas[times]  # the betas are not read again: reuse them
+        dest += log_b[times][:, :, lattice.emit]
+        dest[~mask[times]] = LOG_ZERO
+        source = alphas[k - 1 : times.stop - 1]
         for col in range(step.succ_idx.shape[1]):
             log_xi = np.take(dest, step.succ_idx[:, col], axis=2)
             log_xi += source
             log_xi += step.succ_logw[:, col]
             log_xi -= ll[:, None]
-            acc.tensor_counts[order][:, col] += np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
+            xi = np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
+            acc.tensor_counts[k][:, col] += xi[step.src]
     return ll
 
 

@@ -12,7 +12,7 @@ acoustic and prosodic scores are fused log-linearly with weight alpha.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -275,6 +275,19 @@ class TestEvaluate:
                      "--out", str(tmp_path / "x"), "--config", tiny_config]) == EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key", ("labels", "fingerprint"))
+    def test_bank_without_key_is_data_error(self, tmp_path, tiny_corpus_dir,
+                                            tiny_config, trained_banks, key, capsys):
+        csp, _ = trained_banks
+        bank = tmp_path / "bank"
+        shutil.copytree(csp, bank)
+        doc = json.loads((bank / "bank.json").read_text())
+        del doc[key]
+        (bank / "bank.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--bank", str(bank), "--corpus", str(tiny_corpus_dir),
+                     "--out", str(tmp_path / "x"), "--config", tiny_config]) == EXIT_IO
+        assert key in capsys.readouterr().err
+
     def test_alpha_sweep_needs_csphmm3(self, tmp_path, tiny_corpus_dir,
                                        tiny_config, trained_banks):
         _, chm = trained_banks
@@ -310,6 +323,57 @@ class TestEvaluate:
                              "--alpha-sweep", alphas])
             assert code == EXIT_IO
             assert "zero likelihood" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def wav_manifest(tmp_path_factory):
+    # 2 speakers x 2 texts x 2 emotions; one emotion is a low tone, the
+    # other a high one.
+    base = tmp_path_factory.mktemp("wav")
+    rows = []
+    for spk in ("spk0", "spk1"):
+        for txt in ("txt0", "txt1"):
+            for emotion, freq in (("neutral", 180.0), ("panic", 420.0)):
+                name = "%s_%s_%s" % (spk, txt, emotion)
+                write_wav(base / (name + ".wav"), freq=freq, seconds=0.3)
+                rows.append("%s,%s.wav,%s,%s,%s,0\n" % (name, name, spk, emotion, txt))
+    return write_manifest(base, rows)
+
+
+class TestWavManifestSplit:
+    SPLIT = {"train_speakers": ["spk0"], "test_speakers": ["spk1"],
+             "train_texts": ["txt0"], "test_texts": ["txt1"]}
+
+    def _config(self, tmp_path, split):
+        doc = {"labels": ["neutral", "panic"], "model": {"vq_codebook_size": 4}}
+        if split is not None:
+            doc["split"] = split
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_no_split_is_config_error(self, tmp_path, wav_manifest, trained_banks,
+                                      capsys):
+        # Without a split, train and evaluate would both use every clip.
+        config = self._config(tmp_path, None)
+        assert main(["train", "--corpus", str(wav_manifest), "--kind", "VQ",
+                     "--out", str(tmp_path / "bank"), "--config", config]) == EXIT_CONFIG
+        assert "'split' section" in capsys.readouterr().err
+        csp, _ = trained_banks
+        assert main(["evaluate", "--bank", str(csp), "--corpus", str(wav_manifest),
+                     "--out", str(tmp_path / "x"), "--config", config]) == EXIT_CONFIG
+        assert "'split' section" in capsys.readouterr().err
+
+    def test_split_keeps_train_and_test_apart(self, tmp_path, wav_manifest):
+        config = self._config(tmp_path, self.SPLIT)
+        bank, out = tmp_path / "bank", tmp_path / "eval"
+        assert main(["train", "--corpus", str(wav_manifest), "--kind", "VQ",
+                     "--out", str(bank), "--config", config]) == EXIT_OK
+        assert main(["evaluate", "--bank", str(bank), "--corpus", str(wav_manifest),
+                     "--out", str(out), "--config", config]) == EXIT_OK
+        metadata = json.loads((out / "report.json").read_text())["metadata"]
+        assert metadata["num_test_utterances"] == 2  # spk1 x txt1, of 8 clips
+        assert metadata["split"] == self.SPLIT
 
 
 class TestClassify:

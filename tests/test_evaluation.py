@@ -7,7 +7,6 @@ import pytest
 
 from suprahmm.evaluation import (
     CRITICAL_T_005,
-    ConfusionMatrix,
     EvaluationReport,
     compare_accuracies,
     confusion_from_pairs,

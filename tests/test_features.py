@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from suprahmm import features
 from suprahmm.features import (
     AudioClip,
     FeatureSequence,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suprahmm.corpus import prosody_synthetic_spec, synthesize_corpus
 from suprahmm.hmm import (
@@ -28,7 +30,6 @@ from suprahmm.hmm import (
 from oracles import (
     brute_forward,
     brute_viterbi,
-    joint_path_log_prob,
     mixture_log_density,
     path_log_prob,
     random_model,
@@ -176,28 +177,76 @@ class TestLatticeSteps:
     @pytest.mark.parametrize("order", (1, 2, 3))
     @pytest.mark.parametrize("num_states", range(1, 7))
     def test_both_views_list_the_same_legal_edges(self, num_states, order):
-        # Every predecessor slot names a source context, the successor slot
-        # that reaches this destination from it, and the tensor row and
-        # probability of that move; sources ascend within a destination.
+        # Every step lives on the full-order contexts.  Tensor row ctx sits
+        # at ctx left-padded with its first state and moves to the padded
+        # extended (boot) or shifted (stationary) context with the tensor's
+        # probability; every finite predecessor slot is one of those edges,
+        # with sources ascending within a destination; edge-less slots of
+        # either view carry -inf.
         model = random_model(np.random.default_rng(num_states + 10 * order),
                              num_states, 1, 1, order=order)
         lattice = CompositeLattice(model)
-        layers = [legal_contexts(model.topology, k) for k in range(1, order + 1)]
+        contexts = legal_contexts(model.topology, order)
+        index = {c: j for j, c in enumerate(contexts)}
+        assert [int(q) for q in lattice.emit] == [c[-1] for c in contexts]
         assert len(lattice.steps) == order
         for k, step in enumerate(lattice.steps, start=1):
             tensor = model.tensors[k]
-            sources, dests = layers[k - 1], layers[min(k, order - 1)]
-            edges = len(sources) * model.topology.branch
-            assert step.pred_idx.size == step.succ_idx.size == edges
-            for j, dst in enumerate(dests):
-                assert list(step.pred_idx[j]) == sorted(step.pred_idx[j])
-                for slot, i in enumerate(step.pred_idx[j]):
-                    ctx = sources[i]
-                    assert (ctx + dst[-1:])[-len(dst):] == dst
-                    assert step.succ_idx[i, step.pred_col[j, slot]] == j
-                    assert step.pred_row[j, slot] == tensor.row_index(ctx)
-                    assert math.exp(step.pred_logw[j, slot]) == pytest.approx(
-                        tensor.prob(ctx, dst[-1]), rel=1e-12)
+            branch = model.topology.branch
+            edges = len(tensor.contexts) * branch
+            assert step.succ_idx.shape == (len(contexts), branch)
+            for logw in (step.succ_logw, step.pred_logw):
+                assert np.isfinite(logw).sum() == edges
+                assert (logw == -np.inf).sum() == logw.size - edges
+            for r, ctx in enumerate(tensor.contexts):
+                assert contexts[step.src[r]] == ctx[:1] * (order - k) + ctx
+                for c, s in enumerate(model.topology.successors(ctx[-1])):
+                    moved = ctx + (s,)
+                    dst = moved[-order:] if k == order else moved[:1] * (order - k - 1) + moved
+                    assert step.succ_idx[step.src[r], c] == index[dst]
+                    assert math.exp(step.succ_logw[step.src[r], c]) == pytest.approx(
+                        tensor.prob(ctx, s), rel=1e-12)
+            for j in range(len(contexts)):
+                finite = np.isfinite(step.pred_logw[j])
+                sources = list(step.pred_idx[j][finite])
+                assert sources == sorted(sources)
+                for i, logw in zip(sources, step.pred_logw[j][finite]):
+                    slots = np.flatnonzero(step.succ_idx[i] == j)
+                    assert slots.size == 1
+                    assert step.succ_logw[i, slots[0]] == logw
+
+
+class TestBootLayerProperties:
+    # Lengths up to order + 3 put the last frame in every boot layer and in
+    # the first stationary layers.
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3),
+           num_states=st.integers(1, 4), data=st.data())
+    def test_viterbi_path_is_legal_and_scores_its_joint_probability(
+            self, seed, order, num_states, data):
+        length = data.draw(st.integers(1, order + 3), label="length")
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, num_states, 2, 2, order=order)
+        obs = rng.normal(size=(length, 2))
+        path, score = viterbi_align(model, obs)
+        assert len(path) == length
+        for prev, cur in zip(path[:-1], path[1:]):
+            assert cur in model.topology.successors(int(prev))
+        assert score == pytest.approx(joint_log_prob(model, path, obs), rel=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 2),
+           num_states=st.integers(1, 4), data=st.data())
+    def test_promotion_keeps_the_forward_score(self, seed, order, num_states, data):
+        # promote_order accepts orders 1 and 2; the promoted model has
+        # order 2 or 3.
+        length = data.draw(st.integers(1, order + 4), label="length")
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, num_states, 2, 2, order=order)
+        obs = rng.normal(size=(length, 2))
+        assert forward_log_likelihood(promote_order(model), obs) == pytest.approx(
+            forward_log_likelihood(model, obs), rel=1e-10)
 
 
 class TestLloydKmeans:
