@@ -32,7 +32,6 @@ from .corpus import (
     CORPUS_SIDECAR,
     DEFAULT_EMOTIONS,
     ManifestError,
-    SplitSpec,
     SyntheticSpec,
     default_split,
     default_synthetic_spec,
@@ -91,12 +90,6 @@ def _load_corpus(path, config: ExperimentConfig):
     return utterances, None, None
 
 
-def _resolve_split(config: ExperimentConfig, corpus_split):
-    if config.split is not None:
-        return SplitSpec.from_dict(config.split)
-    return corpus_split
-
-
 def _resolve_labels(config: ExperimentConfig, corpus_labels):
     if config.labels is not None:
         return tuple(config.labels)
@@ -105,15 +98,23 @@ def _resolve_labels(config: ExperimentConfig, corpus_labels):
     return DEFAULT_EMOTIONS
 
 
-def _apply_split(utterances, split: SplitSpec | None, side: str):
-    if split is None:
+def _split_side(path, config: ExperimentConfig, side: str):
+    """The train or test side of a corpus: (utterances, corpus labels, split).
+
+    The config's split overrides a synthetic corpus's own.  A WAV manifest
+    has none, so without a configured split this fails before the
+    front-end reads any audio.
+    """
+    if config.split is None and os.path.isfile(path):
         raise ConfigError(
             "a WAV manifest has no built-in train/test split: add a 'split' section "
             "(train_speakers, test_speakers, train_texts, test_texts) to the config")
+    utterances, corpus_labels, corpus_split = _load_corpus(path, config)
+    split = config.split_spec() or corpus_split
     by_id = {u.record.id: u for u in utterances}
     train_recs, test_recs = make_split([u.record for u in utterances], split)
     chosen = train_recs if side == "train" else test_recs
-    return [by_id[r.id] for r in chosen]
+    return [by_id[r.id] for r in chosen], corpus_labels, split
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +164,8 @@ def cmd_extract(args, config: ExperimentConfig) -> int:
 
 
 def cmd_train(args, config: ExperimentConfig) -> int:
-    utterances, corpus_labels, corpus_split = _load_corpus(args.corpus, config)
+    train_side, corpus_labels, _ = _split_side(args.corpus, config, "train")
     labels = _resolve_labels(config, corpus_labels)
-    split = _resolve_split(config, corpus_split)
-    train_side = _apply_split(utterances, split, "train")
     if not train_side:
         raise ConfigError("training split selected no utterances")
     options = config.train_options()
@@ -193,9 +192,7 @@ def _sweep_reports(bank, test_side, alphas, metadata):
 
 def cmd_evaluate(args, config: ExperimentConfig) -> int:
     bank = load_bank(args.bank)
-    utterances, _, corpus_split = _load_corpus(args.corpus, config)
-    split = _resolve_split(config, corpus_split)
-    test_side = _apply_split(utterances, split, "test")
+    test_side, _, split = _split_side(args.corpus, config, "test")
     if not test_side:
         raise ConfigError("evaluation split selected no utterances")
     os.makedirs(args.out, exist_ok=True)

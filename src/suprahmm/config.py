@@ -13,6 +13,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .classifiers import DEFAULT_GMM_COMPONENTS, DEFAULT_VQ_CODEBOOK, TrainOptions
+from .corpus import SplitSpec
 from .features import MfccConfig
 from .suprasegmental import DEFAULT_ALPHA, SuprasegmentalLayout
 
@@ -35,6 +36,8 @@ _MODEL_KEYS = {
     "gmm_components": DEFAULT_GMM_COMPONENTS,
     "vq_codebook_size": DEFAULT_VQ_CODEBOOK,
 }
+
+_SPLIT_KEYS = ("train_speakers", "test_speakers", "train_texts", "test_texts")
 
 
 @dataclass
@@ -61,6 +64,7 @@ class ExperimentConfig:
         try:
             self.mfcc_config()
             self.train_options()
+            self.split_spec()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         if not isinstance(self.seed, int):
@@ -86,6 +90,24 @@ class ExperimentConfig:
             gmm_components=m["gmm_components"],
             vq_codebook_size=m["vq_codebook_size"],
         )
+
+    def split_spec(self) -> SplitSpec | None:
+        """The configured train/test split; None when the config has none."""
+        if self.split is None:
+            return None
+        if not isinstance(self.split, dict):
+            raise ConfigError("split must be an object with keys %s" % ", ".join(_SPLIT_KEYS))
+        missing = [k for k in _SPLIT_KEYS if k not in self.split]
+        if missing:
+            raise ConfigError("split is missing keys: %s" % missing)
+        unknown = set(self.split) - set(_SPLIT_KEYS)
+        if unknown:
+            raise ConfigError("unknown split keys: %s" % sorted(unknown))
+        for key in _SPLIT_KEYS:
+            names = self.split[key]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ConfigError("split key %s must be a list of names" % key)
+        return SplitSpec.from_dict(self.split)
 
     def to_dict(self) -> dict:
         return {

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -849,26 +850,58 @@ def promote_order(model: HmmModel) -> HmmModel:
     )
 
 
+def _choice_cdfs(probs) -> list[list[float]]:
+    """Per-row cdfs of `probs` (rows of probabilities) as Python lists.
+
+    Builds each cdf the way `Generator.choice(n, p=row)` does (cumsum, then
+    divided by the last entry) after the same checks: a row with a NaN, a
+    negative entry, or a sum more than sqrt(eps) away from 1 raises
+    ValueError.  `bisect_right(cdf, u)` on a uniform draw `u` then picks
+    what `choice` picks from that draw.
+    """
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    sums = probs.sum(axis=1)
+    if np.isnan(sums).any():
+        raise ValueError("probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(sums - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf.tolist()
+
+
 def sample_sequence(model: HmmModel, num_frames: int, rng_seed):
     """Ancestral sampling; returns (states, observations (T, D)).
 
     Deterministic given the seed; the sampled path only uses legal moves.
+    The draws are those of picking the start, every move and every mixture
+    with `rng.choice(n, p=row)` and every frame with `rng.normal(mean, sd)`,
+    in the same order: one uniform per state, then per frame one uniform
+    for its mixture and D standard normals.  Every probability row of the
+    model is checked as `choice` checks it, visited or not.
     """
     if num_frames < 1:
         raise ValueError("need at least one frame")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    states = [int(rng.choice(model.num_states, p=model.initial))]
+    moves = {}
+    for tensor in model.tensors.values():
+        for context, cdf in zip(tensor.contexts, _choice_cdfs(tensor.matrix)):
+            moves[context] = (cdf, model.topology.successors(context[-1]))
+    uniforms = rng.random(num_frames).tolist()
+    states = [bisect_right(_choice_cdfs(model.initial)[0], uniforms[0])]
     for t in range(1, num_frames):
-        k = min(t, model.order)
-        context = tuple(states[t - k : t])
-        successors = model.topology.successors(context[-1])
-        row = model.tensors[k].row(context)
-        states.append(int(successors[rng.choice(len(successors), p=row)]))
+        cdf, successors = moves[tuple(states[max(0, t - model.order) : t])]
+        states.append(successors[bisect_right(cdf, uniforms[t])])
     em = model.emissions
-    obs = np.empty((num_frames, em.dim))
+    weight_cdfs = _choice_cdfs(em.weights)
+    mixtures = []
+    normals = np.empty((num_frames, em.dim))
     for t, q in enumerate(states):
-        m = int(rng.choice(em.num_mixtures, p=em.weights[q]))
-        obs[t] = rng.normal(em.means[q, m], np.sqrt(em.variances[q, m]))
+        mixtures.append(bisect_right(weight_cdfs[q], rng.random()))
+        rng.standard_normal(out=normals[t])
+    obs = em.means[states, mixtures] + np.sqrt(em.variances)[states, mixtures] * normals
     return np.array(states, dtype=np.intp), obs
 
 

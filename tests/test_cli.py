@@ -353,8 +353,13 @@ class TestWavManifestSplit:
         return str(path)
 
     def test_no_split_is_config_error(self, tmp_path, wav_manifest, trained_banks,
-                                      capsys):
+                                      capsys, monkeypatch):
         # Without a split, train and evaluate would both use every clip.
+        # They fail before the front-end reads any audio.
+        def no_front_end(*args, **kwargs):
+            raise AssertionError("the front-end ran")
+
+        monkeypatch.setattr("suprahmm.cli.load_wav_corpus", no_front_end)
         config = self._config(tmp_path, None)
         assert main(["train", "--corpus", str(wav_manifest), "--kind", "VQ",
                      "--out", str(tmp_path / "bank"), "--config", config]) == EXIT_CONFIG
@@ -363,6 +368,31 @@ class TestWavManifestSplit:
         assert main(["evaluate", "--bank", str(csp), "--corpus", str(wav_manifest),
                      "--out", str(tmp_path / "x"), "--config", config]) == EXIT_CONFIG
         assert "'split' section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("damage, named", [
+        ("missing", "test_texts"), ("unknown", "dev_texts"), ("not_object", "split"),
+        ("not_a_list", "train_speakers")])
+    def test_malformed_split_is_config_error(self, tmp_path, wav_manifest,
+                                             trained_banks, capsys, command, damage,
+                                             named):
+        split = dict(self.SPLIT)
+        if damage == "missing":
+            del split["test_texts"]
+        elif damage == "unknown":
+            split["dev_texts"] = ["txt1"]
+        elif damage == "not_a_list":
+            split["train_speakers"] = "spk0"
+        else:
+            split = ["spk0"]
+        config = self._config(tmp_path, split)
+        csp, _ = trained_banks
+        args = (["train", "--kind", "VQ"] if command == "train"
+                else ["evaluate", "--bank", str(csp)])
+        assert main(args + ["--corpus", str(wav_manifest), "--out", str(tmp_path / "o"),
+                            "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
 
     def test_split_keeps_train_and_test_apart(self, tmp_path, wav_manifest):
         config = self._config(tmp_path, self.SPLIT)
