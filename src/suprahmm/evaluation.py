@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import ModelBank, bank_scores, pick_label
+from .corpus import ManifestError
 
 CRITICAL_T_005 = 1.645
 
@@ -113,8 +114,11 @@ class EvaluationReport:
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ManifestError("%s: not an evaluation report: %r" % (path, exc)) from exc
 
 
 def confusion_from_pairs(labels, pairs) -> ConfusionMatrix:

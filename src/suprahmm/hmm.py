@@ -180,16 +180,18 @@ class GaussianMixtureEmission:
     def component_log_probs(self, obs: np.ndarray) -> np.ndarray:
         """Weighted per-component log densities, shape (T, N, M).
 
-        Frames are scored in blocks, so the (frames, N, M, D) temporary stays
-        small however many utterances are stacked into `obs`.
+        Frames are scored in blocks through one (block, N, M, D) buffer, reused
+        so no block maps fresh pages, however many utterances `obs` stacks.
         """
         log_det = np.log(self.variances).sum(axis=2)
         with np.errstate(divide="ignore"):
             log_w = np.log(self.weights)
         out = np.empty((obs.shape[0],) + self.weights.shape)
+        work = np.empty((min(obs.shape[0], EMISSION_BLOCK_FRAMES),) + self.means.shape)
         for start in range(0, obs.shape[0], EMISSION_BLOCK_FRAMES):
             x = obs[start : start + EMISSION_BLOCK_FRAMES, None, None, :]
-            sq = ((x - self.means[None]) ** 2 / self.variances[None]).sum(axis=3)
+            diff = np.subtract(x, self.means[None], out=work[: x.shape[0]])
+            sq = np.divide(np.square(diff, out=diff), self.variances[None], out=diff).sum(axis=3)
             out[start : start + EMISSION_BLOCK_FRAMES] = (
                 log_w[None] - 0.5 * (self.dim * _LOG_2PI + log_det[None] + sq)
             )
@@ -911,8 +913,12 @@ def sample_sequence(model: HmmModel, num_frames: int, rng_seed):
 
 
 def squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, K) squared Euclidean distance of every row of `data` to every centroid."""
-    return ((data[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    """(n, K) squared distances as |x|^2 - 2 x.c + |c|^2, x and c centered on the data mean."""
+    center = data.mean(axis=0)
+    x, c = data - center, centroids - center
+    dists = x @ (-2.0 * c).T + np.einsum("ij,ij->i", c, c)
+    dists += np.einsum("ij,ij->i", x, x)[:, None]
+    return np.maximum(dists, 0.0, out=dists)
 
 
 def kmeans_mixture(data: np.ndarray, num_mixtures: int, rng, weight_floor: float):
@@ -929,8 +935,8 @@ def kmeans_mixture(data: np.ndarray, num_mixtures: int, rng, weight_floor: float
 
 
 def lloyd_kmeans(data: np.ndarray, centroids: np.ndarray, iters: int = 10):
-    """Lloyd's k-means from the given centroids; an empty cluster keeps its
-    centroid.
+    """Lloyd's k-means from the given centroids: a centroid moves to the mean
+    of its members in row order; an empty cluster keeps its centroid.
 
     Returns (centroids (K, D), assignment (n,) of the last pass, mean
     squared distortion of every pass).
@@ -943,10 +949,10 @@ def lloyd_kmeans(data: np.ndarray, centroids: np.ndarray, iters: int = 10):
         dists = squared_distances(data, centroids)
         assign = dists.argmin(axis=1)
         history.append(float(dists.min(axis=1).mean()))
-        for c in range(centroids.shape[0]):
-            members = data[assign == c]
-            if members.shape[0]:
-                centroids[c] = members.mean(axis=0)
+        members = data[np.argsort(assign, kind="stable")]
+        edges = np.r_[0, np.bincount(assign, minlength=centroids.shape[0]).cumsum()]
+        for c in np.flatnonzero(np.diff(edges)):
+            centroids[c] = members[edges[c] : edges[c + 1]].mean(axis=0)
     return centroids, assign, history
 
 

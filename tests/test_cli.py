@@ -495,6 +495,24 @@ class TestTtestAndReport:
         assert "Average" in text
         assert "Confusion" in text
 
+    @pytest.mark.parametrize("damage", ["no_labels", "wrong_format", "counts_not_square"])
+    @pytest.mark.parametrize("command", ["report", "ttest"])
+    def test_damaged_report_is_data_error(self, tmp_path, capsys, command, damage):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        self.make_report(good, [90, 80, 70])
+        doc = json.loads(good.read_text())
+        if damage == "no_labels":
+            del doc["labels"]
+        elif damage == "wrong_format":
+            doc["format"] = "model-bank"
+        else:
+            doc["counts"] = doc["counts"][:-1]
+        bad.write_text(json.dumps(doc))
+        argv = (["report", "--report", str(bad)] if command == "report"
+                else ["ttest", "--report-a", str(good), "--report-b", str(bad)])
+        assert main(argv) == EXIT_IO
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_invalid_config_json_is_config_error(self, tmp_path):

@@ -1,6 +1,7 @@
 """Core circular-HMM tests: scoring, inference, training, promotion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from suprahmm.hmm import (
     promote_order,
     sample_sequence,
     sequence_log_prob,
+    squared_distances,
     train_circular_chain,
     viterbi_align,
 )
@@ -261,6 +263,75 @@ class TestLloydKmeans:
         assert len(history) == 5
         assert all(cur <= prev for prev, cur in zip(history[:-1], history[1:]))
         assert start[0, 0] == 1.0  # the caller's array is not modified
+
+    def test_centroids_are_bit_equal_member_means(self):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(2600, 32)) * rng.uniform(0.5, 3.0, size=32)
+        start = data[rng.choice(2600, size=64, replace=False)]
+        centroids, assign, _ = lloyd_kmeans(data, start, iters=3)
+        for c in range(64):
+            members = data[assign == c]
+            want = members.mean(0) if members.shape[0] else centroids[c]
+            np.testing.assert_array_equal(centroids[c], want)
+
+    def test_peak_memory_is_bounded(self):
+        # The (n, K, D) difference tensor of a broadcast distance would be
+        # 43 MB here; the expansion needs only (n, K) and (n, D) arrays.
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(2600, 32))
+        start = data[:64].copy()
+        tracemalloc.start()
+        try:
+            lloyd_kmeans(data, start, iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def broadcast_squared_distances(data, centroids):
+    return ((data[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+
+
+class TestSquaredDistances:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), k=st.integers(1, 8),
+           dim=st.integers(1, 6), log_scale=st.floats(-2.0, 2.0),
+           shift=st.sampled_from([0.0, 1e6, -1e6]))
+    def test_matches_broadcast_formula(self, seed, n, k, dim, log_scale, shift):
+        rng = np.random.default_rng(seed)
+        data = 10.0 ** log_scale * rng.normal(size=(n, dim))
+        centroids = 10.0 ** log_scale * rng.normal(size=(k, dim))
+        centroids[: min(n, k) // 2] = data[: min(n, k) // 2]  # exact zeros
+        # The tolerance comes from the unshifted norms: a shift moves no
+        # distance, so an expansion that does not center fails here.
+        tol = 1e-12 * ((data ** 2).sum(1)[:, None] + (centroids ** 2).sum(1)[None])
+        data, centroids = data + shift, centroids + shift
+        got = squared_distances(data, centroids)
+        want = broadcast_squared_distances(data, centroids)
+        assert got.shape == (n, k)
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= tol)
+        if k > 1:
+            top2 = np.sort(want, axis=1)[:, :2]
+            clear = top2[:, 1] - top2[:, 0] > 2 * tol.max(axis=1)
+            np.testing.assert_array_equal(got.argmin(1)[clear], want.argmin(1)[clear])
+
+
+class TestMixtureScoringBlocks:
+    @pytest.mark.parametrize("shape", [(6, 3, 8), (1, 32, 32)])
+    @pytest.mark.parametrize("num_frames", [1, 255, 256, 257, 600])
+    def test_blocked_scores_are_bit_equal_to_unblocked(self, shape, num_frames):
+        rng = np.random.default_rng(num_frames)
+        weights = rng.dirichlet(np.ones(shape[1]), size=shape[0])
+        means = rng.normal(size=shape)
+        variances = rng.uniform(0.2, 3.0, size=shape)
+        obs = rng.normal(size=(num_frames, shape[2]))
+        got = GaussianMixtureEmission(weights, means, variances).component_log_probs(obs)
+        sq = ((obs[:, None, None, :] - means[None]) ** 2 / variances[None]).sum(axis=3)
+        want = np.log(weights)[None] - 0.5 * (
+            shape[2] * float(np.log(2.0 * np.pi)) + np.log(variances).sum(axis=2)[None] + sq)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestViterbi:
