@@ -21,7 +21,6 @@ from .classifiers import (
     IncompleteBankError,
     UnscorableUtteranceError,
     bank_scores,
-    classify,
     load_bank,
     pick_label,
     save_bank,
@@ -233,13 +232,12 @@ def cmd_classify(args, config: ExperimentConfig) -> int:
         utterances = [u for u in utterances if u.record.id == args.utterance]
         if not utterances:
             raise ManifestError("utterance id %r not found" % args.utterance)
-    results = []
-    for utt in utterances:
-        label, scores = classify(bank, utt)
-        results.append(
-            {"id": utt.record.id, "label": label,
-             "scores": {k: float(v) for k, v in scores.items()}}
-        )
+    scores, _ = bank_scores(bank, utterances)
+    results = [
+        {"id": utt.record.id, "label": pick_label(bank.labels, row, utt.record.id),
+         "scores": dict(zip(bank.labels, row))}
+        for utt, row in zip(utterances, scores.tolist())
+    ]
     doc = {"provenance": _provenance(config), "results": results}
     if args.out:
         _write_json(args.out, doc)

@@ -78,6 +78,8 @@ class EvaluationReport:
         if doc.get("format") != "evaluation-report":
             raise ValueError("not an evaluation-report document")
         labels = tuple(doc["labels"])
+        if not all(isinstance(l, str) for l in labels) or len(set(labels)) != len(labels):
+            raise ValueError("labels must be distinct strings")
         return cls(labels, ConfusionMatrix(labels, np.array(doc["counts"])),
                    doc.get("metadata", {}))
 

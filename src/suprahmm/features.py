@@ -267,49 +267,41 @@ class FrameProsody:
     def __len__(self) -> int:
         return self.f0_hz.size
 
-    def _summarize(self, idx: np.ndarray) -> np.ndarray:
-        f0 = self.f0_hz[idx]
-        voiced = self.voiced[idx]
-        log_e = self.log_energy[idx]
-        if voiced.any():
-            log_f0 = np.log(f0[voiced])
-            mean_log_f0 = float(log_f0.mean())
-            std_log_f0 = float(log_f0.std())
-        else:
-            mean_log_f0 = 0.0
-            std_log_f0 = 0.0
-        return np.array(
-            [
-                mean_log_f0,
-                std_log_f0,
-                float(voiced.mean()),
-                float(log_e.mean()),
-                float(log_e.max() - log_e.min()),
-                float(idx.size),
-            ]
-        )
-
     def segment_vectors(self, segment_ids: np.ndarray) -> np.ndarray:
         """Summarize each segment; returns an (S, 6) matrix.
 
-        segment_ids maps every frame to a segment and must use contiguous
-        ids 0..S-1; an id with no frames raises a degenerate-segment error.
+        segment_ids maps every frame to a segment and must number the runs
+        of equal ids 0..S-1 in time order; ids that skip or repeat a run
+        raise.  Each column is one reduceat over the runs; reduceat adds a
+        run's first frame to the sum of the rest, so a mean can differ from
+        np.mean's in the last bits.
         """
-        segment_ids = np.asarray(segment_ids)
-        if segment_ids.shape != (len(self),):
+        ids = np.asarray(segment_ids)
+        if ids.shape != (len(self),):
             raise ValueError("alignment must cover all %d frames" % len(self))
-        num_segments = int(segment_ids.max()) + 1 if segment_ids.size else 0
-        rows = []
-        for seg in range(num_segments):
-            idx = np.flatnonzero(segment_ids == seg)
-            if idx.size == 0:
-                raise ValueError("segment %d is empty" % seg)
-            rows.append(self._summarize(idx))
-        return np.vstack(rows)
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(ids)) + 1])
+        if not np.array_equal(ids[starts], np.arange(starts.size)):
+            raise ValueError("segment ids must number the runs 0..S-1 in time order")
+        count = np.diff(starts, append=ids.size)
+        num_voiced = np.add.reduceat(self.voiced.astype(np.float64), starts)
+        # Unvoiced frames read log 1 = 0 and drop out of the sums.
+        log_f0 = np.log(np.where(self.voiced, self.f0_hz, 1.0))
+        divisor = np.maximum(num_voiced, 1.0)
+        mean_log_f0 = np.add.reduceat(log_f0, starts) / divisor
+        dev = np.where(self.voiced, log_f0 - np.repeat(mean_log_f0, count), 0.0)
+        log_e = self.log_energy
+        return np.column_stack([
+            mean_log_f0,
+            np.sqrt(np.add.reduceat(dev**2, starts) / divisor),
+            num_voiced / count,
+            np.add.reduceat(log_e, starts) / count,
+            np.maximum.reduceat(log_e, starts) - np.minimum.reduceat(log_e, starts),
+            count.astype(np.float64),
+        ])
 
     def utterance_vector(self) -> np.ndarray:
         """The whole utterance summarized as a single segment."""
-        return self._summarize(np.arange(len(self)))
+        return self.segment_vectors(np.zeros(len(self), dtype=np.intp))[0]
 
 
 def frame_prosody(clip: AudioClip, cfg: MfccConfig | None = None) -> FrameProsody:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import PROSODY_DIM
+from .features import PROSODY_DIM, FrameProsody
 from .hmm import CompositeLattice, HmmModel, _emission_batch, viterbi_align_batch
 
 PROSODY_VARIANCE_FLOOR = 1e-4
@@ -64,38 +64,36 @@ class SuprasegmentalLayout:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Maximal runs of one prosodic group along an alignment."""
+    """Maximal runs of one prosodic group along a batch of alignments,
+    numbered in time order over the row-stacked frames."""
 
-    groups: np.ndarray        # (S,) group of each segment
-    lengths: np.ndarray       # (S,) frames per segment
-    frame_segments: np.ndarray  # (T,) segment id of every frame
+    groups: np.ndarray          # (S,) group of each segment
+    rows: np.ndarray            # (S,) utterance each segment belongs to
+    frame_segments: np.ndarray  # (sum T,) segment id of every stacked frame
 
     def __len__(self) -> int:
         return self.groups.size
 
 
-def segment_by_alignment(alignment, layout: SuprasegmentalLayout) -> Segmentation:
-    """Run-length encode a state path into prosodic-group segments."""
-    alignment = np.asarray(alignment, dtype=np.intp)
-    if alignment.ndim != 1 or alignment.size == 0:
-        raise ValueError("alignment must be a non-empty state path")
-    if alignment.max() >= layout.num_states or alignment.min() < 0:
-        raise ValueError("alignment state outside the layout")
-    per_frame_group = layout.as_array()[alignment]
-    boundaries = np.flatnonzero(np.diff(per_frame_group)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [alignment.size]])
-    frame_segments = np.zeros(alignment.size, dtype=np.intp)
-    for seg, start in enumerate(starts):
-        frame_segments[start : ends[seg]] = seg
-    return Segmentation(per_frame_group[starts], ends - starts, frame_segments)
+def segment_by_alignment(paths, layout: SuprasegmentalLayout) -> Segmentation:
+    """Run-length encode a batch of state paths into prosodic-group segments.
 
-
-def _diag_gauss_logpdf(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
-    diff = x - mean
-    return float(
-        -0.5 * (x.size * np.log(2.0 * np.pi) + np.log(var).sum() + (diff**2 / var).sum())
-    )
+    A segment starts wherever the group changes and at the start of every
+    row, so no segment crosses from one utterance into the next.
+    """
+    lengths = np.array([len(path) for path in paths], dtype=np.intp)
+    if lengths.size == 0 or lengths.min() == 0:
+        raise ValueError("every alignment must be a non-empty state path")
+    states = np.concatenate(paths).astype(np.intp)
+    if states.ndim != 1 or states.min() < 0 or states.max() >= layout.num_states:
+        raise ValueError("alignment states must be 1-D and inside the layout")
+    per_frame_group = layout.as_array()[states]
+    is_start = np.concatenate([[True], per_frame_group[1:] != per_frame_group[:-1]])
+    is_start[np.cumsum(lengths) - lengths] = True
+    starts = np.flatnonzero(is_start)
+    frame_rows = np.repeat(np.arange(lengths.size), lengths)
+    return Segmentation(per_frame_group[starts], frame_rows[starts],
+                        np.cumsum(is_start) - 1)
 
 
 @dataclass
@@ -156,7 +154,9 @@ class SuprasegmentalModel:
 
 
 def train_suprasegmental(
-    segment_observations,
+    groups,
+    segment_vectors,
+    rows,
     utterance_observations,
     layout: SuprasegmentalLayout,
     variance_floor: float = PROSODY_VARIANCE_FLOOR,
@@ -164,39 +164,29 @@ def train_suprasegmental(
 ) -> SuprasegmentalModel:
     """Fit the prosody layer from aligned segments.
 
-    segment_observations: per utterance, a pair (groups (S,), vectors (S, P)).
-    utterance_observations: (U, P) utterance-level summary vectors.
-    A group with no segments anywhere falls back to the global statistics
-    of all segment vectors, with a warning.
+    groups (S,), segment_vectors (S, P) and rows (S,) are the segments of
+    every utterance stacked in time order, rows naming each one's
+    utterance.  utterance_observations: (U, P) utterance-level summary
+    vectors.  A group with no segments anywhere falls back to the global
+    statistics of all segment vectors, with a warning.
     """
     num_groups = layout.num_groups
+    groups = np.asarray(groups, dtype=np.intp)
+    vectors = np.asarray(segment_vectors, dtype=np.float64)
+    rows = np.asarray(rows)
     utterance_observations = np.asarray(utterance_observations, dtype=np.float64)
-    if not segment_observations or utterance_observations.size == 0:
+    if groups.size == 0 or utterance_observations.size == 0:
         raise ValueError("need at least one aligned utterance")
+    if vectors.shape != (groups.size, PROSODY_DIM) or rows.shape != groups.shape:
+        raise ValueError("need (S, %d) segment vectors and S row ids" % PROSODY_DIM)
 
-    per_group: list[list[np.ndarray]] = [[] for _ in range(num_groups)]
-    bigrams = np.zeros((num_groups, num_groups))
-    all_vectors = []
-    for groups, vectors in segment_observations:
-        groups = np.asarray(groups, dtype=np.intp)
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.shape != (groups.size, PROSODY_DIM):
-            raise ValueError("segment vectors must be (S, %d)" % PROSODY_DIM)
-        all_vectors.append(vectors)
-        for g, vec in zip(groups, vectors):
-            per_group[g].append(vec)
-        for a, b in zip(groups[:-1], groups[1:]):
-            bigrams[a, b] += 1.0
-
-    pooled = np.vstack(all_vectors)
-    global_mean = pooled.mean(axis=0)
-    global_var = np.maximum(pooled.var(axis=0), variance_floor)
-
+    global_mean = vectors.mean(axis=0)
+    global_var = np.maximum(vectors.var(axis=0), variance_floor)
     means = np.empty((num_groups, PROSODY_DIM))
     variances = np.empty((num_groups, PROSODY_DIM))
     for g in range(num_groups):
-        if per_group[g]:
-            data = np.vstack(per_group[g])
+        data = vectors[groups == g]
+        if data.size:
             means[g] = data.mean(axis=0)
             variances[g] = np.maximum(data.var(axis=0), variance_floor)
         else:
@@ -208,18 +198,41 @@ def train_suprasegmental(
             means[g] = global_mean
             variances[g] = global_var
 
-    transitions = np.empty((num_groups, num_groups))
-    for g in range(num_groups):
-        total = bigrams[g].sum()
-        if total == 0:
-            transitions[g] = 1.0 / num_groups
-        else:
-            row = np.maximum(bigrams[g] / total, transition_floor)
-            transitions[g] = row / row.sum()
+    same_row = rows[1:] == rows[:-1]
+    pairs = groups[:-1][same_row] * num_groups + groups[1:][same_row]
+    bigrams = np.bincount(pairs, minlength=num_groups**2).reshape(num_groups, num_groups)
+    totals = bigrams.sum(axis=1, keepdims=True)
+    weights = np.maximum(bigrams / np.maximum(totals, 1), transition_floor)
+    transitions = np.where(totals > 0, weights / weights.sum(axis=1, keepdims=True),
+                           1.0 / num_groups)
 
     utt_mean = utterance_observations.mean(axis=0)
     utt_var = np.maximum(utterance_observations.var(axis=0), variance_floor)
     return SuprasegmentalModel(layout, means, variances, transitions, utt_mean, utt_var)
+
+
+def suprasegmental_log_likelihood_batch(model: SuprasegmentalModel, groups, segment_vectors,
+                                        rows, utterance_vectors) -> np.ndarray:
+    """Suprasegmental score of every utterance, (U,).
+
+    The segments are stacked as train_suprasegmental takes them; each row
+    sums its segment densities, then the bigram weights between its
+    consecutive segments, then its utterance density.
+    """
+    num_rows, num_groups = len(utterance_vectors), model.layout.num_groups
+    # The utterance Gaussian scores as one more group, after the G groups.
+    means = np.vstack([model.group_means, model.utterance_mean])
+    variances = np.vstack([model.group_variances, model.utterance_variance])
+    which = np.concatenate([groups, np.full(num_rows, num_groups)])
+    x = np.vstack([segment_vectors, utterance_vectors])
+    density = -0.5 * (PROSODY_DIM * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)[which]
+                      + ((x - means[which]) ** 2 / variances[which]).sum(axis=1))
+    same_row = rows[1:] == rows[:-1]
+    bigram = np.log(model.transitions[groups[:-1][same_row], groups[1:][same_row]])
+    # bincount adds each row's terms in array order.
+    terms = np.concatenate([density[:groups.size], bigram, density[groups.size:]])
+    owners = np.concatenate([rows, rows[1:][same_row], np.arange(num_rows)])
+    return np.bincount(owners, weights=terms, minlength=num_rows)
 
 
 def suprasegmental_log_likelihood(
@@ -237,15 +250,9 @@ def suprasegmental_log_likelihood(
         raise ValueError("need at least one segment")
     if segment_vectors.shape != (groups.size, PROSODY_DIM):
         raise ValueError("segment vectors must be (S, %d)" % PROSODY_DIM)
-
-    total = 0.0
-    for g, vec in zip(groups, segment_vectors):
-        total += _diag_gauss_logpdf(vec, model.group_means[g], model.group_variances[g])
-    for a, b in zip(groups[:-1], groups[1:]):
-        total += float(np.log(model.transitions[a, b]))
-    total += _diag_gauss_logpdf(utterance_vector, model.utterance_mean,
-                                model.utterance_variance)
-    return total
+    return float(suprasegmental_log_likelihood_batch(
+        model, groups, segment_vectors, np.zeros_like(groups), utterance_vector[None, :]
+    )[0])
 
 
 @dataclass
@@ -283,12 +290,16 @@ class Csphmm3Model:
 
 
 def _segment_summaries(paths, prosodies, layout: SuprasegmentalLayout):
-    """Per utterance: (segment groups (S,), segment prosody vectors (S, P),
-    utterance vector (P,)) of its alignment segmented by the layout."""
-    for path, prosody in zip(paths, prosodies):
-        segmentation = segment_by_alignment(path, layout)
-        yield (segmentation.groups, prosody.segment_vectors(segmentation.frame_segments),
-               prosody.utterance_vector())
+    """(groups (S,), segment vectors (S, P), rows (S,), utterance vectors
+    (U, P)) of the alignments segmented by the layout, all summarized from
+    one track of the concatenated prosody."""
+    if [len(p) for p in prosodies] != [len(path) for path in paths]:
+        raise ValueError("each alignment must cover every frame of its prosody track")
+    seg = segment_by_alignment(paths, layout)
+    track = FrameProsody(*(np.concatenate([getattr(p, name) for p in prosodies])
+                           for name in ("f0_hz", "voiced", "log_energy")))
+    return (seg.groups, track.segment_vectors(seg.frame_segments), seg.rows,
+            track.segment_vectors(seg.rows[seg.frame_segments]))
 
 
 def score_components_batch(model: Csphmm3Model, features, prosodies):
@@ -296,20 +307,15 @@ def score_components_batch(model: Csphmm3Model, features, prosodies):
     utterances.
 
     One emission matrix and one lattice serve a batched forward pass and a
-    batched Viterbi alignment; each prosody track must expose
-    segment_vectors(frame_segments) and utterance_vector(), and is
-    segmented along its utterance's alignment.
+    batched Viterbi alignment; the prosody tracks (FrameProsody) are
+    segmented along their utterances' alignments.
     """
     log_b, lengths = _emission_batch(model.acoustic, features)
     lattice = CompositeLattice(model.acoustic)
     _, acoustic = lattice.forward(log_b, lengths)
     paths, _ = lattice.viterbi(log_b, lengths)
-    supra = np.array([
-        suprasegmental_log_likelihood(model.supra, groups, vectors, utterance_vector)
-        for groups, vectors, utterance_vector
-        in _segment_summaries(paths, prosodies, model.supra.layout)
-    ])
-    return acoustic, supra
+    return acoustic, suprasegmental_log_likelihood_batch(
+        model.supra, *_segment_summaries(paths, prosodies, model.supra.layout))
 
 
 def score_components(model: Csphmm3Model, observations, prosody) -> tuple[float, float]:
@@ -344,7 +350,5 @@ def train_on_alignments(
     if layout is None:
         layout = SuprasegmentalLayout.halves(acoustic.num_states)
     paths, _ = viterbi_align_batch(acoustic, corpus_features)
-    summaries = list(_segment_summaries(paths, corpus_prosody, layout))
-    return train_suprasegmental([(groups, vectors) for groups, vectors, _ in summaries],
-                                np.vstack([utterance for _, _, utterance in summaries]),
-                                layout, variance_floor=variance_floor)
+    return train_suprasegmental(*_segment_summaries(paths, corpus_prosody, layout), layout,
+                                variance_floor=variance_floor)

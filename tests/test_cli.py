@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from suprahmm.classifiers import classify, load_bank
 from suprahmm.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from suprahmm.corpus import (
     SyntheticSpec,
     default_synthetic_spec,
+    load_synthetic_corpus,
     save_synthetic_corpus,
     synthesize_corpus,
 )
@@ -447,6 +449,44 @@ class TestClassify:
         assert entry["id"] in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["CSPHMM3", "CHMM3"])
+    def test_whole_corpus_matches_per_utterance_classify(
+            self, tmp_path, tiny_corpus_dir, tiny_config, trained_banks, which):
+        # One batched scoring of the corpus writes the labels and the
+        # bit-equal scores that classify gives one utterance at a time.
+        bank_dir = trained_banks[which]
+        out = tmp_path / "scores.json"
+        assert main(["classify", "--bank", str(bank_dir),
+                     "--corpus", str(tiny_corpus_dir), "--out", str(out),
+                     "--config", tiny_config]) == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        bank = load_bank(bank_dir)
+        utterances = load_synthetic_corpus(tiny_corpus_dir).utterances
+        assert [r["id"] for r in results] == [u.record.id for u in utterances]
+        for result, utt in zip(results, utterances):
+            label, scores = classify(bank, utt)
+            assert result["label"] == label
+            assert result["scores"] == scores
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["CSPHMM3", "CHMM3"])
+    def test_unscorable_utterance_in_corpus_is_data_error(
+            self, tiny_corpus_dir, tiny_config, trained_banks, tmp_path, capsys, which):
+        # The batch is scored whole; the label pass still stops at the
+        # unscorable utterance and names it.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][2]
+        frames = load_features(corpus / entry["features"]).frames
+        save_features(corpus / entry["features"],
+                      FeatureSequence(np.full_like(frames, 1e160)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["classify", "--bank", str(trained_banks[which]),
+                         "--corpus", str(corpus), "--config", tiny_config])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert entry["id"] in err and "zero likelihood" in err
+
+
 class TestTtestAndReport:
     def make_report(self, path, accuracies):
         from suprahmm.evaluation import report_from_predictions
@@ -495,7 +535,8 @@ class TestTtestAndReport:
         assert "Average" in text
         assert "Confusion" in text
 
-    @pytest.mark.parametrize("damage", ["no_labels", "wrong_format", "counts_not_square"])
+    @pytest.mark.parametrize("damage", ["no_labels", "wrong_format", "counts_not_square",
+                                        "labels_not_strings", "labels_repeated"])
     @pytest.mark.parametrize("command", ["report", "ttest"])
     def test_damaged_report_is_data_error(self, tmp_path, capsys, command, damage):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -505,6 +546,10 @@ class TestTtestAndReport:
             del doc["labels"]
         elif damage == "wrong_format":
             doc["format"] = "model-bank"
+        elif damage == "labels_not_strings":
+            doc["labels"] = list(range(1, len(doc["labels"]) + 1))
+        elif damage == "labels_repeated":
+            doc["labels"] = ["a"] * len(doc["labels"])
         else:
             doc["counts"] = doc["counts"][:-1]
         bad.write_text(json.dumps(doc))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from suprahmm.features import (
     AudioClip,
     FeatureSequence,
+    FrameProsody,
     LOG_ENERGY_FLOOR,
     MfccConfig,
     append_deltas,
@@ -223,6 +226,52 @@ class TestProsody:
         track = frame_prosody(clip)
         whole = track.segment_vectors(np.zeros(len(track), dtype=int))[0]
         np.testing.assert_array_equal(track.utterance_vector(), whole)
+
+
+def per_segment_summary(f0, voiced, log_e):
+    """One segment's summary by np.mean and np.std, which sum runs of 8 or
+    more frames pairwise."""
+    log_f0 = np.log(f0[voiced])
+    mean, sd = (log_f0.mean(), log_f0.std()) if voiced.any() else (0.0, 0.0)
+    return np.array([mean, sd, voiced.mean(), log_e.mean(), log_e.max() - log_e.min(),
+                     voiced.size])
+
+
+class TestSegmentVectors:
+    VOICED_SHARE = {"voiced": 1.0, "unvoiced": 0.0, "mixed": 0.5}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           runs=st.lists(st.tuples(st.integers(1, 150),
+                                   st.sampled_from(sorted(VOICED_SHARE))),
+                         min_size=1, max_size=10))
+    @example(seed=0, runs=[(1, "voiced"), (9, "mixed"), (1, "unvoiced"), (40, "unvoiced"),
+                           (200, "mixed"), (2, "voiced")])
+    def test_matches_per_segment_formula(self, seed, runs):
+        rng = np.random.default_rng(seed)
+        lengths = [n for n, _ in runs]
+        voiced = np.concatenate([rng.random(n) < self.VOICED_SHARE[mode]
+                                 for n, mode in runs])
+        f0 = np.where(voiced, rng.uniform(60.0, 400.0, voiced.size), 0.0)
+        log_e = rng.normal(-3.0, 2.0, voiced.size)
+        ids = np.repeat(np.arange(len(runs)), lengths)
+        got = FrameProsody(f0, voiced, log_e).segment_vectors(ids)
+        assert got.shape == (len(runs), 6)
+        bounds = np.cumsum([0] + lengths)
+        for row, a, b in zip(got, bounds[:-1], bounds[1:]):
+            ref = per_segment_summary(f0[a:b], voiced[a:b], log_e[a:b])
+            assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            # Voiced ratio, energy range and duration are exact.
+            np.testing.assert_array_equal(row[[2, 4, 5]], ref[[2, 4, 5]])
+            if not voiced[a:b].any():
+                assert row[0] == 0.0 and row[1] == 0.0
+
+    @pytest.mark.parametrize("ids", [[0, 0, 2, 2], [0, 1, 0, 0], [1, 1, 2, 2],
+                                     [0, 1, 1, -1]])
+    def test_ids_that_skip_or_repeat_a_run_raise(self, ids):
+        track = FrameProsody(np.full(4, 100.0), np.ones(4, dtype=bool), np.zeros(4))
+        with pytest.raises(ValueError):
+            track.segment_vectors(np.array(ids))
 
 
 class TestIo:

@@ -1,9 +1,12 @@
 """Prosody layer: segmentation, training, scoring, fusion."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suprahmm.features import PROSODY_DIM, FrameProsody
 from suprahmm.hmm import forward_log_likelihood
@@ -51,33 +54,69 @@ class TestLayout:
 
 class TestSegmentation:
     def test_direct_mapping(self):
-        seg = segment_by_alignment([0, 1, 2, 3], LAYOUT6)
+        seg = segment_by_alignment([[0, 1, 2, 3]], LAYOUT6)
         np.testing.assert_array_equal(seg.groups, [0, 1])
-        np.testing.assert_array_equal(seg.lengths, [3, 1])
+        np.testing.assert_array_equal(np.bincount(seg.frame_segments), [3, 1])
         np.testing.assert_array_equal(seg.frame_segments, [0, 0, 0, 1])
 
     def test_single_run(self):
-        seg = segment_by_alignment([0, 0, 0, 0, 0], LAYOUT6)
+        seg = segment_by_alignment([[0, 0, 0, 0, 0]], LAYOUT6)
         np.testing.assert_array_equal(seg.groups, [0])
-        np.testing.assert_array_equal(seg.lengths, [5])
+        np.testing.assert_array_equal(np.bincount(seg.frame_segments), [5])
 
     def test_wraparound_path(self):
-        seg = segment_by_alignment([3, 4, 5, 0], LAYOUT6)
+        seg = segment_by_alignment([[3, 4, 5, 0]], LAYOUT6)
         np.testing.assert_array_equal(seg.groups, [1, 0])
-        np.testing.assert_array_equal(seg.lengths, [3, 1])
+        np.testing.assert_array_equal(np.bincount(seg.frame_segments), [3, 1])
 
     def test_lengths_partition_frames(self):
         rng = np.random.default_rng(1)
         path = [0]
         for _ in range(49):
             path.append(int(rng.choice([path[-1], (path[-1] + 1) % 6])))
-        seg = segment_by_alignment(path, LAYOUT6)
-        assert seg.lengths.sum() == 50
+        seg = segment_by_alignment([path], LAYOUT6)
+        assert np.bincount(seg.frame_segments).sum() == 50
         assert seg.frame_segments.max() == len(seg) - 1
 
     def test_empty_alignment_rejected(self):
         with pytest.raises(ValueError):
             segment_by_alignment([], LAYOUT6)
+
+
+def ring_path(rng, num_states, length):
+    """A path that starts anywhere and then stays or steps to the next state."""
+    steps = np.concatenate([[rng.integers(num_states)], rng.integers(0, 2, length - 1)])
+    return np.cumsum(steps) % num_states
+
+
+LAYOUTS = [LAYOUT6, SuprasegmentalLayout((0, 0, 1, 1, 2, 2)),
+           SuprasegmentalLayout((0, 1, 1, 2, 2))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(LAYOUTS),
+       lengths=st.lists(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 40)),
+                        min_size=1, max_size=8))
+def test_stacked_segmentation_matches_groupby_per_path(seed, layout, lengths):
+    rng = np.random.default_rng(seed)
+    paths = [ring_path(rng, layout.num_states, n) for n in lengths]
+    seg = segment_by_alignment(paths, layout)
+    frame_rows = np.repeat(np.arange(len(paths)), lengths)
+    # No segment crosses a row: every frame's segment belongs to its row.
+    np.testing.assert_array_equal(seg.rows[seg.frame_segments], frame_rows)
+    sizes = np.bincount(seg.frame_segments, minlength=len(seg))
+    for row, path in enumerate(paths):
+        runs = [(g, len(list(run))) for g, run in
+                itertools.groupby(layout.state_to_group[s] for s in path)]
+        mine = seg.rows == row
+        assert list(zip(seg.groups[mine].tolist(), sizes[mine].tolist())) == runs
+
+
+def stacked(segment_obs):
+    """(groups, vectors, rows) of per-utterance (groups, vectors) pairs."""
+    groups, vectors = zip(*segment_obs)
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return np.concatenate(groups), np.vstack(vectors), rows
 
 
 class TestTraining:
@@ -88,7 +127,7 @@ class TestTraining:
             (np.array([0, 1]), np.vstack([v, v + 1])),
         ]
         utt_obs = np.vstack([v, v])
-        model = train_suprasegmental(segment_obs, utt_obs, LAYOUT6)
+        model = train_suprasegmental(*stacked(segment_obs), utt_obs, LAYOUT6)
         np.testing.assert_allclose(model.group_means[0], v)
         np.testing.assert_allclose(model.group_variances[0], PROSODY_VARIANCE_FLOOR)
         np.testing.assert_allclose(model.utterance_variance, PROSODY_VARIANCE_FLOOR)
@@ -102,7 +141,7 @@ class TestTraining:
             (np.array([0]), b[None, :]),
         ]
         utt_obs = np.vstack([a, b])
-        model = train_suprasegmental(segment_obs, utt_obs, LAYOUT6)
+        model = train_suprasegmental(*stacked(segment_obs), utt_obs, LAYOUT6)
         np.testing.assert_allclose(model.group_means[0], (a + b) / 2)
         np.testing.assert_allclose(model.group_means[1], c)
         np.testing.assert_allclose(model.utterance_mean, (a + b) / 2)
@@ -110,7 +149,8 @@ class TestTraining:
     def test_alternating_segments_dominate_cross_transitions(self):
         vecs = np.zeros((4, PROSODY_DIM))
         segment_obs = [(np.array([0, 1, 0, 1]), vecs)]
-        model = train_suprasegmental(segment_obs, np.zeros((1, PROSODY_DIM)), LAYOUT6)
+        model = train_suprasegmental(*stacked(segment_obs), np.zeros((1, PROSODY_DIM)),
+                                     LAYOUT6)
         assert model.transitions[0, 1] > 0.99
         assert model.transitions[1, 0] > 0.99
         model.validate(tol=1e-12)
@@ -118,7 +158,8 @@ class TestTraining:
     def test_group_without_segments_falls_back_with_warning(self):
         segment_obs = [(np.array([0]), np.ones((1, PROSODY_DIM)))]
         with pytest.warns(RuntimeWarning):
-            model = train_suprasegmental(segment_obs, np.ones((1, PROSODY_DIM)), LAYOUT6)
+            model = train_suprasegmental(*stacked(segment_obs), np.ones((1, PROSODY_DIM)),
+                                         LAYOUT6)
         np.testing.assert_allclose(model.group_means[1], model.group_means[0])
 
     def test_deterministic(self):
@@ -127,8 +168,8 @@ class TestTraining:
             (np.array([0, 1, 0]), rng.normal(size=(3, PROSODY_DIM))) for _ in range(3)
         ]
         utt_obs = rng.normal(size=(3, PROSODY_DIM))
-        m1 = train_suprasegmental(segment_obs, utt_obs, LAYOUT6)
-        m2 = train_suprasegmental(segment_obs, utt_obs, LAYOUT6)
+        m1 = train_suprasegmental(*stacked(segment_obs), utt_obs, LAYOUT6)
+        m2 = train_suprasegmental(*stacked(segment_obs), utt_obs, LAYOUT6)
         np.testing.assert_array_equal(m1.group_means, m2.group_means)
         np.testing.assert_array_equal(m1.transitions, m2.transitions)
 
