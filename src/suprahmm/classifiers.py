@@ -118,7 +118,7 @@ def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
     center = frames.mean(axis=0)
     centered = frames - center
 
-    weights, means = kmeans_mixture(frames, num_components, rng, MIXTURE_WEIGHT_FLOOR)
+    weights, means = kmeans_mixture(frames, num_components, rng)
     emission = GaussianMixtureEmission(weights[None], means[None],
                                        np.tile(global_var, (1, num_components, 1)))
 
@@ -128,7 +128,7 @@ def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
         frame_ll = _lse_last(comp_log)
         history.append(float(frame_ll.mean()))
         stats = mixture_statistics(comp_log, frame_ll, np.ones_like(frame_ll), centered)
-        update_mixtures(emission, stats, center, MIXTURE_WEIGHT_FLOOR, var_floor)
+        update_mixtures(emission, stats, center, var_floor)
         if tol is not None and len(history) >= 2:
             if history[-1] - history[-2] < tol * abs(history[-2]):
                 break

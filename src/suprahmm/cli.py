@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .classifiers import (
@@ -48,6 +47,7 @@ from .evaluation import (
     compare_accuracies,
     evaluate_split,
     report_from_predictions,
+    report_metadata,
 )
 from .features import extract_features, load_wav, save_features, save_features_csv
 from .suprasegmental import fuse_scores
@@ -128,23 +128,17 @@ def cmd_extract(args, config: ExperimentConfig) -> int:
     cfg = config.mfcc_config()
     expected_rate = config.features["sample_rate_hz"]
 
-    def run_one(record):
+    results = []
+    for record in records:
         try:
             clip = load_wav(os.path.join(base, record.path), expected_rate)
             seq = extract_features(clip, cfg)
-            out_path = os.path.join(args.out, record.id + ".feat")
-            save_features(out_path, seq)
+            save_features(os.path.join(args.out, record.id + ".feat"), seq)
             if args.csv:
                 save_features_csv(os.path.join(args.out, record.id + ".csv"), seq)
-            return {"id": record.id, "status": "ok", "frames": len(seq)}
+            results.append({"id": record.id, "status": "ok", "frames": len(seq)})
         except (OSError, ValueError) as exc:
-            return {"id": record.id, "status": "error", "error": str(exc)}
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, records))
-    else:
-        results = [run_one(r) for r in records]
+            results.append({"id": record.id, "status": "error", "error": str(exc)})
 
     failures = [r for r in results if r["status"] != "ok"]
     summary = {
@@ -183,7 +177,7 @@ def _sweep_reports(bank, test_side, alphas, metadata):
         fused = fuse_scores(acoustic, supra, alpha)
         pairs = [(pick_label(labels, row, utt.record.id), utt.emotion)
                  for row, utt in zip(fused, test_side)]
-        meta = dict(metadata)
+        meta = report_metadata(bank, len(test_side), metadata)
         meta["alpha"] = alpha
         reports.append((alpha, report_from_predictions(labels, pairs, meta)))
     return reports
@@ -195,12 +189,7 @@ def cmd_evaluate(args, config: ExperimentConfig) -> int:
     if not test_side:
         raise ConfigError("evaluation split selected no utterances")
     os.makedirs(args.out, exist_ok=True)
-    metadata = {
-        "kind": bank.kind,
-        "num_test_utterances": len(test_side),
-        "provenance": _provenance(config),
-        "split": split.to_dict(),
-    }
+    metadata = {"provenance": _provenance(config), "split": split.to_dict()}
 
     if args.alpha_sweep:
         if bank.kind != "CSPHMM3":
@@ -327,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract features from a WAV manifest")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", action="store_true", help="also write CSV dumps")
@@ -387,8 +375,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {"seed": args.seed} if args.seed is not None else {}
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, args.seed)
         return args.func(args, config)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

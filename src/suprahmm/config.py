@@ -1,9 +1,9 @@
 """Experiment configuration: one JSON document, validated up front.
 
-Every command consumes the same document; command-line flags override
-individual keys, and the resolved configuration is echoed into every
+Every command consumes the same document; the --seed flag overrides the
+configured seed, and the resolved configuration is echoed into every
 output for provenance.  The environment variable SUPRAHMM_SEED, when set,
-overrides the configured seed.
+overrides both.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class ExperimentConfig:
         }
 
 
-def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Read the config document, apply overrides, honor SUPRAHMM_SEED."""
+def load_config(path=None, seed: int | None = None) -> ExperimentConfig:
+    """Read the config document, apply a given seed, honor SUPRAHMM_SEED."""
     doc = {}
     if path is not None:
         try:
@@ -132,14 +132,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if "." in key:
-            section, sub = key.split(".", 1)
-            doc.setdefault(section, {})[sub] = value
-        else:
-            doc[key] = value
+    if seed is not None:
+        doc["seed"] = seed
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:

@@ -508,49 +508,69 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
     if provenance is not None:
         sidecar["provenance"] = provenance
     with open(os.path.join(out_dir, CORPUS_SIDECAR), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(sidecar, fh, sort_keys=True)
+
+
+def _load_synthetic_utterance(path, entry: dict) -> Utterance:
+    features = load_features(os.path.join(path, entry["features"]))
+    prosody = FrameProsody(
+        np.array(entry["prosody"]["f0_hz"]),
+        np.array(entry["prosody"]["voiced"], dtype=bool),
+        np.array(entry["prosody"]["log_energy"]),
+    )
+    if len(prosody) != len(features):
+        raise ValueError("utterance %r has %d prosody frames for %d feature frames"
+                         % (entry["id"], len(prosody), len(features)))
+    record = UtteranceRecord(
+        id=entry["id"],
+        path=entry["features"],
+        speaker=entry["speaker"],
+        emotion=entry["emotion"],
+        text=entry["text"],
+        replicate=int(entry["replicate"]),
+    )
+    return Utterance(record, features, prosody)
 
 
 def load_synthetic_corpus(path) -> SyntheticCorpus:
+    """Read a corpus written by save_synthetic_corpus.
+
+    Raises ManifestError when corpus.json is not a synthetic corpus or does
+    not decode, a feature file is damaged, or an utterance's prosody tracks
+    do not cover its frames one for one.
+    """
     with open(os.path.join(path, CORPUS_SIDECAR), "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    if sidecar.get("format") != "synthetic-corpus":
+    if not isinstance(sidecar, dict) or sidecar.get("format") != "synthetic-corpus":
         raise ManifestError("%s does not contain a synthetic corpus" % path)
-    spec = SyntheticSpec.from_dict(sidecar["spec"])
-    utterances = []
-    for entry in sidecar["utterances"]:
-        try:
-            features = load_features(os.path.join(path, entry["features"]))
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from exc
-        prosody = FrameProsody(
-            np.array(entry["prosody"]["f0_hz"]),
-            np.array(entry["prosody"]["voiced"], dtype=bool),
-            np.array(entry["prosody"]["log_energy"]),
-        )
-        record = UtteranceRecord(
-            id=entry["id"],
-            path=entry["features"],
-            speaker=entry["speaker"],
-            emotion=entry["emotion"],
-            text=entry["text"],
-            replicate=int(entry["replicate"]),
-        )
-        utterances.append(Utterance(record, features, prosody))
+    try:
+        spec = SyntheticSpec.from_dict(sidecar["spec"])
+        utterances = [_load_synthetic_utterance(path, e) for e in sidecar["utterances"]]
+    except KeyError as exc:
+        raise ManifestError("%s: %s has no key %s" % (path, CORPUS_SIDECAR, exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ManifestError("%s: %s" % (path, exc)) from exc
     return SyntheticCorpus(spec, utterances)
 
 
 def load_wav_corpus(manifest_path, cfg: MfccConfig | None = None,
                     expected_sample_rate_hz: int | None = None) -> list[Utterance]:
-    """Extract features and prosody for every manifest entry."""
+    """Extract features and prosody for every manifest entry.
+
+    Raises ManifestError, naming the manifest line and its file, when a
+    clip cannot be read or is too short or malformed for the front-end.
+    """
     cfg = cfg or MfccConfig()
     base = os.path.dirname(os.path.abspath(manifest_path))
     utterances = []
-    for record in load_manifest(manifest_path):
-        clip = load_wav(os.path.join(base, record.path), expected_sample_rate_hz)
-        utterances.append(
-            Utterance(record, extract_features(clip, cfg), frame_prosody(clip, cfg))
-        )
+    for line_no, record in enumerate(load_manifest(manifest_path), start=2):
+        try:
+            clip = load_wav(os.path.join(base, record.path), expected_sample_rate_hz)
+            utterances.append(
+                Utterance(record, extract_features(clip, cfg), frame_prosody(clip, cfg))
+            )
+        except ValueError as exc:
+            raise ManifestError("line %d: %s: %s" % (line_no, record.path, exc)) from exc
     return utterances
 
 

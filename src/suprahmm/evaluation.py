@@ -133,6 +133,21 @@ def confusion_from_pairs(labels, pairs) -> ConfusionMatrix:
     return ConfusionMatrix(labels, counts)
 
 
+def report_metadata(bank: ModelBank, num_utterances: int, metadata: dict | None = None
+                    ) -> dict:
+    """The metadata of a report on `num_utterances` test utterances scored
+    by `bank`, updated with `metadata`."""
+    meta = {
+        "kind": bank.kind,
+        "num_test_utterances": num_utterances,
+        "train_seed": bank.options.seed,
+    }
+    if bank.kind == "CSPHMM3":
+        meta["alpha"] = bank.options.alpha
+    meta.update(metadata or {})
+    return meta
+
+
 def evaluate_split(bank: ModelBank, utterances, metadata: dict | None = None
                    ) -> EvaluationReport:
     """Label every test utterance from one bank score matrix and tally the
@@ -142,15 +157,8 @@ def evaluate_split(bank: ModelBank, utterances, metadata: dict | None = None
     scores, _ = bank_scores(bank, utterances)
     pairs = [(pick_label(bank.labels, row, utt.record.id), utt.emotion)
              for row, utt in zip(scores, utterances)]
-    meta = {
-        "kind": bank.kind,
-        "num_test_utterances": len(utterances),
-        "train_seed": bank.options.seed,
-    }
-    if bank.kind == "CSPHMM3":
-        meta["alpha"] = bank.options.alpha
-    meta.update(metadata or {})
-    return EvaluationReport(bank.labels, confusion_from_pairs(bank.labels, pairs), meta)
+    return EvaluationReport(bank.labels, confusion_from_pairs(bank.labels, pairs),
+                            report_metadata(bank, len(utterances), metadata))
 
 
 def report_from_predictions(labels, pairs, metadata: dict | None = None

@@ -94,7 +94,6 @@ class FeatureSequence:
     """Per-utterance T x D frame matrix; static half followed by delta half."""
 
     frames: np.ndarray
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -205,7 +204,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> FeatureSequence:
     log_energies = np.log(np.maximum(energies, LOG_ENERGY_FLOOR))
     cepstra = scipy.fft.dct(log_energies, type=2, axis=1)[:, : cfg.num_cepstra] / 2.0
     frames = np.hstack([cepstra, np.zeros_like(cepstra)])
-    return FeatureSequence(frames, cfg.frame_shift_ms)
+    return FeatureSequence(frames)
 
 
 def append_deltas(seq: FeatureSequence, delta_window: int) -> FeatureSequence:
@@ -226,7 +225,7 @@ def append_deltas(seq: FeatureSequence, delta_window: int) -> FeatureSequence:
         bwd = np.clip(np.arange(num_frames) - k, 0, num_frames - 1)
         delta += k * (static[fwd] - static[bwd])
     delta /= denom
-    return FeatureSequence(np.hstack([static, delta]), seq.frame_shift_ms)
+    return FeatureSequence(np.hstack([static, delta]))
 
 
 def extract_features(clip: AudioClip, cfg: MfccConfig | None = None) -> FeatureSequence:
@@ -367,7 +366,7 @@ def save_features(path, seq: FeatureSequence) -> None:
         fh.write(frames.tobytes())
 
 
-def load_features(path, frame_shift_ms: float = 10.0) -> FeatureSequence:
+def load_features(path) -> FeatureSequence:
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8:
@@ -377,7 +376,7 @@ def load_features(path, frame_shift_ms: float = 10.0) -> FeatureSequence:
     if len(payload) != 8 * num_frames * dim:
         raise ValueError("%s: truncated feature payload" % path)
     frames = np.frombuffer(payload, dtype="<f8").reshape(num_frames, dim)
-    return FeatureSequence(frames.copy(), frame_shift_ms)
+    return FeatureSequence(frames.copy())
 
 
 def save_features_csv(path, seq: FeatureSequence) -> None:

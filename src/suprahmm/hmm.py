@@ -22,7 +22,6 @@ iteration, and a single utterance is the one-row case.
 
 from __future__ import annotations
 
-import json
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -313,15 +312,6 @@ class HmmModel:
         model = cls(topology, int(doc["order"]), np.array(doc["initial"]), tensors, emissions)
         model.validate(tol=1e-9)
         return model
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "HmmModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _as_frames(observations) -> np.ndarray:
@@ -640,28 +630,17 @@ def viterbi_align(model: HmmModel, observations):
 # ---------------------------------------------------------------------------
 
 
-class _Accumulators:
-    """Expected sufficient statistics of one E-step.
-
-    Frame sums are taken about `center` (the corpus mean), so the M-step
-    variance E[(x-c)^2] - E[x-c]^2 keeps its precision under large offsets.
-    """
-
-    def __init__(self, model: HmmModel, center: np.ndarray):
-        self.center = center
-        self.initial = np.zeros(model.num_states)
-        self.tensor_counts = {
-            k: np.zeros_like(t.matrix) for k, t in model.tensors.items()
-        }
-        # Mixture occupancy and centered frame sums, from `mixture_statistics`.
-        self.occupancy = self.weighted_sum = self.weighted_sq_sum = None
-
-
 def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.ndarray,
-                      lengths: np.ndarray, acc: _Accumulators) -> np.ndarray:
-    """E-step over row-stacked frames of B utterances; returns their (B,)
-    log-likelihoods.  Raises ValueError if any utterance has zero
-    likelihood."""
+                      lengths: np.ndarray, center: np.ndarray):
+    """E-step over row-stacked frames of B utterances.
+
+    Returns (log-likelihoods (B,), stats), stats being the expected initial
+    occupancy (N,), the expected transition counts {k: counts shaped like
+    tensor k} and the `mixture_statistics` triple.  Frame sums are taken
+    about `center` (the corpus mean), so the M-step variance
+    E[(x-c)^2] - E[x-c]^2 keeps its precision under large offsets.  Raises
+    ValueError if any utterance has zero likelihood.
+    """
     comp_log = model.emissions.component_log_probs(stacked)
     log_b_stacked = _lse_last(comp_log)
     log_b = _pad_rows(log_b_stacked, lengths)
@@ -684,17 +663,17 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     gamma_states = gamma_lattice @ np.eye(model.num_states)[lattice.emit]
     del gamma_lattice
 
-    acc.initial += gamma_states[0].sum(axis=0)
-
-    acc.occupancy, acc.weighted_sum, acc.weighted_sq_sum = mixture_statistics(
-        comp_log, log_b_stacked, gamma_states.transpose(1, 0, 2)[mask.T], stacked - acc.center)
+    initial = gamma_states[0].sum(axis=0)
+    mixture_stats = mixture_statistics(
+        comp_log, log_b_stacked, gamma_states.transpose(1, 0, 2)[mask.T], stacked - center)
     del comp_log
 
     # Transitions, one step and one successor slot at a time, over the
     # (time, row) frames that step feeds: t = k for a boot step k < order,
     # t = order .. T-1 for the stationary step (a step with k >= T feeds
     # none).  Sources that are not rows of the step's tensor carry weight
-    # -inf.
+    # -inf.  A step that feeds no frame keeps zero counts.
+    tensor_counts = {k: np.zeros_like(t.matrix) for k, t in model.tensors.items()}
     for k, step in enumerate(lattice.steps[: T - 1], start=1):
         times = slice(k, T if k == model.order else k + 1)
         dest = betas[times]  # the betas are not read again: reuse them
@@ -707,8 +686,8 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
             log_xi += step.succ_logw[:, col]
             log_xi -= ll[:, None]
             xi = np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
-            acc.tensor_counts[k][:, col] += xi[step.src]
-    return ll
+            tensor_counts[k][:, col] = xi[step.src]
+    return ll, (initial, tensor_counts, mixture_stats)
 
 
 def mixture_statistics(comp_log: np.ndarray, log_b: np.ndarray, state_post: np.ndarray,
@@ -730,7 +709,7 @@ def mixture_statistics(comp_log: np.ndarray, log_b: np.ndarray, state_post: np.n
 
 
 def update_mixtures(emissions: GaussianMixtureEmission, stats, center: np.ndarray,
-                    weight_floor: float, variance_floor: np.ndarray) -> None:
+                    variance_floor: np.ndarray) -> None:
     """Mixture M-step in place, from the `mixture_statistics` sums taken
     about `center`.
 
@@ -742,7 +721,7 @@ def update_mixtures(emissions: GaussianMixtureEmission, stats, center: np.ndarra
         occ = occupancy[q]
         if occ.sum() <= 0:
             continue
-        emissions.weights[q] = _floored_row(occ / occ.sum(), weight_floor)
+        emissions.weights[q] = _floored_row(occ / occ.sum(), MIXTURE_WEIGHT_FLOOR)
         live = occ > 0
         offset = weighted_sum[q, live] / occ[live, None]
         emissions.means[q, live] = center + offset
@@ -750,23 +729,24 @@ def update_mixtures(emissions: GaussianMixtureEmission, stats, center: np.ndarra
             weighted_sq_sum[q, live] / occ[live, None] - offset**2, variance_floor)
 
 
-def _m_step(model: HmmModel, acc: _Accumulators, transition_floor: float,
-            weight_floor: float, variance_floor: np.ndarray) -> HmmModel:
+def _m_step(model: HmmModel, stats, center: np.ndarray,
+            variance_floor: np.ndarray) -> HmmModel:
+    """The re-estimated model from the `_accumulate_batch` statistics."""
+    initial, tensor_counts, mixture_stats = stats
     new = model.copy()
-    new.initial = _floored_row(acc.initial / acc.initial.sum(), transition_floor)
+    new.initial = _floored_row(initial / initial.sum(), TRANSITION_FLOOR)
 
     for k, tensor in new.tensors.items():
-        counts = acc.tensor_counts[k]
+        counts = tensor_counts[k]
         totals = counts.sum(axis=1)
         for i in np.flatnonzero(totals > 0):
-            tensor.matrix[i] = _floored_row(counts[i] / totals[i], transition_floor)
+            tensor.matrix[i] = _floored_row(counts[i] / totals[i], TRANSITION_FLOOR)
 
-    stats = (acc.occupancy, acc.weighted_sum, acc.weighted_sq_sum)
-    update_mixtures(new.emissions, stats, acc.center, weight_floor, variance_floor)
+    update_mixtures(new.emissions, mixture_stats, center, variance_floor)
     return new
 
 
-def corpus_variance_floor(corpus, scale: float = VARIANCE_FLOOR_SCALE) -> np.ndarray:
+def corpus_variance_floor(corpus) -> np.ndarray:
     """Per-dimension variance floor from pooled corpus statistics."""
     pooled = np.vstack([_as_frames(seq) for seq in corpus])
     global_var = pooled.var(axis=0)
@@ -777,7 +757,7 @@ def corpus_variance_floor(corpus, scale: float = VARIANCE_FLOOR_SCALE) -> np.nda
             RuntimeWarning,
             stacklevel=3,
         )
-    return np.maximum(scale * global_var, ABS_VARIANCE_FLOOR)
+    return np.maximum(VARIANCE_FLOOR_SCALE * global_var, ABS_VARIANCE_FLOOR)
 
 
 def baum_welch_train(
@@ -785,8 +765,6 @@ def baum_welch_train(
     corpus,
     max_iters: int = 15,
     tol: float | None = 1e-4,
-    transition_floor: float = TRANSITION_FLOOR,
-    weight_floor: float = MIXTURE_WEIGHT_FLOOR,
     variance_floor: np.ndarray | None = None,
 ):
     """EM on the composite lattice; returns (model, per-iteration log-likelihoods).
@@ -815,10 +793,10 @@ def baum_welch_train(
     current = model
     log_likelihoods: list[float] = []
     for _ in range(max_iters):
-        acc = _Accumulators(current, center)
-        lls = _accumulate_batch(CompositeLattice(current), current, stacked, lengths, acc)
+        lls, stats = _accumulate_batch(CompositeLattice(current), current, stacked, lengths,
+                                       center)
         log_likelihoods.append(sum(lls.tolist()))
-        current = _m_step(current, acc, transition_floor, weight_floor, variance_floor)
+        current = _m_step(current, stats, center, variance_floor)
         if tol is not None and len(log_likelihoods) >= 2:
             prev = log_likelihoods[-2]
             if log_likelihoods[-1] - prev < tol * abs(prev):
@@ -921,7 +899,7 @@ def squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(dists, 0.0, out=dists)
 
 
-def kmeans_mixture(data: np.ndarray, num_mixtures: int, rng, weight_floor: float):
+def kmeans_mixture(data: np.ndarray, num_mixtures: int, rng):
     """Starting (weights (M,), means (M, D)) of one mixture: k-means from
     distinct random rows of `data`, the last one repeated when `data` has
     fewer rows than `num_mixtures`; weights are the floored cluster
@@ -931,7 +909,7 @@ def kmeans_mixture(data: np.ndarray, num_mixtures: int, rng, weight_floor: float
     seeds = np.vstack([rows, np.repeat(rows[-1:], num_mixtures - rows.shape[0], axis=0)])
     centroids, assign, _ = lloyd_kmeans(data, seeds)
     counts = np.bincount(assign, minlength=num_mixtures).astype(np.float64)
-    return _floored_row(counts / counts.sum(), weight_floor), centroids
+    return _floored_row(counts / counts.sum(), MIXTURE_WEIGHT_FLOOR), centroids
 
 
 def lloyd_kmeans(data: np.ndarray, centroids: np.ndarray, iters: int = 10):
@@ -961,7 +939,6 @@ def initial_model(
     num_states: int,
     num_mixtures: int = 3,
     seed: int = 0,
-    weight_floor: float = MIXTURE_WEIGHT_FLOOR,
 ) -> HmmModel:
     """Untrained order-1 model: uniform start and transitions, emission
     means from segmental k-means over uniform time slices, variances from
@@ -982,7 +959,7 @@ def initial_model(
                 per_state[state].append(chunk)
 
     weights, means = zip(*(
-        kmeans_mixture(np.vstack(chunks) if chunks else pooled, num_mixtures, rng, weight_floor)
+        kmeans_mixture(np.vstack(chunks) if chunks else pooled, num_mixtures, rng)
         for chunks in per_state))
     variances = np.tile(global_var, (num_states, num_mixtures, 1))
 
@@ -1002,7 +979,6 @@ def train_circular_chain(
     iters: tuple[int, int, int] = (6, 6, 8),
     tol: float | None = 1e-4,
     seed: int = 0,
-    transition_floor: float = TRANSITION_FLOOR,
 ):
     """Order-promotion training: fit order 1, promote, refit, promote, refit.
 
@@ -1018,7 +994,6 @@ def train_circular_chain(
             frames_list,
             max_iters=stage_iters,
             tol=tol,
-            transition_floor=transition_floor,
             variance_floor=variance_floor,
         )
         history["order%d" % stage] = lls

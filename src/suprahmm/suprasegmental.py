@@ -159,8 +159,6 @@ def train_suprasegmental(
     rows,
     utterance_observations,
     layout: SuprasegmentalLayout,
-    variance_floor: float = PROSODY_VARIANCE_FLOOR,
-    transition_floor: float = SUPRA_TRANSITION_FLOOR,
 ) -> SuprasegmentalModel:
     """Fit the prosody layer from aligned segments.
 
@@ -181,14 +179,14 @@ def train_suprasegmental(
         raise ValueError("need (S, %d) segment vectors and S row ids" % PROSODY_DIM)
 
     global_mean = vectors.mean(axis=0)
-    global_var = np.maximum(vectors.var(axis=0), variance_floor)
+    global_var = np.maximum(vectors.var(axis=0), PROSODY_VARIANCE_FLOOR)
     means = np.empty((num_groups, PROSODY_DIM))
     variances = np.empty((num_groups, PROSODY_DIM))
     for g in range(num_groups):
         data = vectors[groups == g]
         if data.size:
             means[g] = data.mean(axis=0)
-            variances[g] = np.maximum(data.var(axis=0), variance_floor)
+            variances[g] = np.maximum(data.var(axis=0), PROSODY_VARIANCE_FLOOR)
         else:
             warnings.warn(
                 "prosodic group %d has no segments; using global statistics" % g,
@@ -202,12 +200,12 @@ def train_suprasegmental(
     pairs = groups[:-1][same_row] * num_groups + groups[1:][same_row]
     bigrams = np.bincount(pairs, minlength=num_groups**2).reshape(num_groups, num_groups)
     totals = bigrams.sum(axis=1, keepdims=True)
-    weights = np.maximum(bigrams / np.maximum(totals, 1), transition_floor)
+    weights = np.maximum(bigrams / np.maximum(totals, 1), SUPRA_TRANSITION_FLOOR)
     transitions = np.where(totals > 0, weights / weights.sum(axis=1, keepdims=True),
                            1.0 / num_groups)
 
     utt_mean = utterance_observations.mean(axis=0)
-    utt_var = np.maximum(utterance_observations.var(axis=0), variance_floor)
+    utt_var = np.maximum(utterance_observations.var(axis=0), PROSODY_VARIANCE_FLOOR)
     return SuprasegmentalModel(layout, means, variances, transitions, utt_mean, utt_var)
 
 
@@ -339,7 +337,6 @@ def train_on_alignments(
     corpus_features,
     corpus_prosody,
     layout: SuprasegmentalLayout | None = None,
-    variance_floor: float = PROSODY_VARIANCE_FLOOR,
 ) -> SuprasegmentalModel:
     """Fit the prosody layer on top of a trained acoustic model.
 
@@ -350,5 +347,4 @@ def train_on_alignments(
     if layout is None:
         layout = SuprasegmentalLayout.halves(acoustic.num_states)
     paths, _ = viterbi_align_batch(acoustic, corpus_features)
-    return train_suprasegmental(*_segment_summaries(paths, corpus_prosody, layout), layout,
-                                variance_floor=variance_floor)
+    return train_suprasegmental(*_segment_summaries(paths, corpus_prosody, layout), layout)

@@ -208,8 +208,34 @@ class TestTrain:
                      "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
         assert "does not contain a synthetic corpus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["not_object", "no_spec", "no_prosody",
+                                        "short_track", "short_tracks"])
+    def test_damaged_corpus_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
+                                          capsys, damage):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        sidecar = json.loads((corpus / "corpus.json").read_text())
+        entry = sidecar["utterances"][3]
+        if damage == "not_object":
+            sidecar = [sidecar]
+        elif damage == "no_spec":
+            del sidecar["spec"]
+        elif damage == "no_prosody":
+            del entry["prosody"]
+        else:
+            names = ["f0_hz"] if damage == "short_track" else list(entry["prosody"])
+            for name in names:
+                entry["prosody"][name] = entry["prosody"][name][:-1]
+        (corpus / "corpus.json").write_text(json.dumps(sidecar))
+        assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
+                     "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(corpus) in err
+        if damage == "short_tracks":
+            assert entry["id"] in err
+
     def test_jobs_is_a_usage_error(self, tmp_path, tiny_corpus_dir):
-        # --jobs belongs to extract, the one command with parallel work.
+        # No command takes --jobs.
         with pytest.raises(SystemExit) as exc:
             main(["train", "--corpus", str(tiny_corpus_dir), "--kind", "VQ",
                   "--out", str(tmp_path / "bank"), "--jobs", "2"])
@@ -256,9 +282,10 @@ class TestEvaluate:
         assert main(["evaluate", "--bank", str(csp), "--corpus", str(tiny_corpus_dir),
                      "--out", str(sweep), "--config", tiny_config,
                      "--alpha-sweep", repr(alpha)]) == EXIT_OK
-        want = json.loads((plain / "report.json").read_text())["counts"]
+        want = json.loads((plain / "report.json").read_text())
         got = json.loads((sweep / ("report_alpha_%.2f.json" % alpha)).read_text())
-        assert got["counts"] == want
+        assert got["counts"] == want["counts"]
+        assert got["metadata"] == want["metadata"]
 
     @pytest.mark.parametrize("name, key, value", [
         ("bank.json", "format", "synthetic-corpus"),
@@ -395,6 +422,28 @@ class TestWavManifestSplit:
                             "--config", config]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "classify"])
+    @pytest.mark.parametrize("clip", ["stereo", "short"])
+    def test_unreadable_clip_is_data_error(self, tmp_path, wav_manifest, trained_banks,
+                                           capsys, command, clip):
+        base = tmp_path / "wav"
+        shutil.copytree(wav_manifest.parent, base)
+        name = "spk1_txt1_panic.wav"
+        if clip == "stereo":
+            data = np.zeros((RATE // 10, 2), dtype=np.int16)
+        else:  # shorter than one 25 ms frame
+            data = np.zeros(RATE // 100, dtype=np.int16)
+        wavfile.write(base / name, RATE, data)
+        config = self._config(tmp_path, self.SPLIT)
+        csp, _ = trained_banks
+        args = {"train": ["train", "--kind", "VQ", "--out", str(tmp_path / "o")],
+                "evaluate": ["evaluate", "--bank", str(csp), "--out", str(tmp_path / "o")],
+                "classify": ["classify", "--bank", str(csp)]}[command]
+        assert main(args + ["--corpus", str(base / "manifest.csv"),
+                            "--config", config]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
     def test_split_keeps_train_and_test_apart(self, tmp_path, wav_manifest):
         config = self._config(tmp_path, self.SPLIT)

@@ -14,7 +14,6 @@ from suprahmm.hmm import (
     GaussianMixtureEmission,
     HmmModel,
     TransitionTensor,
-    _Accumulators,
     _accumulate_batch,
     baum_welch_train,
     viterbi_align,
@@ -51,17 +50,15 @@ def _leaky_model(rng, num_states, order):
 
 
 def _accumulate(model, frames_list, center):
-    acc = _Accumulators(model, center)
     lengths = np.array([f.shape[0] for f in frames_list])
-    lls = _accumulate_batch(CompositeLattice(model), model, np.vstack(frames_list),
-                            lengths, acc)
-    return acc, lls
+    lls, stats = _accumulate_batch(CompositeLattice(model), model, np.vstack(frames_list),
+                                   lengths, center)
+    return stats, lls
 
 
-def _fields(acc):
-    return [acc.initial, acc.occupancy, acc.weighted_sum, acc.weighted_sq_sum] + [
-        acc.tensor_counts[k] for k in sorted(acc.tensor_counts)
-    ]
+def _fields(stats):
+    initial, tensor_counts, mixture_stats = stats
+    return [initial, *mixture_stats] + [tensor_counts[k] for k in sorted(tensor_counts)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -112,14 +109,15 @@ def test_one_row_posteriors_match_path_enumeration(length):
     obs = rng.normal(size=(length, DIM))
 
     total, occupancy, counts = _brute_posteriors(model, obs)
-    acc, lls = _accumulate(model, [obs], np.zeros(DIM))
+    (initial, tensor_counts, (mixture_occupancy, _, _)), lls = _accumulate(
+        model, [obs], np.zeros(DIM))
 
     assert lls[0] == pytest.approx(total, rel=1e-10)
-    np.testing.assert_allclose(acc.initial, occupancy[0], rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(acc.occupancy.sum(axis=1), occupancy.sum(axis=0),
+    np.testing.assert_allclose(initial, occupancy[0], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(mixture_occupancy.sum(axis=1), occupancy.sum(axis=0),
                                rtol=1e-9, atol=1e-12)
     for k in model.tensors:
-        np.testing.assert_allclose(acc.tensor_counts[k], counts[k], rtol=1e-9,
+        np.testing.assert_allclose(tensor_counts[k], counts[k], rtol=1e-9,
                                    atol=1e-12)
 
 
