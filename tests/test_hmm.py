@@ -648,6 +648,7 @@ class TestSerialization:
         rng = np.random.default_rng(30)
         model = random_model(rng, 2, 1, 2)
         assert _json_text(model) == _json_text(model)
+        assert _json_text(_json_round_trip(model)) == _json_text(model)
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
