@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DEFAULT_EMOTIONS, ManifestError, Utterance
+from .corpus import DEFAULT_EMOTIONS, Utterance, feature_fingerprint, read_json_object
 from .hmm import (
     ABS_VARIANCE_FLOOR,
     MIXTURE_WEIGHT_FLOOR,
@@ -30,6 +30,7 @@ from .hmm import (
     VARIANCE_FLOOR_SCALE,
     GaussianMixtureEmission,
     HmmModel,
+    UnscorableUtteranceError,
     _as_frames,
     _lse_last,
     forward_log_likelihood_batch,
@@ -63,11 +64,6 @@ class IncompatibleFeaturesError(Exception):
     """Bank and utterance were built from different feature configurations."""
 
 
-class UnscorableUtteranceError(Exception):
-    """Every model of the bank gives an utterance zero likelihood (a -inf
-    score), so no label can be chosen."""
-
-
 # ---------------------------------------------------------------------------
 # GMM baseline
 # ---------------------------------------------------------------------------
@@ -82,10 +78,14 @@ class GmmBaselineModel:
     means: np.ndarray
     variances: np.ndarray
 
+    def __post_init__(self):
+        # The one-state emission it scores with; building it checks the shapes.
+        self.emission = GaussianMixtureEmission(self.weights[None], self.means[None],
+                                                self.variances[None])
+        self.dim = self.emission.dim
+
     def frame_log_likelihoods(self, frames: np.ndarray) -> np.ndarray:
-        emission = GaussianMixtureEmission(self.weights[None], self.means[None],
-                                           self.variances[None])
-        return emission.log_prob_matrix(frames)[:, 0]
+        return self.emission.log_prob_matrix(frames)[:, 0]
 
     def score(self, frames: np.ndarray) -> float:
         return float(self.frame_log_likelihoods(frames).mean())
@@ -147,6 +147,11 @@ class VqBaselineModel:
 
     centroids: np.ndarray
 
+    def __post_init__(self):
+        if self.centroids.ndim != 2 or not len(self.centroids):
+            raise ValueError("centroids must be a non-empty (K, D) matrix")
+        self.dim = self.centroids.shape[1]
+
     def distortion(self, frames: np.ndarray) -> float:
         return float(squared_distances(frames, self.centroids).min(axis=1).mean())
 
@@ -158,7 +163,7 @@ class VqBaselineModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VqBaselineModel":
-        return cls(np.array(doc["centroids"]))
+        return cls(np.array(doc["centroids"], dtype=np.float64))
 
 
 def lbg_codebook(frames, num_centroids: int = DEFAULT_VQ_CODEBOOK, seed: int = 0,
@@ -215,18 +220,21 @@ class TrainOptions:
     gmm_components: int = DEFAULT_GMM_COMPONENTS
     vq_codebook_size: int = DEFAULT_VQ_CODEBOOK
 
+    def __post_init__(self):
+        for name in ("num_states", "num_mixtures", "gmm_components", "vq_codebook_size"):
+            if not getattr(self, name) >= 1:
+                raise ValueError("%s must be at least 1" % name)
+        if self.tol is not None and not self.tol >= 0:
+            raise ValueError("tol must be a non-negative number or null")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        if self.layout is not None and self.layout.num_states != self.num_states:
+            raise ValueError("supra_layout must list a group for each of the %d states"
+                             % self.num_states)
+
     def to_dict(self) -> dict:
-        return {
-            "num_states": self.num_states,
-            "num_mixtures": self.num_mixtures,
-            "iters": list(self.iters),
-            "tol": self.tol,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "layout": list(self.layout.state_to_group) if self.layout else None,
-            "gmm_components": self.gmm_components,
-            "vq_codebook_size": self.vq_codebook_size,
-        }
+        return {**dataclasses.asdict(self), "iters": list(self.iters),
+                "layout": list(self.layout.state_to_group) if self.layout else None}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainOptions":
@@ -256,17 +264,8 @@ class ModelBank:
             raise IncompleteBankError("bank is missing models for %s" % missing)
 
 
-def _utterance_fingerprint(utterances) -> dict:
-    return {
-        "source": "synthetic" if not utterances[0].record.path.endswith(".wav")
-        else "mfcc",
-        "dim": utterances[0].features.dim,
-        "prosody_dim": 6,
-    }
-
-
 def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None = None,
-               labels=DEFAULT_EMOTIONS, fingerprint: dict | None = None) -> ModelBank:
+               labels=DEFAULT_EMOTIONS) -> ModelBank:
     """One model per configured emotion label.
 
     CSPHMM3 runs the order-promotion acoustic chain then fits the prosody
@@ -280,8 +279,6 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
     for label in labels:
         if not corpus_by_emotion.get(label):
             raise IncompleteBankError("no training utterances for %r" % label)
-    if fingerprint is None:
-        fingerprint = _utterance_fingerprint(corpus_by_emotion[labels[0]])
 
     models = {}
     for label in labels:
@@ -315,7 +312,8 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
                 pooled, min(options.vq_codebook_size, pooled.shape[0]),
                 seed=options.seed,
             )
-    return ModelBank(kind, labels, models, fingerprint, options)
+    return ModelBank(kind, labels, models,
+                     feature_fingerprint(corpus_by_emotion[labels[0]]), options)
 
 
 def bank_scores(bank: ModelBank, utterances):
@@ -420,28 +418,34 @@ def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
 def load_bank(path) -> ModelBank:
     """Read a bank written by save_bank.
 
-    Raises ManifestError when bank.json is not a model bank of a known kind,
-    lacks its labels or fingerprint, or a model document does not decode.
+    Raises ManifestError when bank.json or a model document does not decode:
+    bank.json must be a model bank of a known kind with a non-empty list of
+    distinct string labels, a fingerprint object with an integer dim, and
+    options, when present, an object; every model must have that dim.
     """
-    with open(os.path.join(path, BANK_MANIFEST), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "model-bank":
-        raise ManifestError("%s does not contain a model bank" % path)
-    kind = manifest.get("kind")
-    if kind not in _MODEL_TYPES:
-        raise ManifestError("%s: unknown bank kind %r" % (path, kind))
-    for key in ("labels", "fingerprint"):
-        if key not in manifest:
-            raise ManifestError("%s: bank manifest has no %r" % (path, key))
-    models = {}
-    for label in manifest["labels"]:
-        model_path = os.path.join(path, label + ".json")
-        with open(model_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        try:
-            models[label] = _MODEL_TYPES[kind].from_dict(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError("%s: not a %s model: %s"
-                                % (model_path, kind, exc)) from exc
-    return ModelBank(kind, tuple(manifest["labels"]), models, manifest["fingerprint"],
-                     TrainOptions.from_dict(manifest.get("options", {})))
+    def decode(manifest):
+        if manifest.get("format") != "model-bank":
+            raise ValueError("does not contain a model bank")
+        kind, labels = manifest.get("kind"), manifest["labels"]
+        if kind not in _MODEL_TYPES:
+            raise ValueError("unknown bank kind %r" % (kind,))
+        if (not isinstance(labels, list) or not labels
+                or not all(isinstance(l, str) for l in labels)
+                or len(set(labels)) != len(labels)):
+            raise ValueError("labels must be a non-empty list of distinct strings")
+        fingerprint, options = manifest["fingerprint"], manifest.get("options", {})
+        if not isinstance(fingerprint, dict) or not isinstance(fingerprint.get("dim"), int):
+            raise ValueError("fingerprint must be an object with an integer dim")
+        if not isinstance(options, dict):
+            raise ValueError("options must be an object")
+        models = {label: read_json_object(os.path.join(path, label + ".json"),
+                                          _MODEL_TYPES[kind].from_dict)
+                  for label in labels}
+        for label, model in models.items():
+            if model.dim != fingerprint["dim"]:
+                raise ValueError("model %r has dim %d, the fingerprint %d"
+                                 % (label, model.dim, fingerprint["dim"]))
+        return ModelBank(kind, tuple(labels), models, fingerprint,
+                         TrainOptions.from_dict(options))
+
+    return read_json_object(os.path.join(path, BANK_MANIFEST), decode)

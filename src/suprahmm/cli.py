@@ -27,7 +27,6 @@ from .classifiers import (
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .corpus import (
-    CORPUS_SIDECAR,
     DEFAULT_EMOTIONS,
     ManifestError,
     SyntheticSpec,
@@ -39,6 +38,7 @@ from .corpus import (
     load_wav_corpus,
     make_split,
     prosody_synthetic_spec,
+    read_json_object,
     save_synthetic_corpus,
     synthesize_corpus,
 )
@@ -78,8 +78,6 @@ def _load_corpus(path, config: ExperimentConfig):
     Returns (utterances, labels, split_spec_or_None).
     """
     if os.path.isdir(path):
-        if not os.path.isfile(os.path.join(path, CORPUS_SIDECAR)):
-            raise ManifestError("%s has no %s sidecar" % (path, CORPUS_SIDECAR))
         corpus = load_synthetic_corpus(path)
         split = default_split(corpus.spec)
         return corpus.utterances, corpus.spec.labels, split
@@ -162,6 +160,9 @@ def cmd_train(args, config: ExperimentConfig) -> int:
     if not train_side:
         raise ConfigError("training split selected no utterances")
     options = config.train_options()
+    if args.kind == "CSPHMM3" and options.layout is None and options.num_states < 2:
+        raise ConfigError("model.num_states must be at least 2 for a CSPHMM3 bank "
+                          "without a model.supra_layout")
     bank = train_bank(args.kind, group_by_emotion(train_side), options, labels)
     save_bank(bank, args.out, provenance=_provenance(config))
     print("trained %s bank on %d utterances -> %s"
@@ -194,10 +195,13 @@ def cmd_evaluate(args, config: ExperimentConfig) -> int:
     if args.alpha_sweep:
         if bank.kind != "CSPHMM3":
             raise ConfigError("--alpha-sweep requires a CSPHMM3 bank")
-        alphas = [float(a) for a in args.alpha_sweep.split(",")]
+        try:
+            alphas = [float(a) for a in args.alpha_sweep.split(",")]
+        except ValueError as exc:
+            raise ConfigError("--alpha-sweep: %s" % exc) from exc
         for alpha in alphas:
             if not 0.0 <= alpha <= 1.0:
-                raise ConfigError("alpha %g outside [0, 1]" % alpha)
+                raise ConfigError("--alpha-sweep: alpha %g outside [0, 1]" % alpha)
         for alpha, report in _sweep_reports(bank, test_side, alphas, metadata):
             stem = os.path.join(args.out, "report_alpha_%.2f" % alpha)
             report.save(stem + ".json", stem + ".txt")
@@ -237,25 +241,21 @@ def cmd_classify(args, config: ExperimentConfig) -> int:
 
 def cmd_synth(args, config: ExperimentConfig) -> int:
     if args.spec_file:
-        try:
-            with open(args.spec_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError("spec file is not valid JSON: %s" % exc) from exc
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        try:
-            spec = SyntheticSpec.from_dict(doc)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError("invalid synthetic spec: %s" % exc) from exc
+        # A spec whose values cannot be sampled (a negative scale, say) is
+        # as damaged as one that does not decode.
+        def decode(doc):
+            if args.seed is not None:
+                doc["seed"] = args.seed
+            return synthesize_corpus(SyntheticSpec.from_dict(doc))
+
+        corpus = read_json_object(args.spec_file, decode)
     else:
         seed = args.seed if args.seed is not None else config.seed
         builder = prosody_synthetic_spec if args.preset == "prosody" else default_synthetic_spec
-        spec = builder(seed=seed)
-    corpus = synthesize_corpus(spec)
+        corpus = synthesize_corpus(builder(seed=seed))
     save_synthetic_corpus(corpus, args.out, provenance=_provenance(config))
     print("synthesized %d utterances (%d emotions) -> %s"
-          % (len(corpus.utterances), len(spec.labels), args.out))
+          % (len(corpus.utterances), len(corpus.spec.labels), args.out))
     return EXIT_OK
 
 
@@ -266,7 +266,10 @@ def cmd_ttest(args, config: ExperimentConfig) -> int:
         raise ConfigError("reports cover different label sets")
     acc_a = [report_a.per_emotion_accuracy[l] for l in report_a.labels]
     acc_b = [report_b.per_emotion_accuracy[l] for l in report_b.labels]
-    result = compare_accuracies(acc_a, acc_b, sd_x=args.sd_a, sd_y=args.sd_b)
+    try:
+        result = compare_accuracies(acc_a, acc_b, sd_x=args.sd_a, sd_y=args.sd_b)
+    except ValueError as exc:
+        raise ConfigError("%s (--sd-a %s, --sd-b %s)" % (exc, args.sd_a, args.sd_b)) from exc
     doc = result.to_dict()
     doc["report_a"] = os.path.abspath(args.report_a)
     doc["report_b"] = os.path.abspath(args.report_b)
@@ -383,13 +386,9 @@ def main(argv=None) -> int:
     except IncompatibleFeaturesError as exc:
         print("incompatible features: %s" % exc, file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (ManifestError, IncompleteBankError, UnscorableUtteranceError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ManifestError, IncompleteBankError, UnscorableUtteranceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -50,9 +50,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.labels is not None:
-            if not self.labels or len(set(self.labels)) != len(self.labels):
+            if (not isinstance(self.labels, list) or not self.labels
+                    or len({str(l) for l in self.labels}) != len(self.labels)):
                 raise ConfigError("labels must be a non-empty list without duplicates")
             self.labels = [str(l) for l in self.labels]
+        for name in ("features", "model"):
+            if not isinstance(getattr(self, name) or {}, dict):
+                raise ConfigError("%s must be an object" % name)
         self.features = {**_FEATURE_KEYS, **(self.features or {})}
         self.model = {**_MODEL_KEYS, **(self.model or {})}
         unknown = set(self.features) - set(_FEATURE_KEYS)

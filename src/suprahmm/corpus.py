@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,27 @@ DEFAULT_EMOTIONS = ("neutral", "hot_anger", "sadness", "happiness", "disgust", "
 
 class ManifestError(Exception):
     """Malformed input data: a manifest with a bad header, bad row, duplicate
-    key or missing file, or a damaged corpus.json, bank.json, model document
-    or feature file."""
+    key or missing file, or a damaged JSON document (corpus.json, bank.json,
+    model document, report, spec file) or feature file."""
+
+
+def read_json_object(path, decode):
+    """decode(doc) for the JSON object stored at `path`.
+
+    Raises ManifestError naming the path when the file is not JSON, holds
+    anything but an object, or `decode` fails with KeyError, TypeError,
+    ValueError or AttributeError.  OSError passes through.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise TypeError("not a JSON object")
+            return decode(doc)
+        except KeyError as exc:
+            raise ManifestError("%s: missing key %s" % (path, exc)) from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ManifestError("%s: %s" % (path, exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -66,31 +85,19 @@ class SplitSpec:
     test_texts: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "train_speakers", frozenset(self.train_speakers))
-        object.__setattr__(self, "test_speakers", frozenset(self.test_speakers))
-        object.__setattr__(self, "train_texts", frozenset(self.train_texts))
-        object.__setattr__(self, "test_texts", frozenset(self.test_texts))
+        for f in fields(self):
+            object.__setattr__(self, f.name, frozenset(getattr(self, f.name)))
         if self.train_speakers & self.test_speakers:
             raise ValueError("train and test speaker sets overlap")
         if self.train_texts & self.test_texts:
             raise ValueError("train and test text sets overlap")
 
     def to_dict(self) -> dict:
-        return {
-            "train_speakers": sorted(self.train_speakers),
-            "test_speakers": sorted(self.test_speakers),
-            "train_texts": sorted(self.train_texts),
-            "test_texts": sorted(self.test_texts),
-        }
+        return {f.name: sorted(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SplitSpec":
-        return cls(
-            frozenset(doc["train_speakers"]),
-            frozenset(doc["test_speakers"]),
-            frozenset(doc["train_texts"]),
-            frozenset(doc["test_texts"]),
-        )
+        return cls(*(doc[f.name] for f in fields(cls)))
 
 
 @dataclass
@@ -190,13 +197,7 @@ class ProsodyParams:
     sd_log_energy: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_log_f0": self.mean_log_f0,
-            "sd_log_f0": self.sd_log_f0,
-            "voiced_rate": self.voiced_rate,
-            "mean_log_energy": self.mean_log_energy,
-            "sd_log_energy": self.sd_log_energy,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProsodyParams":
@@ -249,34 +250,18 @@ class SyntheticSpec:
             raise ValueError("generator feature dim must be even")
 
     def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "num_speakers": self.num_speakers,
-            "num_texts": self.num_texts,
-            "num_replicates": self.num_replicates,
-            "generators": {label: g.to_dict() for label, g in self.generators.items()},
-            "speaker_scale": self.speaker_scale,
-            "min_frames": self.min_frames,
-            "max_frames": self.max_frames,
-            "seed": self.seed,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "labels": list(self.labels),
+                "generators": {label: g.to_dict() for label, g in self.generators.items()}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        return cls(
-            labels=tuple(doc["labels"]),
-            num_speakers=int(doc["num_speakers"]),
-            num_texts=int(doc["num_texts"]),
-            num_replicates=int(doc["num_replicates"]),
-            generators={
-                label: EmotionGenerator.from_dict(g)
-                for label, g in doc["generators"].items()
-            },
-            speaker_scale=float(doc["speaker_scale"]),
-            min_frames=int(doc["min_frames"]),
-            max_frames=int(doc["max_frames"]),
-            seed=int(doc["seed"]),
-        )
+        counts = ("num_speakers", "num_texts", "num_replicates", "min_frames", "max_frames",
+                  "seed")
+        return cls(labels=tuple(doc["labels"]), speaker_scale=float(doc["speaker_scale"]),
+                   generators={label: EmotionGenerator.from_dict(g)
+                               for label, g in doc["generators"].items()},
+                   **{name: int(doc[name]) for name in counts})
 
 
 def _stable_hash(text: str) -> int:
@@ -335,17 +320,20 @@ class SyntheticCorpus:
     def records(self) -> list[UtteranceRecord]:
         return [u.record for u in self.utterances]
 
-    @property
-    def dim(self) -> int:
-        return self.utterances[0].features.dim
-
-    def fingerprint(self) -> dict:
-        return {"source": "synthetic", "dim": self.dim, "prosody_dim": 6}
-
     def split(self, spec: SplitSpec):
         by_id = {u.record.id: u for u in self.utterances}
         train_recs, test_recs = make_split(self.records, spec)
         return ([by_id[r.id] for r in train_recs], [by_id[r.id] for r in test_recs])
+
+
+def feature_fingerprint(utterances) -> dict:
+    """What a bank records of the features it was trained on: their source
+    (synthetic frames or MFCCs of WAV clips) and dimension."""
+    return {
+        "source": "mfcc" if utterances[0].record.path.endswith(".wav") else "synthetic",
+        "dim": utterances[0].features.dim,
+        "prosody_dim": 6,
+    }
 
 
 def synthesize_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
@@ -502,7 +490,7 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
         "version": 1,
         "seed": corpus.spec.seed,
         "spec": corpus.spec.to_dict(),
-        "fingerprint": corpus.fingerprint(),
+        "fingerprint": feature_fingerprint(corpus.utterances),
         "utterances": entries,
     }
     if provenance is not None:
@@ -511,8 +499,11 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
         json.dump(sidecar, fh, sort_keys=True)
 
 
-def _load_synthetic_utterance(path, entry: dict) -> Utterance:
+def _load_synthetic_utterance(path, entry: dict, dim: int) -> Utterance:
     features = load_features(os.path.join(path, entry["features"]))
+    if features.dim != dim:
+        raise ValueError("%s has %d-dim frames, the spec %d" % (entry["features"],
+                                                                features.dim, dim))
     prosody = FrameProsody(
         np.array(entry["prosody"]["f0_hz"]),
         np.array(entry["prosody"]["voiced"], dtype=bool),
@@ -536,21 +527,19 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
     """Read a corpus written by save_synthetic_corpus.
 
     Raises ManifestError when corpus.json is not a synthetic corpus or does
-    not decode, a feature file is damaged, or an utterance's prosody tracks
-    do not cover its frames one for one.
+    not decode, a feature file is damaged or its frames are not of the
+    spec's dimension, or an utterance's prosody tracks do not cover its
+    frames one for one.
     """
-    with open(os.path.join(path, CORPUS_SIDECAR), "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if not isinstance(sidecar, dict) or sidecar.get("format") != "synthetic-corpus":
-        raise ManifestError("%s does not contain a synthetic corpus" % path)
-    try:
+    def decode(sidecar):
+        if sidecar.get("format") != "synthetic-corpus":
+            raise ValueError("does not contain a synthetic corpus")
         spec = SyntheticSpec.from_dict(sidecar["spec"])
-        utterances = [_load_synthetic_utterance(path, e) for e in sidecar["utterances"]]
-    except KeyError as exc:
-        raise ManifestError("%s: %s has no key %s" % (path, CORPUS_SIDECAR, exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ManifestError("%s: %s" % (path, exc)) from exc
-    return SyntheticCorpus(spec, utterances)
+        dim = next(iter(spec.generators.values())).acoustic.dim
+        return SyntheticCorpus(spec, [_load_synthetic_utterance(path, e, dim)
+                                      for e in sidecar["utterances"]])
+
+    return read_json_object(os.path.join(path, CORPUS_SIDECAR), decode)
 
 
 def load_wav_corpus(manifest_path, cfg: MfccConfig | None = None,

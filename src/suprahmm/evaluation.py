@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .classifiers import ModelBank, bank_scores, pick_label
-from .corpus import ManifestError
+from .corpus import ManifestError, read_json_object
 
 CRITICAL_T_005 = 1.645
 
@@ -84,11 +84,10 @@ class EvaluationReport:
                    doc.get("metadata", {}))
 
     def render_text(self) -> str:
-        width = max(len(l) for l in self.labels) + 2
-        lines = ["Per-emotion recognition accuracy (%)", ""]
-        header = " " * width + "".join("%*s" % (width, l) for l in self.labels)
-        header += "%*s" % (width, "Average")
-        lines.append(header)
+        width = max(len(cell) for cell in (*self.labels, "accuracy", "Average", "100.0")) + 2
+        label_row = " " * width + "".join("%*s" % (width, l) for l in self.labels)
+        lines = ["Per-emotion recognition accuracy (%)", "",
+                 label_row + "%*s" % (width, "Average")]
         accs = self.per_emotion_accuracy
         row = "%-*s" % (width, "accuracy")
         row += "".join("%*.1f" % (width, accs[l]) for l in self.labels)
@@ -97,7 +96,7 @@ class EvaluationReport:
         lines.append("")
         lines.append("Confusion of each true emotion (columns sum to 100%)")
         lines.append("")
-        lines.append(" " * width + "".join("%*s" % (width, l) for l in self.labels))
+        lines.append(label_row)
         pct = self.confusion.percent
         for i, predicted in enumerate(self.labels):
             row = "%-*s" % (width, predicted)
@@ -116,19 +115,21 @@ class EvaluationReport:
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ManifestError("%s: not an evaluation report: %r" % (path, exc)) from exc
+        return read_json_object(path, cls.from_dict)
 
 
 def confusion_from_pairs(labels, pairs) -> ConfusionMatrix:
-    """Build a [predicted][true] count matrix from (predicted, true) pairs."""
+    """Build a [predicted][true] count matrix from (predicted, true) pairs.
+
+    Raises ManifestError when a true emotion is not one of the labels.
+    """
     labels = tuple(labels)
     index = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for predicted, true in pairs:
+        if true not in index:
+            raise ManifestError("the bank has no model for emotion %r of the test "
+                                "utterances" % true)
         counts[index[predicted], index[true]] += 1
     return ConfusionMatrix(labels, counts)
 
@@ -157,8 +158,8 @@ def evaluate_split(bank: ModelBank, utterances, metadata: dict | None = None
     scores, _ = bank_scores(bank, utterances)
     pairs = [(pick_label(bank.labels, row, utt.record.id), utt.emotion)
              for row, utt in zip(scores, utterances)]
-    return EvaluationReport(bank.labels, confusion_from_pairs(bank.labels, pairs),
-                            report_metadata(bank, len(utterances), metadata))
+    return report_from_predictions(bank.labels, pairs,
+                                   report_metadata(bank, len(utterances), metadata))
 
 
 def report_from_predictions(labels, pairs, metadata: dict | None = None
@@ -174,7 +175,7 @@ def report_from_predictions(labels, pairs, metadata: dict | None = None
 
 def pooled_sd(sd_x: float, sd_y: float) -> float:
     """Root mean square of the two standard deviations."""
-    if sd_x < 0 or sd_y < 0:
+    if not (sd_x >= 0 and sd_y >= 0):
         raise ValueError("standard deviations must be non-negative")
     return math.sqrt((sd_x**2 + sd_y**2) / 2.0)
 
@@ -196,17 +197,7 @@ class SignificanceResult:
                 else "not significant at 0.05")
 
     def to_dict(self) -> dict:
-        return {
-            "t_value": self.t_value,
-            "mean_x": self.mean_x,
-            "mean_y": self.mean_y,
-            "sd_x": self.sd_x,
-            "sd_y": self.sd_y,
-            "sd_pooled": self.sd_pooled,
-            "critical_value": self.critical_value,
-            "significant": self.significant,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def students_t(mean_x: float, mean_y: float, sd_pooled: float,

@@ -39,6 +39,11 @@ EMISSION_BLOCK_FRAMES = 256
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+class UnscorableUtteranceError(ValueError):
+    """An utterance has zero likelihood (a -inf score): under every model of
+    a bank, so no label can be chosen, or under a model in training."""
+
+
 @dataclass(frozen=True)
 class CircularTopology:
     """Ring of num_states states; legal moves are self-loop and successor."""
@@ -639,7 +644,7 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     tensor k} and the `mixture_statistics` triple.  Frame sums are taken
     about `center` (the corpus mean), so the M-step variance
     E[(x-c)^2] - E[x-c]^2 keeps its precision under large offsets.  Raises
-    ValueError if any utterance has zero likelihood.
+    UnscorableUtteranceError if any utterance has zero likelihood.
     """
     comp_log = model.emissions.component_log_probs(stacked)
     log_b_stacked = _lse_last(comp_log)
@@ -650,8 +655,8 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     alphas, ll = lattice.forward(log_b, lengths)
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
-        raise ValueError("observation sequence %d has zero likelihood under the model"
-                         % bad[0])
+        raise UnscorableUtteranceError(
+            "observation sequence %d has zero likelihood under the model" % bad[0])
     betas = lattice.backward(log_b, lengths)
 
     # Lattice posteriors, folded onto ring states.  Posteriors at padded

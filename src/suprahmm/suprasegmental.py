@@ -267,6 +267,10 @@ class Csphmm3Model:
         if self.acoustic.num_states != self.supra.layout.num_states:
             raise ValueError("layout must cover every acoustic state")
 
+    @property
+    def dim(self) -> int:
+        return self.acoustic.dim
+
     def to_dict(self) -> dict:
         return {
             "format": "csphmm3-model",

@@ -61,21 +61,37 @@ def joint_path_log_prob(model, path, obs):
     return lp
 
 
+def _all_path_scores(model, obs):
+    """(path, joint_path_log_prob(model, path, obs)) for every legal path.
+
+    The T x N frame densities are computed once, by mixture_log_density,
+    and added along each path in the order joint_path_log_prob adds them,
+    so every score is bit-equal to its per-path computation.
+    """
+    em = model.emissions
+    density = [
+        [mixture_log_density(x, em.weights[q], em.means[q], em.variances[q])
+         for q in range(model.num_states)]
+        for x in obs
+    ]
+    for path in enumerate_legal_paths(model.num_states, len(obs)):
+        lp = path_log_prob(model, path)
+        if lp != -math.inf:
+            for t, q in enumerate(path):
+                lp += density[t][q]
+        yield path, lp
+
+
 def brute_forward(model, obs):
     """log P(O) by exhaustive sum over all legal paths."""
-    scores = [
-        joint_path_log_prob(model, path, obs)
-        for path in enumerate_legal_paths(model.num_states, len(obs))
-    ]
-    return float(logsumexp(scores))
+    return float(logsumexp([score for _, score in _all_path_scores(model, obs)]))
 
 
 def brute_viterbi(model, obs):
     """(best path, best score) by exhaustive argmax; first path wins ties
     in enumeration order (lexicographic start, then successor order)."""
     best_path, best_score = None, -math.inf
-    for path in enumerate_legal_paths(model.num_states, len(obs)):
-        score = joint_path_log_prob(model, path, obs)
+    for path, score in _all_path_scores(model, obs):
         if score > best_score:
             best_path, best_score = path, score
     return np.array(best_path), best_score

@@ -157,6 +157,25 @@ class TestSynth:
         sidecar = json.loads((out / "corpus.json").read_text())
         assert sidecar["seed"] == 99
 
+    @pytest.mark.parametrize("damage", ["not_json", "not_object", "no_labels",
+                                        "negative_scale"])
+    def test_damaged_spec_file_is_data_error(self, tmp_path, capsys, damage):
+        doc = default_synthetic_spec(seed=1, dim=4).to_dict()
+        doc.update(num_speakers=1, num_texts=1, num_replicates=1,
+                   min_frames=5, max_frames=6)
+        text = {
+            "not_json": "{not json",
+            "not_object": "[1]",
+            "no_labels": json.dumps({k: v for k, v in doc.items() if k != "labels"}),
+            "negative_scale": json.dumps({**doc, "speaker_scale": -1.0}),
+        }[damage]
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(text)
+        assert main(["synth", "--spec-file", str(spec_file),
+                     "--out", str(tmp_path / "c")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(spec_file) in err
+
 
 class TestTrain:
     def test_bank_layout_on_disk(self, trained_banks):
@@ -209,7 +228,7 @@ class TestTrain:
         assert "does not contain a synthetic corpus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["not_object", "no_spec", "no_prosody",
-                                        "short_track", "short_tracks"])
+                                        "short_track", "short_tracks", "feature_dim"])
     def test_damaged_corpus_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
                                           capsys, damage):
         corpus = tmp_path / "corpus"
@@ -222,6 +241,10 @@ class TestTrain:
             del sidecar["spec"]
         elif damage == "no_prosody":
             del entry["prosody"]
+        elif damage == "feature_dim":
+            frames = load_features(corpus / entry["features"]).frames
+            save_features(corpus / entry["features"],
+                          FeatureSequence(np.hstack([frames, frames[:, :2]])))
         else:
             names = ["f0_hz"] if damage == "short_track" else list(entry["prosody"])
             for name in names:
@@ -231,8 +254,40 @@ class TestTrain:
                      "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(corpus) in err
-        if damage == "short_tracks":
+        if damage in ("short_tracks", "feature_dim"):
             assert entry["id"] in err
+
+    @pytest.mark.parametrize("model, kind, key", [
+        ({"num_mixtures": 0}, "CHMM3", "num_mixtures"),
+        ({"num_states": 1}, "CSPHMM3", "num_states"),
+        ({"gmm_components": 0}, "GMM", "gmm_components"),
+        ({"vq_codebook_size": 0}, "VQ", "vq_codebook_size"),
+        ({"alpha": 2}, "CSPHMM3", "alpha"),
+        ({"supra_layout": [0, 1]}, "CSPHMM3", "supra_layout"),
+    ])
+    def test_bad_model_value_is_config_error_naming_the_key(
+            self, tmp_path, tiny_corpus_dir, capsys, model, kind, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": model}))
+        assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", kind,
+                     "--out", str(tmp_path / "bank"), "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+    def test_zero_likelihood_training_utterance_is_data_error(
+            self, tmp_path, tiny_corpus_dir, tiny_config, capsys):
+        # One overflowing frame in a training utterance: EM cannot use it.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
+        frames = load_features(corpus / entry["features"]).frames.copy()
+        frames[3] = 1e160
+        save_features(corpus / entry["features"], FeatureSequence(frames))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--corpus", str(corpus), "--kind", "CHMM3",
+                         "--out", str(tmp_path / "bank"), "--config", tiny_config])
+        assert code == EXIT_IO
+        assert "zero likelihood" in capsys.readouterr().err
 
     def test_jobs_is_a_usage_error(self, tmp_path, tiny_corpus_dir):
         # No command takes --jobs.
@@ -332,6 +387,29 @@ class TestEvaluate:
                      "--corpus", str(tiny_corpus_dir),
                      "--out", str(tmp_path / "x"), "--config", tiny_config,
                      "--alpha-sweep", "0,2"]) == EXIT_CONFIG
+
+    def test_alpha_sweep_of_non_numbers_names_the_flag(self, tmp_path, tiny_corpus_dir,
+                                                         tiny_config, trained_banks, capsys):
+        csp, _ = trained_banks
+        assert main(["evaluate", "--bank", str(csp), "--corpus", str(tiny_corpus_dir),
+                     "--out", str(tmp_path / "x"), "--config", tiny_config,
+                     "--alpha-sweep", "0.5,abc"]) == EXIT_CONFIG
+        assert "--alpha-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, sweep", [("GMM", []),
+                                             ("CSPHMM3", ["--alpha-sweep", "0.5"])])
+    def test_emotion_the_bank_lacks_is_data_error(self, tmp_path, tiny_corpus_dir,
+                                                  capsys, kind, sweep):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"labels": ["neutral", "sadness"],
+                                   "model": {"num_mixtures": 1, "train_iters": [2, 2, 2]}}))
+        bank = tmp_path / "bank"
+        assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", kind,
+                     "--out", str(bank), "--config", str(cfg)]) == EXIT_OK
+        assert main(["evaluate", "--bank", str(bank), "--corpus", str(tiny_corpus_dir),
+                     "--out", str(tmp_path / "x"), "--config", str(cfg)] + sweep) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hot_anger" in err
 
     def test_alpha_sweep_unscorable_utterance_is_data_error(
             self, tmp_path, tiny_corpus_dir, tiny_config, trained_banks, capsys):
@@ -536,6 +614,49 @@ class TestClassify:
         assert entry["id"] in err and "zero likelihood" in err
 
 
+BANK_DAMAGE = {
+    # (bank: 0 CSPHMM3, 1 CHMM3; damaged file; damage)
+    "bank_json_array": (1, "bank.json", lambda doc: []),
+    "chmm3_model_array": (1, "neutral.json", lambda doc: []),
+    "csphmm3_model_array": (0, "neutral.json", lambda doc: []),
+    "csphmm3_acoustic_array": (0, "neutral.json", lambda doc: {**doc, "acoustic": []}),
+    "labels_number": (1, "bank.json", lambda doc: {**doc, "labels": 5}),
+    "labels_empty": (1, "bank.json", lambda doc: {**doc, "labels": []}),
+    "fingerprint_array": (1, "bank.json", lambda doc: {**doc, "fingerprint": []}),
+    "fingerprint_dim_text": (1, "bank.json",
+                             lambda doc: {**doc, "fingerprint": {"dim": "4"}}),
+    "options_array": (1, "bank.json", lambda doc: {**doc, "options": []}),
+    "model_dim_not_fingerprint": (0, "bank.json", lambda doc: {
+        **doc, "fingerprint": {**doc["fingerprint"], "dim": doc["fingerprint"]["dim"] + 2}}),
+}
+
+
+class TestDamagedBank:
+    @pytest.mark.parametrize("damage", sorted(BANK_DAMAGE))
+    def test_damaged_document_is_data_error_naming_it(
+            self, tmp_path, tiny_corpus_dir, tiny_config, trained_banks, capsys, damage):
+        which, name, mutate = BANK_DAMAGE[damage]
+        bank = tmp_path / "bank"
+        shutil.copytree(trained_banks[which], bank)
+        (bank / name).write_text(json.dumps(mutate(json.loads((bank / name).read_text()))))
+        assert main(["classify", "--bank", str(bank), "--corpus", str(tiny_corpus_dir),
+                     "--config", tiny_config]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bank / name) in err
+
+    def test_gmm_document_of_mismatched_shapes_is_data_error(
+            self, tmp_path, tiny_corpus_dir, tiny_config, capsys):
+        bank = tmp_path / "bank"
+        assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", "GMM",
+                     "--out", str(bank), "--config", tiny_config]) == EXIT_OK
+        doc = json.loads((bank / "sadness.json").read_text())
+        doc["variances"] = doc["variances"][:-1]
+        (bank / "sadness.json").write_text(json.dumps(doc))
+        assert main(["classify", "--bank", str(bank), "--corpus", str(tiny_corpus_dir),
+                     "--config", tiny_config]) == EXIT_IO
+        assert str(bank / "sadness.json") in capsys.readouterr().err
+
+
 class TestTtestAndReport:
     def make_report(self, path, accuracies):
         from suprahmm.evaluation import report_from_predictions
@@ -574,6 +695,20 @@ class TestTtestAndReport:
         self.make_report(b, [80] * 6)
         assert main(["ttest", "--report-a", str(a), "--report-b", str(b)]) == EXIT_OK
         assert "not significant" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sds, flag", [
+        (["--sd-a", "-1"], "--sd-a"),
+        (["--sd-b", "nan"], "--sd-b"),
+        (["--sd-a", "0", "--sd-b", "0"], "--sd-a"),  # unequal means: t undefined
+    ])
+    def test_bad_stated_sd_is_config_error_naming_the_flag(self, tmp_path, capsys,
+                                                          sds, flag):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.make_report(a, [80] * 6)
+        self.make_report(b, [78] * 6)
+        assert main(["ttest", "--report-a", str(a), "--report-b", str(b)] + sds) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag in err
 
     def test_report_renders_tables(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -627,6 +762,19 @@ class TestConfigHandling:
         assert main(["synth", "--out", str(tmp_path / "c"),
                      "--config", str(cfg)]) == EXIT_CONFIG
         assert "output_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"labels": 5}, "labels"),
+        ({"labels": [1, "1"]}, "labels"),
+        ({"features": 5}, "features"),
+        ({"model": ["num_states"]}, "model"),
+    ])
+    def test_section_of_wrong_type_is_config_error(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["synth", "--out", str(tmp_path / "c"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPRAHMM_SEED", "not-a-number")

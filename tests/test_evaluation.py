@@ -101,6 +101,24 @@ class TestReport:
         assert "hot_anger" in rendered
         assert "Average" in rendered
 
+    def test_render_keeps_cells_apart_at_short_labels(self):
+        labels = ("e0", "e1", "e2")
+        report = report_from_predictions(labels, [(l, l) for l in labels])
+        rows = [line.split() for line in report.render_text().splitlines()]
+        assert rows == [
+            ["Per-emotion", "recognition", "accuracy", "(%)"],
+            [],
+            ["e0", "e1", "e2", "Average"],
+            ["accuracy", "100.0", "100.0", "100.0", "100.0"],
+            [],
+            ["Confusion", "of", "each", "true", "emotion", "(columns", "sum", "to", "100%)"],
+            [],
+            ["e0", "e1", "e2"],
+            ["e0", "100.0", "0.0", "0.0"],
+            ["e1", "0.0", "100.0", "0.0"],
+            ["e2", "0.0", "0.0", "100.0"],
+        ]
+
     def test_evaluate_split_rejects_empty_corpus(self):
         from suprahmm.classifiers import ModelBank
 

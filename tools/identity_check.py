@@ -1,0 +1,243 @@
+"""Check that a change trains the same banks and scores as its parent.
+
+    python3 tools/identity_check.py PARENT_TREE CHANGE_TREE --pr N
+
+PARENT_TREE and CHANGE_TREE are two source trees of this repository, for
+example the parent commit exported with `git archive` (or checked out with
+`git worktree add`) and the working tree of the change.  Each tree runs in
+a process of its own, with its `src/` and `perfbench/` first on the path
+and one BLAS thread, and for every case:
+
+  - desk seeds 1, 2, 3: `default_synthetic_spec(seed)` with 6 texts, saved
+    and reloaded; CSPHMM3 and CHMM3 banks with the default TrainOptions
+  - wav seeds 5, 51: the WAV clips of `perfbench/wavgen.py` through the
+    front-end; GMM and VQ banks with the default TrainOptions
+
+writes the corpus files of a synthetic case, every bank file, the
+`bank_scores` matrices of the reloaded bank on the test split (with the
+acoustic and prosody parts of a CSPHMM3 bank), the label of every test
+utterance and the `evaluate_split` report.  The two sides are then
+compared: every file byte for byte, every score matrix bit for bit, with
+the worst relative difference |change - parent| / max(1, |parent|), the
+labels that flip and the confusion-count cells that change.  The record
+goes to IDENTITY_<n>.json at the repository root; the exit code is 0 when
+every case is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (corpus, seed, bank kinds)
+DEFAULT_CASES = (
+    [("desk", seed, ("CSPHMM3", "CHMM3")) for seed in (1, 2, 3)]
+    + [("wav", seed, ("GMM", "VQ")) for seed in (5, 51)]
+)
+
+
+# ---------------------------------------------------------------------------
+# One tree: train, score and write (runs in a process of its own)
+# ---------------------------------------------------------------------------
+
+
+def _side(corpus: str, seed: int, work: str):
+    """(train, test, labels, TrainOptions) of one case, built by the tree
+    on the path; a synthetic corpus is saved under `work` and reloaded."""
+    import dataclasses
+
+    import suprahmm as sh
+
+    if corpus == "wav":
+        import wavgen
+
+        manifest, _, split = wavgen.write_corpus(seed, os.path.join(work, "wav"),
+                                                 sh.DEFAULT_EMOTIONS)
+        utterances = sh.corpus.load_wav_corpus(manifest, sh.MfccConfig(), wavgen.RATE_HZ)
+        by_id = {u.record.id: u for u in utterances}
+        train, test = sh.make_split([u.record for u in utterances], sh.SplitSpec(*split))
+        return ([by_id[r.id] for r in train], [by_id[r.id] for r in test],
+                sh.DEFAULT_EMOTIONS, sh.TrainOptions())
+    if corpus == "desk":
+        spec = dataclasses.replace(sh.default_synthetic_spec(seed=seed), num_texts=6)
+        options = sh.TrainOptions()
+    else:  # tiny: a corpus and options small enough for the tool's own tests
+        spec = dataclasses.replace(sh.default_synthetic_spec(seed=seed, dim=4),
+                                   num_speakers=3, num_texts=4, num_replicates=1,
+                                   min_frames=25, max_frames=40)
+        options = sh.TrainOptions(num_mixtures=1, iters=(2, 2, 2), gmm_components=4,
+                                  vq_codebook_size=4)
+    sh.save_synthetic_corpus(sh.synthesize_corpus(spec), os.path.join(work, "corpus"))
+    loaded = sh.load_synthetic_corpus(os.path.join(work, "corpus"))
+    train, test = loaded.split(sh.default_split(loaded.spec))
+    return train, test, loaded.spec.labels, options
+
+
+def run_tree(out_dir: str, cases) -> None:
+    """Train, score and write every case of `cases` under `out_dir`."""
+    import suprahmm as sh
+
+    for corpus, seed, kinds in cases:
+        work = os.path.join(out_dir, "%s-s%d" % (corpus, seed))
+        train, test, labels, options = _side(corpus, seed, work)
+        for kind in kinds:
+            case = os.path.join(work, kind)
+            bank_dir = os.path.join(case, "bank")
+            sh.save_bank(sh.train_bank(kind, sh.corpus.group_by_emotion(train), options,
+                                       labels), bank_dir)
+            bank = sh.load_bank(bank_dir)
+            scores, parts = sh.bank_scores(bank, test)
+            np.save(os.path.join(case, "scores.npy"), scores)
+            if parts is not None:
+                np.save(os.path.join(case, "acoustic.npy"), parts[0])
+                np.save(os.path.join(case, "supra.npy"), parts[1])
+            picked = [sh.classifiers.pick_label(bank.labels, row, u.record.id)
+                      for row, u in zip(scores.tolist(), test)]
+            with open(os.path.join(case, "labels.json"), "w", encoding="utf-8") as fh:
+                json.dump(picked, fh)
+            sh.evaluate_split(bank, test).save(os.path.join(case, "report.json"),
+                                               os.path.join(case, "report.txt"))
+
+
+# ---------------------------------------------------------------------------
+# Both trees: compare
+# ---------------------------------------------------------------------------
+
+
+def source_summary(tree: str) -> dict:
+    """Line count and SHA-256 of the tree's src/suprahmm/*.py."""
+    package = os.path.join(tree, "src", "suprahmm")
+    digest, lines = hashlib.sha256(), 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                data = fh.read()
+            digest.update(name.encode() + b"\0" + data)
+            lines += data.count(b"\n")
+    return {"src_suprahmm_lines": lines, "src_suprahmm_sha256": digest.hexdigest()}
+
+
+def _run_trees(trees, out_dirs, cases) -> None:
+    """Run both trees at once, each in a process with its own path."""
+    procs = []
+    for tree, out in zip(trees, out_dirs):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"),
+                                               os.path.join(tree, "perfbench")]))
+        procs.append(subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--run-tree", out,
+             json.dumps(cases)], env=env, cwd=tree))
+    for tree, proc in zip(trees, procs):
+        if proc.wait() != 0:
+            raise RuntimeError("%s: training and scoring failed (exit %d)"
+                               % (tree, proc.returncode))
+
+
+def worst_relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
+    """max |change - parent| / max(1, |parent|); equal entries (equal
+    infinities and NaN against NaN included) count 0, a shape change or a
+    finite entry against a non-finite one inf."""
+    if parent.shape != change.shape:
+        return float("inf")
+    same = (parent == change) | (np.isnan(parent) & np.isnan(change))
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(change - parent) / np.maximum(1.0, np.abs(parent))
+    rel = np.where(same, 0.0, np.where(np.isnan(rel), np.inf, rel))
+    return float(rel.max()) if rel.size else 0.0
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def compare_files(parent: str, change: str) -> dict:
+    """Byte comparison of every file under two directories."""
+    names = {os.path.relpath(os.path.join(d, f), top)
+             for top in (parent, change) for d, _, files in os.walk(top) for f in files}
+    differing = [
+        name for name in sorted(names)
+        if not (os.path.isfile(os.path.join(parent, name))
+                and os.path.isfile(os.path.join(change, name))
+                and _read(os.path.join(parent, name)) == _read(os.path.join(change, name)))
+    ]
+    return {"identical": not differing, "files_compared": len(names),
+            "files_differing": differing}
+
+
+def compare_case(parent: str, change: str) -> dict:
+    """The comparison of one bank case written by run_tree on each side."""
+    record = compare_files(parent, change)
+    worst = 0.0
+    for name in ("scores.npy", "acoustic.npy", "supra.npy"):
+        paths = [os.path.join(side, name) for side in (parent, change)]
+        if all(os.path.isfile(p) for p in paths):
+            worst = max(worst, worst_relative_difference(*(np.load(p) for p in paths)))
+    labels = [json.loads(_read(os.path.join(side, "labels.json"))) for side in (parent, change)]
+    counts = [np.array(json.loads(_read(os.path.join(side, "report.json")))["counts"])
+              for side in (parent, change)]
+    record["worst_rel_diff"] = worst
+    record["label_flips"] = (sum(a != b for a, b in zip(*labels))
+                             + abs(len(labels[0]) - len(labels[1])))
+    record["confusion_cells_changed"] = (int(np.sum(counts[0] != counts[1]))
+                                         if counts[0].shape == counts[1].shape else -1)
+    return record
+
+
+def check(parent_tree: str, change_tree: str, cases=DEFAULT_CASES, work_dir=None) -> dict:
+    """Run both trees on every case and compare what they wrote."""
+    cases = [[corpus, seed, list(kinds)] for corpus, seed, kinds in cases]
+    corpora, banks = {}, {}
+    with tempfile.TemporaryDirectory(dir=work_dir) as work:
+        outs = [os.path.join(work, side) for side in ("parent", "change")]
+        _run_trees([parent_tree, change_tree], outs, cases)
+        for corpus, seed, kinds in cases:
+            base = "%s-s%d" % (corpus, seed)
+            if corpus != "wav":
+                corpora[base] = compare_files(*(os.path.join(o, base, "corpus")
+                                                for o in outs))
+            for kind in kinds:
+                banks["%s-%s" % (base, kind)] = compare_case(
+                    *(os.path.join(o, base, kind) for o in outs))
+    return {
+        "identical": all(c["identical"] for c in [*corpora.values(), *banks.values()]),
+        "parent": source_summary(parent_tree),
+        "change": source_summary(change_tree),
+        "corpora": corpora,
+        "cases": banks,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_tree")
+    parser.add_argument("change_tree")
+    parser.add_argument("--pr", type=int, required=True)
+    args = parser.parse_args(argv)
+    record = {"pr": args.pr, **check(args.parent_tree, args.change_tree)}
+    out = os.path.join(ROOT, "IDENTITY_%d.json" % args.pr)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name, case in {**record["corpora"], **record["cases"]}.items():
+        print("%-22s %s" % (name, "identical" if case["identical"] else
+                            "DIFFERS: %s" % ", ".join(case["files_differing"])))
+    print("wrote %s: %s" % (out, "identical" if record["identical"] else "differences"))
+    return 0 if record["identical"] else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run-tree"]:
+        run_tree(sys.argv[2], json.loads(sys.argv[3]))
+    else:
+        sys.exit(main())
