@@ -100,8 +100,10 @@ class GmmBaselineModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GmmBaselineModel":
-        return cls(np.array(doc["weights"]), np.array(doc["means"]),
-                   np.array(doc["variances"]))
+        model = cls(np.array(doc["weights"]), np.array(doc["means"]),
+                    np.array(doc["variances"]))
+        model.emission.validate(tol=1e-9)
+        return model
 
 
 def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
@@ -148,8 +150,9 @@ class VqBaselineModel:
     centroids: np.ndarray
 
     def __post_init__(self):
-        if self.centroids.ndim != 2 or not len(self.centroids):
-            raise ValueError("centroids must be a non-empty (K, D) matrix")
+        if (self.centroids.ndim != 2 or not len(self.centroids)
+                or not np.all(np.isfinite(self.centroids))):
+            raise ValueError("centroids must be a non-empty, finite (K, D) matrix")
         self.dim = self.centroids.shape[1]
 
     def distortion(self, frames: np.ndarray) -> float:
@@ -221,13 +224,23 @@ class TrainOptions:
     vq_codebook_size: int = DEFAULT_VQ_CODEBOOK
 
     def __post_init__(self):
+        # Messages name the keys of a config's model section.
+        def is_count(value, least):
+            return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+        def is_number(value):
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+
         for name in ("num_states", "num_mixtures", "gmm_components", "vq_codebook_size"):
-            if not getattr(self, name) >= 1:
-                raise ValueError("%s must be at least 1" % name)
-        if self.tol is not None and not self.tol >= 0:
+            if not is_count(getattr(self, name), 1):
+                raise ValueError("%s must be an integer of at least 1" % name)
+        if not (isinstance(self.iters, tuple) and len(self.iters) == 3
+                and all(is_count(i, 0) for i in self.iters)):
+            raise ValueError("train_iters must list three non-negative integer stage counts")
+        if self.tol is not None and not (is_number(self.tol) and self.tol >= 0):
             raise ValueError("tol must be a non-negative number or null")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        if not (is_number(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise ValueError("alpha must be a number in [0, 1]")
         if self.layout is not None and self.layout.num_states != self.num_states:
             raise ValueError("supra_layout must list a group for each of the %d states"
                              % self.num_states)
@@ -241,7 +254,7 @@ class TrainOptions:
         """Inverse of to_dict; a key missing from the document keeps its
         default."""
         kwargs = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
-        if "iters" in kwargs:
+        if isinstance(kwargs.get("iters"), list):
             kwargs["iters"] = tuple(kwargs["iters"])
         layout = kwargs.get("layout")
         kwargs["layout"] = SuprasegmentalLayout(tuple(layout)) if layout else None
@@ -285,14 +298,19 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
         utterances = corpus_by_emotion[label]
         features = [u.features for u in utterances]
         if kind in ("CSPHMM3", "CHMM3"):
-            acoustic, _ = train_circular_chain(
-                features,
-                num_states=options.num_states,
-                num_mixtures=options.num_mixtures,
-                iters=options.iters,
-                tol=options.tol,
-                seed=options.seed,
-            )
+            try:
+                acoustic, _ = train_circular_chain(
+                    features,
+                    num_states=options.num_states,
+                    num_mixtures=options.num_mixtures,
+                    iters=options.iters,
+                    tol=options.tol,
+                    seed=options.seed,
+                )
+            except UnscorableUtteranceError as exc:
+                raise UnscorableUtteranceError(
+                    "training utterance %r of emotion %r has zero likelihood under "
+                    "the model" % (utterances[exc.index].record.id, label)) from exc
             if kind == "CSPHMM3":
                 layout = options.layout or SuprasegmentalLayout.halves(options.num_states)
                 supra = train_on_alignments(

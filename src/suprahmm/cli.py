@@ -72,46 +72,31 @@ def _write_json(path, doc) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
-def _load_corpus(path, config: ExperimentConfig):
-    """A corpus is either a synthetic directory or a WAV manifest CSV.
+def _load_corpus(path, config: ExperimentConfig, side=None):
+    """(utterances, labels, split) of a synthetic corpus directory or a WAV
+    manifest CSV; with side "train" or "test", only that side's utterances.
 
-    Returns (utterances, labels, split_spec_or_None).
+    Labels are the config's, else the corpus's, else the default emotions.
+    The config's split overrides a synthetic corpus's own.  A WAV manifest
+    has none, so a side of one without a configured split fails before the
+    front-end reads any audio.
     """
     if os.path.isdir(path):
         corpus = load_synthetic_corpus(path)
-        split = default_split(corpus.spec)
-        return corpus.utterances, corpus.spec.labels, split
-    utterances = load_wav_corpus(
-        path, config.mfcc_config(), config.features["sample_rate_hz"]
-    )
-    return utterances, None, None
-
-
-def _resolve_labels(config: ExperimentConfig, corpus_labels):
-    if config.labels is not None:
-        return tuple(config.labels)
-    if corpus_labels is not None:
-        return tuple(corpus_labels)
-    return DEFAULT_EMOTIONS
-
-
-def _split_side(path, config: ExperimentConfig, side: str):
-    """The train or test side of a corpus: (utterances, corpus labels, split).
-
-    The config's split overrides a synthetic corpus's own.  A WAV manifest
-    has none, so without a configured split this fails before the
-    front-end reads any audio.
-    """
-    if config.split is None and os.path.isfile(path):
-        raise ConfigError(
-            "a WAV manifest has no built-in train/test split: add a 'split' section "
-            "(train_speakers, test_speakers, train_texts, test_texts) to the config")
-    utterances, corpus_labels, corpus_split = _load_corpus(path, config)
-    split = config.split_spec() or corpus_split
-    by_id = {u.record.id: u for u in utterances}
-    train_recs, test_recs = make_split([u.record for u in utterances], split)
-    chosen = train_recs if side == "train" else test_recs
-    return [by_id[r.id] for r in chosen], corpus_labels, split
+        utterances, labels = corpus.utterances, corpus.spec.labels
+        split = config.partition or default_split(corpus.spec)
+    else:
+        if side and config.partition is None and os.path.isfile(path):
+            raise ConfigError(
+                "a WAV manifest has no built-in train/test split: add a 'split' section "
+                "(train_speakers, test_speakers, train_texts, test_texts) to the config")
+        utterances = load_wav_corpus(path, config.mfcc, config.features["sample_rate_hz"])
+        labels, split = DEFAULT_EMOTIONS, config.partition
+    if side:
+        train, test = make_split([u.record for u in utterances], split)
+        chosen = {r.id for r in (train if side == "train" else test)}
+        utterances = [u for u in utterances if u.record.id in chosen]
+    return utterances, tuple(config.labels or labels), split
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +108,7 @@ def cmd_extract(args, config: ExperimentConfig) -> int:
     records = load_manifest(args.manifest, check_audio=False)
     base = os.path.dirname(os.path.abspath(args.manifest))
     os.makedirs(args.out, exist_ok=True)
-    cfg = config.mfcc_config()
+    cfg = config.mfcc
     expected_rate = config.features["sample_rate_hz"]
 
     results = []
@@ -155,11 +140,10 @@ def cmd_extract(args, config: ExperimentConfig) -> int:
 
 
 def cmd_train(args, config: ExperimentConfig) -> int:
-    train_side, corpus_labels, _ = _split_side(args.corpus, config, "train")
-    labels = _resolve_labels(config, corpus_labels)
+    train_side, labels, _ = _load_corpus(args.corpus, config, "train")
     if not train_side:
         raise ConfigError("training split selected no utterances")
-    options = config.train_options()
+    options = config.options
     if args.kind == "CSPHMM3" and options.layout is None and options.num_states < 2:
         raise ConfigError("model.num_states must be at least 2 for a CSPHMM3 bank "
                           "without a model.supra_layout")
@@ -186,7 +170,7 @@ def _sweep_reports(bank, test_side, alphas, metadata):
 
 def cmd_evaluate(args, config: ExperimentConfig) -> int:
     bank = load_bank(args.bank)
-    test_side, _, split = _split_side(args.corpus, config, "test")
+    test_side, _, split = _load_corpus(args.corpus, config, "test")
     if not test_side:
         raise ConfigError("evaluation split selected no utterances")
     os.makedirs(args.out, exist_ok=True)
@@ -245,14 +229,13 @@ def cmd_synth(args, config: ExperimentConfig) -> int:
         # as damaged as one that does not decode.
         def decode(doc):
             if args.seed is not None:
-                doc["seed"] = args.seed
+                doc["seed"] = config.seed
             return synthesize_corpus(SyntheticSpec.from_dict(doc))
 
         corpus = read_json_object(args.spec_file, decode)
     else:
-        seed = args.seed if args.seed is not None else config.seed
         builder = prosody_synthetic_spec if args.preset == "prosody" else default_synthetic_spec
-        corpus = synthesize_corpus(builder(seed=seed))
+        corpus = synthesize_corpus(builder(seed=config.seed))
     save_synthetic_corpus(corpus, args.out, provenance=_provenance(config))
     print("synthesized %d utterances (%d emotions) -> %s"
           % (len(corpus.utterances), len(corpus.spec.labels), args.out))

@@ -12,10 +12,9 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
-from .classifiers import DEFAULT_GMM_COMPONENTS, DEFAULT_VQ_CODEBOOK, TrainOptions
+from .classifiers import TrainOptions
 from .corpus import SplitSpec
 from .features import MfccConfig
-from .suprasegmental import DEFAULT_ALPHA, SuprasegmentalLayout
 
 SEED_ENV_VAR = "SUPRAHMM_SEED"
 
@@ -26,22 +25,19 @@ class ConfigError(Exception):
 
 _FEATURE_KEYS = {**asdict(MfccConfig()), "sample_rate_hz": 16000}
 
-_MODEL_KEYS = {
-    "num_states": 6,
-    "num_mixtures": 3,
-    "train_iters": [6, 6, 8],
-    "tol": 1e-4,
-    "alpha": DEFAULT_ALPHA,
-    "supra_layout": None,
-    "gmm_components": DEFAULT_GMM_COMPONENTS,
-    "vq_codebook_size": DEFAULT_VQ_CODEBOOK,
-}
+# The model section is TrainOptions without its seed, two fields renamed.
+_MODEL_NAMES = {"iters": "train_iters", "layout": "supra_layout"}
+_MODEL_KEYS = {_MODEL_NAMES.get(name, name): value
+               for name, value in TrainOptions().to_dict().items() if name != "seed"}
 
 _SPLIT_KEYS = ("train_speakers", "test_speakers", "train_texts", "test_texts")
 
 
 @dataclass
 class ExperimentConfig:
+    """The validated document; `mfcc`, `options` and `partition` (None when
+    the config has no split) are its typed settings."""
+
     features: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
     split: dict | None = None
@@ -65,38 +61,20 @@ class ExperimentConfig:
         unknown = set(self.model) - set(_MODEL_KEYS)
         if unknown:
             raise ConfigError("unknown model keys: %s" % sorted(unknown))
-        try:
-            self.mfcc_config()
-            self.train_options()
-            self.split_spec()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
+        field_of_key = {key: name for name, key in _MODEL_NAMES.items()}
+        try:
+            self.mfcc = MfccConfig(**{f.name: self.features[f.name]
+                                      for f in fields(MfccConfig)})
+            self.options = TrainOptions.from_dict(
+                {**{field_of_key.get(k, k): v for k, v in self.model.items()},
+                 "seed": self.seed})
+            self.partition = self._partition()
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def mfcc_config(self) -> MfccConfig:
-        return MfccConfig(**{f.name: self.features[f.name] for f in fields(MfccConfig)})
-
-    def train_options(self) -> TrainOptions:
-        m = self.model
-        layout = m["supra_layout"]
-        iters = m["train_iters"]
-        if len(iters) != 3:
-            raise ConfigError("train_iters must list three stage counts")
-        return TrainOptions(
-            num_states=m["num_states"],
-            num_mixtures=m["num_mixtures"],
-            iters=tuple(int(i) for i in iters),
-            tol=m["tol"],
-            seed=self.seed,
-            alpha=m["alpha"],
-            layout=SuprasegmentalLayout(tuple(layout)) if layout else None,
-            gmm_components=m["gmm_components"],
-            vq_codebook_size=m["vq_codebook_size"],
-        )
-
-    def split_spec(self) -> SplitSpec | None:
-        """The configured train/test split; None when the config has none."""
+    def _partition(self) -> SplitSpec | None:
         if self.split is None:
             return None
         if not isinstance(self.split, dict):

@@ -116,14 +116,14 @@ class Utterance:
 def load_manifest(path, check_audio: bool = True) -> list[UtteranceRecord]:
     """Read a corpus manifest CSV; paths are resolved relative to it.
 
-    Columns: id,path,speaker,emotion,text,replicate.  Duplicate
-    (speaker, text, emotion, replicate) keys and missing audio files are
-    rejected; pass check_audio=False to defer file checks to the caller
-    (feature extraction reports missing files per utterance instead).
+    Columns: id,path,speaker,emotion,text,replicate.  Duplicate ids,
+    duplicate (speaker, text, emotion, replicate) keys and missing audio
+    files are rejected; pass check_audio=False to defer file checks to the
+    caller (feature extraction reports missing files per utterance instead).
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    seen = {}
+    seen, ids = {}, {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -143,6 +143,10 @@ def load_manifest(path, check_audio: bool = True) -> list[UtteranceRecord]:
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ManifestError("line %d: %s" % (line_no, exc)) from exc
+                if record.id in ids:
+                    raise ManifestError("%s line %d: duplicate id %r, first on line %d"
+                                        % (path, line_no, record.id, ids[record.id]))
+                ids[record.id] = line_no
                 if record.key in seen:
                     raise ManifestError(
                         "line %d: duplicate (speaker, text, emotion, replicate) key %s"
@@ -500,6 +504,9 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
 
 
 def _load_synthetic_utterance(path, entry: dict, dim: int) -> Utterance:
+    for key in ("id", "speaker", "emotion", "text"):
+        if not isinstance(entry[key], str):
+            raise ValueError("utterance field %s must be a string, not %r" % (key, entry[key]))
     features = load_features(os.path.join(path, entry["features"]))
     if features.dim != dim:
         raise ValueError("%s has %d-dim frames, the spec %d" % (entry["features"],
@@ -527,8 +534,9 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
     """Read a corpus written by save_synthetic_corpus.
 
     Raises ManifestError when corpus.json is not a synthetic corpus or does
-    not decode, a feature file is damaged or its frames are not of the
-    spec's dimension, or an utterance's prosody tracks do not cover its
+    not decode, an utterance's id, speaker, emotion or text is not a string
+    or its id repeats, a feature file is damaged or its frames are not of
+    the spec's dimension, or an utterance's prosody tracks do not cover its
     frames one for one.
     """
     def decode(sidecar):
@@ -536,8 +544,13 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
             raise ValueError("does not contain a synthetic corpus")
         spec = SyntheticSpec.from_dict(sidecar["spec"])
         dim = next(iter(spec.generators.values())).acoustic.dim
-        return SyntheticCorpus(spec, [_load_synthetic_utterance(path, e, dim)
-                                      for e in sidecar["utterances"]])
+        utterances = [_load_synthetic_utterance(path, e, dim) for e in sidecar["utterances"]]
+        seen = set()
+        for utt in utterances:
+            if utt.record.id in seen:
+                raise ValueError("duplicate utterance id %r" % utt.record.id)
+            seen.add(utt.record.id)
+        return SyntheticCorpus(spec, utterances)
 
     return read_json_object(os.path.join(path, CORPUS_SIDECAR), decode)
 

@@ -41,7 +41,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 class UnscorableUtteranceError(ValueError):
     """An utterance has zero likelihood (a -inf score): under every model of
-    a bank, so no label can be chosen, or under a model in training."""
+    a bank, so no label can be chosen, or under a model in training.
+    `index` is the utterance's position in the batch, where one is known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -656,7 +661,8 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
         raise UnscorableUtteranceError(
-            "observation sequence %d has zero likelihood under the model" % bad[0])
+            "observation sequence %d has zero likelihood under the model" % bad[0],
+            int(bad[0]))
     betas = lattice.backward(log_b, lengths)
 
     # Lattice posteriors, folded onto ring states.  Posteriors at padded

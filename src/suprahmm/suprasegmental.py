@@ -143,7 +143,7 @@ class SuprasegmentalModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SuprasegmentalModel":
-        return cls(
+        model = cls(
             SuprasegmentalLayout(tuple(doc["layout"])),
             np.array(doc["group_means"]),
             np.array(doc["group_variances"]),
@@ -151,6 +151,8 @@ class SuprasegmentalModel:
             np.array(doc["utterance_mean"]),
             np.array(doc["utterance_variance"]),
         )
+        model.validate(tol=1e-9)
+        return model
 
 
 def train_suprasegmental(

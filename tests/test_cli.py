@@ -112,6 +112,22 @@ class TestExtract:
         main(["extract", "--manifest", str(manifest), "--out", str(out2)])
         assert (out1 / "u1.feat").read_bytes() == (out2 / "u1.feat").read_bytes()
 
+    def test_duplicate_id_is_data_error_naming_the_line(self, tmp_path, trained_banks,
+                                                          capsys):
+        write_wav(tmp_path / "a.wav")
+        write_wav(tmp_path / "b.wav", freq=330.0)
+        manifest = write_manifest(tmp_path, [
+            "u1,a.wav,spk0,neutral,txt0,0\n",
+            "u1,b.wav,spk0,happiness,txt1,0\n",
+        ])
+        assert main(["extract", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "feats")]) == EXIT_IO
+        assert not (tmp_path / "feats").exists()
+        assert main(["classify", "--bank", str(trained_banks[0]),
+                     "--corpus", str(manifest)]) == EXIT_IO
+        for err in capsys.readouterr().err.splitlines():
+            assert str(manifest) in err and "line 3: duplicate id 'u1'" in err
+
     def test_bad_manifest_is_io_error(self, tmp_path):
         manifest = write_manifest(tmp_path, ["u1,gone.wav,spk0,neutral,txt0,0\n"])
         assert main(["extract", "--manifest", str(manifest),
@@ -156,6 +172,24 @@ class TestSynth:
                      "--out", str(out)]) == EXIT_OK
         sidecar = json.loads((out / "corpus.json").read_text())
         assert sidecar["seed"] == 99
+
+    @pytest.mark.parametrize("source", ["preset", "spec_file"])
+    def test_env_seed_overrides_the_seed_flag(self, tmp_path, monkeypatch, source):
+        # SUPRAHMM_SEED > --seed > config holds for synth as for every
+        # command: the corpus is sampled with the seed its provenance names.
+        monkeypatch.setenv("SUPRAHMM_SEED", "99")
+        args = ["--preset", "prosody"]
+        if source == "spec_file":
+            doc = default_synthetic_spec(seed=1, dim=4).to_dict()
+            doc.update(num_speakers=1, num_texts=1, num_replicates=1,
+                       min_frames=5, max_frames=6)
+            (tmp_path / "spec.json").write_text(json.dumps(doc))
+            args = ["--spec-file", str(tmp_path / "spec.json")]
+        out = tmp_path / "corpus"
+        assert main(["synth", "--seed", "5", "--out", str(out)] + args) == EXIT_OK
+        sidecar = json.loads((out / "corpus.json").read_text())
+        assert sidecar["seed"] == 99 and sidecar["spec"]["seed"] == 99
+        assert sidecar["provenance"]["seed"] == 99
 
     @pytest.mark.parametrize("damage", ["not_json", "not_object", "no_labels",
                                         "negative_scale"])
@@ -228,7 +262,8 @@ class TestTrain:
         assert "does not contain a synthetic corpus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["not_object", "no_spec", "no_prosody",
-                                        "short_track", "short_tracks", "feature_dim"])
+                                        "short_track", "short_tracks", "feature_dim",
+                                        "emotion_list", "id_number", "duplicate_id"])
     def test_damaged_corpus_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
                                           capsys, damage):
         corpus = tmp_path / "corpus"
@@ -241,6 +276,12 @@ class TestTrain:
             del sidecar["spec"]
         elif damage == "no_prosody":
             del entry["prosody"]
+        elif damage == "emotion_list":
+            entry["emotion"] = []
+        elif damage == "id_number":
+            entry["id"] = 5
+        elif damage == "duplicate_id":
+            entry["id"] = sidecar["utterances"][2]["id"]
         elif damage == "feature_dim":
             frames = load_features(corpus / entry["features"]).frames
             save_features(corpus / entry["features"],
@@ -256,6 +297,10 @@ class TestTrain:
         assert err.startswith("error:") and str(corpus) in err
         if damage in ("short_tracks", "feature_dim"):
             assert entry["id"] in err
+        named = {"emotion_list": "field emotion must be a string",
+                 "id_number": "field id must be a string",
+                 "duplicate_id": "duplicate utterance id %r" % entry["id"]}
+        assert named.get(damage, "") in err
 
     @pytest.mark.parametrize("model, kind, key", [
         ({"num_mixtures": 0}, "CHMM3", "num_mixtures"),
@@ -274,6 +319,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
 
+    @pytest.mark.parametrize("model, kind, key", [
+        ({"num_states": 6.0}, "CHMM3", "num_states"),
+        ({"num_states": True}, "CHMM3", "num_states"),
+        ({"num_states": "6"}, "CHMM3", "num_states"),
+        ({"num_mixtures": 1.5}, "CHMM3", "num_mixtures"),
+        ({"gmm_components": 4.0}, "GMM", "gmm_components"),
+        ({"vq_codebook_size": True}, "VQ", "vq_codebook_size"),
+        ({"train_iters": 5}, "CHMM3", "train_iters"),
+        ({"tol": "x"}, "CHMM3", "tol"),
+        ({"alpha": None}, "CSPHMM3", "alpha"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_model_value_of_wrong_type_is_config_error_naming_the_key(
+            self, tmp_path, tiny_corpus_dir, capsys, model, kind, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": model}))
+        assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", kind,
+                     "--out", str(tmp_path / "bank"), "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s " % key)
+        assert not (tmp_path / "bank").exists()
+
     def test_zero_likelihood_training_utterance_is_data_error(
             self, tmp_path, tiny_corpus_dir, tiny_config, capsys):
         # One overflowing frame in a training utterance: EM cannot use it.
@@ -287,7 +353,9 @@ class TestTrain:
             code = main(["train", "--corpus", str(corpus), "--kind", "CHMM3",
                          "--out", str(tmp_path / "bank"), "--config", tiny_config])
         assert code == EXIT_IO
-        assert "zero likelihood" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zero likelihood" in err
+        assert repr(entry["id"]) in err and repr(entry["emotion"]) in err
 
     def test_jobs_is_a_usage_error(self, tmp_path, tiny_corpus_dir):
         # No command takes --jobs.
@@ -626,6 +694,12 @@ BANK_DAMAGE = {
     "fingerprint_dim_text": (1, "bank.json",
                              lambda doc: {**doc, "fingerprint": {"dim": "4"}}),
     "options_array": (1, "bank.json", lambda doc: {**doc, "options": []}),
+    "csphmm3_negative_prosody_variance": (0, "neutral.json", lambda doc: {
+        **doc, "suprasegmental": {**doc["suprasegmental"], "group_variances": [
+            [-1.0] * len(row) for row in doc["suprasegmental"]["group_variances"]]}}),
+    "csphmm3_prosody_row_sums_to_3": (0, "neutral.json", lambda doc: {
+        **doc, "suprasegmental": {**doc["suprasegmental"], "transitions": [
+            [3 * p for p in row] for row in doc["suprasegmental"]["transitions"]]}}),
     "model_dim_not_fingerprint": (0, "bank.json", lambda doc: {
         **doc, "fingerprint": {**doc["fingerprint"], "dim": doc["fingerprint"]["dim"] + 2}}),
 }
@@ -643,6 +717,24 @@ class TestDamagedBank:
                      "--config", tiny_config]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bank / name) in err
+
+    @pytest.mark.parametrize("kind, key, damage", [
+        ("GMM", "weights", lambda w: [-w[0]] + w[1:]),
+        ("GMM", "variances", lambda v: [[0.0] * len(v[0])] + v[1:]),
+        ("VQ", "centroids", lambda c: [[float("nan")] * len(c[0])] + c[1:]),
+    ], ids=["gmm_negative_weight", "gmm_zero_variance", "vq_nan_centroid"])
+    def test_baseline_document_of_bad_values_is_data_error(
+            self, tmp_path, tiny_corpus_dir, tiny_config, capsys, kind, key, damage):
+        bank = tmp_path / "bank"
+        assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", kind,
+                     "--out", str(bank), "--config", tiny_config]) == EXIT_OK
+        doc = json.loads((bank / "sadness.json").read_text())
+        doc[key] = damage(doc[key])
+        (bank / "sadness.json").write_text(json.dumps(doc))
+        assert main(["classify", "--bank", str(bank), "--corpus", str(tiny_corpus_dir),
+                     "--config", tiny_config]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bank / "sadness.json") in err
 
     def test_gmm_document_of_mismatched_shapes_is_data_error(
             self, tmp_path, tiny_corpus_dir, tiny_config, capsys):

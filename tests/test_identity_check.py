@@ -61,3 +61,29 @@ def test_worst_relative_difference():
     b[0, 0] = -1e300
     assert worst(a, b) == np.inf
     assert worst(a, a[:1]) == np.inf
+
+
+CLI_CASES = [("cli", 3, ("CSPHMM3", "CHMM3", "GMM", "VQ"))]
+
+
+def test_cli_case_of_identical_trees_reports_identical(tmp_path):
+    # Each side writes under its own directory, which ttest names in its
+    # report paths; the placeholder makes the two equal.
+    record = identity_check.check(_ROOT, str(_copy_tree(tmp_path, "copy")), CLI_CASES,
+                                  str(tmp_path))
+    assert record["identical"]
+    assert record["cli"]["cli-s3"]["files_differing"] == []
+    assert record["cli"]["cli-s3"]["files_compared"] > 20
+
+
+def test_cli_case_names_bank_json_when_a_config_default_differs(tmp_path):
+    tree = _copy_tree(tmp_path, "perturbed")
+    config = tree / "src" / "suprahmm" / "config.py"
+    text = config.read_text()
+    assert '"sample_rate_hz": 16000}' in text
+    config.write_text(text.replace('"sample_rate_hz": 16000}', '"sample_rate_hz": 8000}'))
+    record = identity_check.check(_ROOT, str(tree), CLI_CASES, str(tmp_path))
+    assert not record["identical"]
+    differing = record["cli"]["cli-s3"]["files_differing"]
+    for kind in CLI_CASES[0][2]:
+        assert os.path.join(kind, "bank.json") in differing

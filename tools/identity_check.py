@@ -16,17 +16,25 @@ and one BLAS thread, and for every case:
 writes the corpus files of a synthetic case, every bank file, the
 `bank_scores` matrices of the reloaded bank on the test split (with the
 acoustic and prosody parts of a CSPHMM3 bank), the label of every test
-utterance and the `evaluate_split` report.  The two sides are then
-compared: every file byte for byte, every score matrix bit for bit, with
-the worst relative difference |change - parent| / max(1, |parent|), the
-labels that flip and the confusion-count cells that change.  The record
-goes to IDENTITY_<n>.json at the repository root; the exit code is 0 when
-every case is identical and 1 otherwise.
+utterance and the `evaluate_split` report.  A further case, cli seed 3,
+runs the command line (`suprahmm.cli.main`, with SUPRAHMM_SEED unset) on a
+tiny `--spec-file` and a config that sets every model key to a value
+other than its default: `synth`, `train` of each bank kind, `evaluate`
+of each bank, `evaluate --alpha-sweep`, `classify --out` and
+`ttest --out`, keeping the printed output too.  The two sides are then
+compared: every file byte for byte (in a cli case, after each side's work
+directory is replaced by one placeholder, as reports name absolute
+paths), every score matrix bit for bit, with the worst relative
+difference |change - parent| / max(1, |parent|), the labels that flip and
+the confusion-count cells that change.  The record goes to
+IDENTITY_<n>.json at the repository root; the exit code is 0 when every
+case is identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -42,7 +50,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CASES = (
     [("desk", seed, ("CSPHMM3", "CHMM3")) for seed in (1, 2, 3)]
     + [("wav", seed, ("GMM", "VQ")) for seed in (5, 51)]
+    + [("cli", 3, ("CSPHMM3", "CHMM3", "GMM", "VQ"))]
 )
+
+# Every model key of the config document away from its default.
+CLI_MODEL = {"num_states": 4, "num_mixtures": 1, "train_iters": [2, 1, 2], "tol": 1e-3,
+             "alpha": 0.3, "supra_layout": [0, 0, 1, 1], "gmm_components": 4,
+             "vq_codebook_size": 4}
+
+PLACEHOLDER = b"<work>"
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +98,54 @@ def _side(corpus: str, seed: int, work: str):
     return train, test, loaded.spec.labels, options
 
 
+def run_cli(work: str, seed: int, kinds) -> None:
+    """The command-line case: every command's files and printed output
+    under `work`."""
+    import dataclasses
+
+    import suprahmm as sh
+    from suprahmm.cli import main
+
+    def at(*names):
+        return os.path.join(work, *names)
+
+    os.makedirs(work)
+    spec = dataclasses.replace(sh.default_synthetic_spec(seed=seed, dim=4), num_speakers=3,
+                               num_texts=4, num_replicates=1, min_frames=25, max_frames=40)
+    with open(at("spec.json"), "w", encoding="utf-8") as fh:
+        json.dump(spec.to_dict(), fh)
+    with open(at("config.json"), "w", encoding="utf-8") as fh:
+        json.dump({"model": CLI_MODEL, "seed": seed + 8}, fh)
+    config, corpus = ["--config", at("config.json")], at("corpus")
+    runs = [["synth", "--spec-file", at("spec.json"), "--seed", str(seed + 1),
+             "--out", corpus]]
+    for kind in kinds:
+        runs += [["train", "--kind", kind, "--corpus", corpus, "--out", at(kind)],
+                 ["evaluate", "--bank", at(kind), "--corpus", corpus,
+                  "--out", at("eval-" + kind)]]
+    bank = ["--bank", at(kinds[0]), "--corpus", corpus]
+    runs += [["evaluate", *bank, "--out", at("sweep"), "--alpha-sweep", "0,0.5,1"],
+             ["classify", *bank, "--out", at("classify.json")],
+             ["ttest", "--report-a", at("eval-" + kinds[0], "report.json"),
+              "--report-b", at("eval-" + kinds[-1], "report.json"),
+              "--out", at("ttest.json")]]
+    with open(at("stdout.txt"), "w", encoding="utf-8") as out:
+        for argv in runs:
+            with contextlib.redirect_stdout(out):
+                code = main(argv + config)
+            if code != 0:
+                raise RuntimeError("suprahmm %s exited %d" % (" ".join(argv), code))
+
+
 def run_tree(out_dir: str, cases) -> None:
     """Train, score and write every case of `cases` under `out_dir`."""
     import suprahmm as sh
 
     for corpus, seed, kinds in cases:
         work = os.path.join(out_dir, "%s-s%d" % (corpus, seed))
+        if corpus == "cli":
+            run_cli(work, seed, kinds)
+            continue
         train, test, labels, options = _side(corpus, seed, work)
         for kind in kinds:
             case = os.path.join(work, kind)
@@ -134,6 +192,7 @@ def _run_trees(trees, out_dirs, cases) -> None:
                    MKL_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"),
                                                os.path.join(tree, "perfbench")]))
+        env.pop("SUPRAHMM_SEED", None)
         procs.append(subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--run-tree", out,
              json.dumps(cases)], env=env, cwd=tree))
@@ -156,20 +215,24 @@ def worst_relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def _read(path: str) -> bytes:
+def _read(path: str, work: str | None = None) -> bytes:
+    """The file's bytes, with `work` replaced by the placeholder when given."""
     with open(path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    return data.replace(work.encode(), PLACEHOLDER) if work else data
 
 
-def compare_files(parent: str, change: str) -> dict:
-    """Byte comparison of every file under two directories."""
+def compare_files(parent: str, change: str, works=(None, None)) -> dict:
+    """Byte comparison of every file under two directories; `works` are the
+    two sides' work directories, each replaced by one placeholder first."""
     names = {os.path.relpath(os.path.join(d, f), top)
              for top in (parent, change) for d, _, files in os.walk(top) for f in files}
     differing = [
         name for name in sorted(names)
         if not (os.path.isfile(os.path.join(parent, name))
                 and os.path.isfile(os.path.join(change, name))
-                and _read(os.path.join(parent, name)) == _read(os.path.join(change, name)))
+                and _read(os.path.join(parent, name), works[0])
+                == _read(os.path.join(change, name), works[1]))
     ]
     return {"identical": not differing, "files_compared": len(names),
             "files_differing": differing}
@@ -197,12 +260,15 @@ def compare_case(parent: str, change: str) -> dict:
 def check(parent_tree: str, change_tree: str, cases=DEFAULT_CASES, work_dir=None) -> dict:
     """Run both trees on every case and compare what they wrote."""
     cases = [[corpus, seed, list(kinds)] for corpus, seed, kinds in cases]
-    corpora, banks = {}, {}
+    corpora, banks, cli = {}, {}, {}
     with tempfile.TemporaryDirectory(dir=work_dir) as work:
         outs = [os.path.join(work, side) for side in ("parent", "change")]
         _run_trees([parent_tree, change_tree], outs, cases)
         for corpus, seed, kinds in cases:
             base = "%s-s%d" % (corpus, seed)
+            if corpus == "cli":
+                cli[base] = compare_files(*(os.path.join(o, base) for o in outs), outs)
+                continue
             if corpus != "wav":
                 corpora[base] = compare_files(*(os.path.join(o, base, "corpus")
                                                 for o in outs))
@@ -210,11 +276,13 @@ def check(parent_tree: str, change_tree: str, cases=DEFAULT_CASES, work_dir=None
                 banks["%s-%s" % (base, kind)] = compare_case(
                     *(os.path.join(o, base, kind) for o in outs))
     return {
-        "identical": all(c["identical"] for c in [*corpora.values(), *banks.values()]),
+        "identical": all(c["identical"] for c in [*corpora.values(), *banks.values(),
+                                                  *cli.values()]),
         "parent": source_summary(parent_tree),
         "change": source_summary(change_tree),
         "corpora": corpora,
         "cases": banks,
+        "cli": cli,
     }
 
 
@@ -229,7 +297,7 @@ def main(argv=None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, case in {**record["corpora"], **record["cases"]}.items():
+    for name, case in {**record["corpora"], **record["cases"], **record["cli"]}.items():
         print("%-22s %s" % (name, "identical" if case["identical"] else
                             "DIFFERS: %s" % ", ".join(case["files_differing"])))
     print("wrote %s: %s" % (out, "identical" if record["identical"] else "differences"))
