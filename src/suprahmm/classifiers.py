@@ -28,12 +28,13 @@ from .hmm import (
     MIXTURE_WEIGHT_FLOOR,
     TRANSITION_FLOOR,
     VARIANCE_FLOOR_SCALE,
+    CompositeLattice,
     GaussianMixtureEmission,
     HmmModel,
     UnscorableUtteranceError,
     _as_frames,
+    _emission_batch,
     _lse_last,
-    forward_log_likelihood_batch,
     kmeans_mixture,
     lloyd_kmeans,
     mixture_statistics,
@@ -252,12 +253,18 @@ class TrainOptions:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainOptions":
         """Inverse of to_dict; a key missing from the document keeps its
-        default."""
+        default, as does a layout of None."""
         kwargs = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
         if isinstance(kwargs.get("iters"), list):
             kwargs["iters"] = tuple(kwargs["iters"])
         layout = kwargs.get("layout")
-        kwargs["layout"] = SuprasegmentalLayout(tuple(layout)) if layout else None
+        if layout is not None:
+            if not (isinstance(layout, list) and all(type(g) is int for g in layout)):
+                raise ValueError("supra_layout must be a list of integer group ids or null")
+            try:
+                kwargs["layout"] = SuprasegmentalLayout(tuple(layout))
+            except ValueError as exc:
+                raise ValueError("supra_layout: %s" % exc) from exc
         return cls(**kwargs)
 
 
@@ -340,7 +347,9 @@ def bank_scores(bank: ModelBank, utterances):
     Returns (scores (U, L) with columns in label order, parts).  For a
     CSPHMM3 bank, parts is the (acoustic, suprasegmental) pair of (U, L)
     matrices that the scores fuse at each model's alpha; for the other
-    kinds it is None.  Each HMM model scores all utterances in one batch.
+    kinds it is None.  HMM models score in one lattice pass per group of
+    models sharing num_states, order and (CSPHMM3) prosody layout, the
+    group on the batch axis; a trained bank is one group.
     """
     for utt in utterances:
         if utt.features.dim != bank.fingerprint["dim"]:
@@ -350,17 +359,25 @@ def bank_scores(bank: ModelBank, utterances):
             )
     models = [bank.models[label] for label in bank.labels]
     features = [u.features for u in utterances]
-    if bank.kind == "CSPHMM3":
-        prosodies = [u.prosody for u in utterances]
-        parts = [score_components_batch(m, features, prosodies) for m in models]
-        acoustic = np.column_stack([a for a, _ in parts])
-        supra = np.column_stack([s for _, s in parts])
-        alphas = np.array([m.alpha for m in models])
-        return fuse_scores(acoustic, supra, alphas), (acoustic, supra)
-    if bank.kind == "CHMM3":
-        return np.column_stack([forward_log_likelihood_batch(m, features)
-                                for m in models]), None
-    return np.array([[m.score(f.frames) for m in models] for f in features]), None
+    if bank.kind in ("GMM", "VQ"):
+        return np.array([[m.score(f.frames) for m in models] for f in features]), None
+    fused = bank.kind == "CSPHMM3"
+    groups: dict = {}
+    for j, m in enumerate(models):
+        hmm = m.acoustic if fused else m
+        groups.setdefault((hmm.num_states, hmm.order, fused and m.supra.layout), []).append(j)
+    acoustic, supra = np.empty((2, len(utterances), len(models)))
+    for cols in groups.values():
+        group = [models[j] for j in cols]
+        if fused:
+            acoustic[:, cols], supra[:, cols] = score_components_batch(
+                group, features, [u.prosody for u in utterances])
+        else:
+            _, lls = CompositeLattice(*group).forward(*_emission_batch(group, features))
+            acoustic[:, cols] = lls.reshape(len(cols), -1).T
+    if not fused:
+        return acoustic, None
+    return fuse_scores(acoustic, supra, np.array([m.alpha for m in models])), (acoustic, supra)
 
 
 def classify(bank: ModelBank, utterance: Utterance):

@@ -128,9 +128,8 @@ def load_manifest(path, check_audio: bool = True) -> list[UtteranceRecord]:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-                raise ManifestError(
-                    "manifest header must be exactly %s" % ",".join(MANIFEST_COLUMNS)
-                )
+                raise ManifestError("%s: manifest header must be exactly %s"
+                                    % (path, ",".join(MANIFEST_COLUMNS)))
             for line_no, row in enumerate(reader, start=2):
                 try:
                     record = UtteranceRecord(
@@ -142,21 +141,21 @@ def load_manifest(path, check_audio: bool = True) -> list[UtteranceRecord]:
                         replicate=int(row["replicate"]),
                     )
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ManifestError("line %d: %s" % (line_no, exc)) from exc
+                    raise ManifestError("%s line %d: %s" % (path, line_no, exc)) from exc
                 if record.id in ids:
                     raise ManifestError("%s line %d: duplicate id %r, first on line %d"
                                         % (path, line_no, record.id, ids[record.id]))
                 ids[record.id] = line_no
                 if record.key in seen:
                     raise ManifestError(
-                        "line %d: duplicate (speaker, text, emotion, replicate) key %s"
-                        % (line_no, (record.key,))
+                        "%s line %d: duplicate (speaker, text, emotion, replicate) key %s"
+                        % (path, line_no, (record.key,))
                     )
                 seen[record.key] = line_no
                 resolved = os.path.join(base, record.path)
                 if check_audio and not os.path.isfile(resolved):
                     raise ManifestError(
-                        "line %d: audio file not found: %s" % (line_no, resolved)
+                        "%s line %d: audio file not found: %s" % (path, line_no, resolved)
                     )
                 records.append(record)
     except OSError as exc:

@@ -13,17 +13,24 @@ state repeated), and the other states of a boot layer hold -inf.
 All probability math runs in log space; illegal moves are structurally
 absent from the sparse tensors and therefore carry exactly zero mass.
 
-The lattice recursions (forward, backward, Viterbi) carry a batch axis:
-log-emissions are (T, B, N), time first and one row per utterance, padded
-with log-emission 0 past each row's length and read at each row's own
-last frame.  Baum-Welch runs one batched E-step over the whole corpus per
-iteration, and a single utterance is the one-row case.
+A lattice's layout (its index arrays) is built once per (num_states,
+order) and shared; each lattice keeps its models' log weights apart.  The
+recursions (forward, backward, Viterbi) carry a batch axis of L models
+times B utterances: log-emissions are (T, L * B, N), time first, model-major,
+padded with log-emission 0 past each row's length and read at each row's
+own last frame; Viterbi backtracks all rows with one gather per time step.
+A bank's models of one shape score in one pass, Baum-Welch runs one batched
+E-step over the corpus per iteration, and one model or utterance is the
+one-column case.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,19 +148,9 @@ class TransitionTensor:
         return TransitionTensor(self.topology, self.order, self.matrix.copy())
 
     def validate(self, tol: float = 1e-12) -> None:
-        if np.any(self.matrix < 0):
-            raise ValueError("negative transition probability")
-        sums = self.matrix.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol:
-            raise ValueError("transition rows must sum to 1 within %g" % tol)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TransitionTensor)
-            and self.order == other.order
-            and self.topology == other.topology
-            and np.array_equal(self.matrix, other.matrix)
-        )
+        # Each check is written so that NaN, which fails every comparison, fails it.
+        if not (np.all(self.matrix >= 0) and np.all(np.abs(self.matrix.sum(axis=1) - 1) <= tol)):
+            raise ValueError("transition rows must be probability vectors within %g" % tol)
 
 
 @dataclass
@@ -216,13 +213,12 @@ class GaussianMixtureEmission:
         )
 
     def validate(self, tol: float = 1e-12) -> None:
-        if np.any(self.weights < 0):
-            raise ValueError("negative mixture weight")
-        sums = self.weights.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol:
-            raise ValueError("mixture weights must sum to 1 within %g" % tol)
-        if np.any(self.variances <= 0):
-            raise ValueError("variances must be strictly positive")
+        if not (np.all(self.weights >= 0) and np.all(np.abs(self.weights.sum(axis=1) - 1) <= tol)):
+            raise ValueError("mixture weights must be probability vectors within %g" % tol)
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError("mixture means must be finite")
+        if not np.all((self.variances > 0) & (self.variances < np.inf)):
+            raise ValueError("variances must be finite and strictly positive")
 
 
 @dataclass
@@ -271,7 +267,7 @@ class HmmModel:
         )
 
     def validate(self, tol: float = 1e-12) -> None:
-        if abs(self.initial.sum() - 1.0) > tol or np.any(self.initial < 0):
+        if not (abs(self.initial.sum() - 1.0) <= tol and np.all(self.initial >= 0)):
             raise ValueError("initial distribution must be a probability vector")
         for tensor in self.tensors.values():
             tensor.validate(tol)
@@ -390,12 +386,50 @@ def joint_log_prob(model: HmmModel, states, observations) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Step:
-    """One lattice time step over the S full-order contexts: its edges by
-    destination (pred_*, rows of sources) and by source (succ_*, rows of
-    successors), plus `src`, the lattice index of every tensor row."""
+# One lattice step's index arrays: `src`, the lattice index of every tensor row;
+# its edges by source (`succ_idx`) and by destination (`pred_idx`); `pred_edge`,
+# the flat (S * width) successor slot of each predecessor slot, S * width if none.
+_Step = namedtuple("_Step", "src succ_idx pred_idx pred_edge")
 
-    __slots__ = ("src", "pred_idx", "pred_logw", "succ_idx", "succ_logw")
+
+def _safe_log(values: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(values)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(num_states: int, order: int):
+    """The read-only (emit, start, steps) of an order-`order` lattice on
+    `num_states` states: each context's ring state, the index of each
+    length-1 context and one `_Step` per context length.  Tensor row `ctx`
+    of step k sits at its padded context and moves to the shifted padded
+    tuple after each successor of its last state; the predecessor view
+    lists sources ascending, which gives Viterbi its lowest-index tie-break.
+    """
+    topology = CircularTopology(num_states)
+    contexts = legal_contexts(topology, order)
+    index = {c: j for j, c in enumerate(contexts)}
+    steps = []
+    for k in range(1, order + 1):
+        src = np.array([index[ctx[:1] * (order - k) + ctx]
+                        for ctx in legal_contexts(topology, k)], dtype=np.intp)
+        succ_idx = np.array([[index[(ctx + (s,))[1:]] for s in topology.successors(ctx[-1])]
+                             for ctx in contexts], dtype=np.intp)
+        width = succ_idx.shape[1]
+        edge = (src[:, None] * width + np.arange(width)).ravel()[
+            np.argsort(succ_idx[src].ravel(), kind="stable")]  # keeps sources ascending
+        dst = succ_idx.ravel()[edge]
+        in_degree = np.bincount(dst, minlength=len(contexts))
+        slot = np.arange(dst.size) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
+        pred_edge = np.full((len(contexts), int(in_degree.max())), succ_idx.size, dtype=np.intp)
+        pred_edge[dst, slot] = edge
+        pred_idx = np.where(pred_edge < succ_idx.size, pred_edge // width, 0)
+        steps.append(_Step(src, succ_idx, pred_idx, pred_edge))
+    emit = np.array([c[-1] for c in contexts])
+    start = np.array([index[(i,) * order] for i in range(num_states)])
+    for array in [emit, start, *(a for step in steps for a in step)]:
+        array.flags.writeable = False
+    return emit, start, tuple(steps)
 
 
 def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
@@ -404,16 +438,16 @@ def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
 
 
 def _pad_rows(stacked: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Scatter row-stacked (sum T, N) values into (T_max, B, N); zero past
-    each row's end."""
+    """Scatter row-stacked (sum T, ...) values into (T_max, B, ...); zero
+    past each row's end."""
     mask = _time_mask(lengths, int(lengths.max()))
     padded = np.zeros(mask.shape + stacked.shape[1:])
-    padded.transpose(1, 0, 2)[mask.T] = stacked
+    padded.swapaxes(0, 1)[mask.T] = stacked
     return padded
 
 
 class CompositeLattice:
-    """First-order view of an order-r circular model over context tuples.
+    """First-order view of order-r circular models over context tuples.
 
     Every time layer lives on the S sorted full-order contexts.  The state
     at time t is the last min(t + 1, r) path states; a shorter context c of
@@ -425,193 +459,161 @@ class CompositeLattice:
     state has at most two predecessors and two successors, so the DP
     recursions reduce to fixed-width gather/logaddexp operations.
 
-    The recursions step a batch of utterances through time together.
-    Log-emissions come as (T, B, N): time on axis 0, one row per
-    utterance, ring states last, with each row's frame count in
-    `lengths`.  Frames past a row's end carry log-emission 0, and every
-    row is read, reset or backtracked at its own last frame, so the
-    padding reaches no result.  Lattice values are stored (T, S, B), so
-    each time layer is one contiguous block for the gathers, and returned
-    as (T, B, S) views.
+    One lattice runs L models of one num_states and order.  Its layout
+    (`emit`, `start`, each step's index arrays) depends on that pair only
+    and is built once per pair, shared read-only; the models' weights are
+    kept apart: (S, width, L) `succ_logw` and `pred_logw` per step and
+    (N, L) `initial_log`.  The recursions step B utterances through time
+    together, the L models on the same batch axis: log-emissions are
+    (T, L * B, N), model-major (model l scores utterance b in column
+    l * B + b), and each model's weights broadcast over its B columns.
+    `lengths` holds the B frame counts.  Frames past a row's end carry
+    log-emission 0, and every column is read, reset or backtracked at its
+    own last frame, so the padding reaches no result.  Lattice values are
+    stored (T, S, L * B), each time layer one contiguous block for the
+    gathers, and returned as (T, L * B, S) views.
     """
 
-    def __init__(self, model: HmmModel):
-        self.model = model
-        self.order = model.order
-        contexts = legal_contexts(model.topology, model.order)
-        self._index = {c: j for j, c in enumerate(contexts)}
-        self.emit = np.array([c[-1] for c in contexts])  # ring state of each context
-        self.start = np.array([self._index[(i,) * model.order]
-                               for i in range(model.num_states)])
-        self.steps = [self._build_step(model.tensors[k]) for k in range(1, model.order + 1)]
-        self.initial_log = self._safe_log(model.initial)
+    def __init__(self, *models: HmmModel):
+        key = (models[0].num_states, models[0].order)
+        if any((m.num_states, m.order) != key for m in models):
+            raise ValueError("the models of one lattice must share num_states and order")
+        self.order, self.num_models = key[1], len(models)
+        self.emit, self.start, self.steps = _layout(*key)
+        self.initial_log = _safe_log(np.column_stack([m.initial for m in models]))
+        self.succ_logw, self.pred_logw = [], []
+        for k, step in enumerate(self.steps, start=1):
+            succ = np.full(step.succ_idx.shape + (len(models),), LOG_ZERO)
+            succ[step.src] = _safe_log(np.stack([m.tensors[k].matrix for m in models], axis=-1))
+            self.succ_logw.append(succ)
+            flat = np.vstack([succ.reshape(-1, len(models)), np.full(len(models), LOG_ZERO)])
+            self.pred_logw.append(flat[step.pred_edge])  # the -inf row past S * width: no edge
 
-    @staticmethod
-    def _safe_log(values: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(values)
+    def _prepare(self, log_b: np.ndarray, lengths, kind: str):
+        """Over the L * B columns: each step's `kind` edges as flat indices
+        into a C-ordered (S, L * B) layer (a gather is one 1-D take), their
+        weights spread over each model's columns, the column lengths and
+        the columns ending at each frame."""
+        columns = log_b.shape[1]
+        weights = self.pred_logw if kind == "pred_idx" else self.succ_logw
+        edges = [getattr(s, kind)[:, :, None] * columns + np.arange(columns) for s in self.steps]
+        logw = [np.repeat(w, columns // self.num_models, axis=2) for w in weights]
+        lengths = np.tile(np.asarray(lengths), self.num_models)
+        ending: dict[int, list[int]] = {}
+        for row, n in enumerate(lengths.tolist()):
+            ending.setdefault(n - 1, []).append(row)
+        return edges, logw, lengths, ending
 
-    def _build_step(self, tensor: TransitionTensor) -> _Step:
-        """The lattice step driven by `tensor`, built from its edge list.
-
-        Tensor row `ctx` sits at its padded context and moves to each
-        successor of its last state; the destination is the shifted padded
-        tuple, which is the extended context while the layers grow (a boot
-        step) and the shifted one at full length (the stationary step).
-        The successor view covers all S sources in successor order, with
-        -inf on the slots of sources that are not tensor rows; the
-        predecessor view lists the edges by destination with sources
-        ascending, which gives Viterbi its lowest-index tie-break.
-        """
-        pad = self.order - tensor.order
-        successors = self.model.topology.successors
-        step = _Step()
-        step.src = np.array([self._index[ctx[:1] * pad + ctx] for ctx in tensor.contexts],
-                            dtype=np.intp)
-        step.succ_idx = np.array([[self._index[(ctx + (s,))[1:]] for s in successors(ctx[-1])]
-                                  for ctx in self._index], dtype=np.intp)
-        step.succ_logw = np.full(step.succ_idx.shape, LOG_ZERO)
-        step.succ_logw[step.src] = self._safe_log(tensor.matrix)
-
-        dst = step.succ_idx[step.src].ravel()
-        src = np.repeat(step.src, step.succ_idx.shape[1])
-        logw = step.succ_logw[step.src].ravel()
-        by_dst = np.argsort(dst, kind="stable")  # keeps sources ascending
-        in_degree = np.bincount(dst, minlength=len(self._index))
-        slot = np.arange(dst.size) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
-        shape = (len(self._index), int(in_degree.max()))
-        step.pred_idx = np.zeros(shape, dtype=np.intp)
-        step.pred_logw = np.full(shape, LOG_ZERO)
-        step.pred_idx[dst[by_dst], slot] = src[by_dst]
-        step.pred_logw[dst[by_dst], slot] = logw[by_dst]
-        return step
-
-    def _step_index(self, t: int) -> int:
-        """Index in `steps` of the step feeding the layer at (0-based) time t."""
-        return min(t, self.order) - 1
-
-    def _flat_edges(self, kind: str, batch: int) -> list[np.ndarray]:
-        """Each step's `kind` edge indices (S, width) as flat (S, width, B)
-        indices into a C-ordered (S, B) layer, so a gather is one 1-D take."""
-        return [getattr(s, kind)[:, :, None] * batch + np.arange(batch) for s in self.steps]
-
-    def _start(self, lattice_b: np.ndarray) -> np.ndarray:
-        """(T, S, B) storage, -inf everywhere but the length-1 contexts at
-        t = 0."""
-        values = np.full(lattice_b.shape, LOG_ZERO)
-        values[0, self.start] = self.initial_log[:, None] + lattice_b[0, self.start]
-        return values
+    def _start(self, log_b: np.ndarray) -> np.ndarray:
+        """The (S, L * B) layer at t = 0: -inf but at the length-1 contexts."""
+        layer = np.full((self.emit.size, log_b.shape[1]), LOG_ZERO)
+        initial = np.repeat(self.initial_log, log_b.shape[1] // self.num_models, axis=1)
+        layer[self.start] = initial + log_b[0].T  # context (i,) * r emits state i
+        return layer
 
     @staticmethod
     def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
         """log-sum-exp of (S, width, B) edge scores over the width slots."""
-        if z.shape[1] == 1:
-            out[...] = z[:, 0]
-            return
-        np.logaddexp(z[:, 0], z[:, 1], out=out)
-        for col in range(2, z.shape[1]):
+        out[...] = z[:, 0]
+        for col in range(1, z.shape[1]):
             np.logaddexp(out, z[:, col], out=out)
 
     def forward(self, log_b: np.ndarray, lengths):
-        """Forward pass; returns (alphas (T, B, S), per-row log-likelihoods (B,))."""
-        T, B, _ = log_b.shape
-        lattice_b = log_b.transpose(0, 2, 1)[:, self.emit]
-        edges = self._flat_edges("pred_idx", B)
-        alphas = self._start(lattice_b)
-        for t in range(1, T):
-            k = self._step_index(t)
+        """Forward pass; returns (alphas (T, L * B, S), per-column
+        log-likelihoods (L * B,))."""
+        edges, logw, lengths, _ = self._prepare(log_b, lengths, "pred_idx")
+        alphas = np.empty((log_b.shape[0], self.emit.size, log_b.shape[1]))
+        alphas[0] = self._start(log_b)
+        for t in range(1, log_b.shape[0]):
+            k = min(t, self.order) - 1  # the step feeding the layer at time t
             z = alphas[t - 1].ravel()[edges[k]]
-            z += self.steps[k].pred_logw[..., None]
+            z += logw[k]
             self._lse_slots(z, alphas[t])
-            alphas[t] += lattice_b[t]
-        # Each row's last layer with its live states (the rows of the tensor
-        # that leaves it, in lattice order) packed to the front: the sum in
-        # the log-sum-exp groups terms by position, and packed, a score
-        # does not depend on where the padded contexts sit.
-        lengths = np.asarray(lengths)
-        ends = np.full((B, alphas.shape[1]), LOG_ZERO)
+            alphas[t] += log_b[t].T.take(self.emit, axis=0)
+        # Each column's last layer with its live states (the rows of the
+        # tensor that leaves it, in lattice order) packed to the front: the
+        # sum in the log-sum-exp groups terms by position, and packed, a
+        # score does not depend on where the padded contexts sit.
+        ends = np.full((log_b.shape[1], self.emit.size), LOG_ZERO)
         for k, step in enumerate(self.steps, start=1):
             rows = np.flatnonzero(np.minimum(lengths, self.order) == k)
             ends[rows, : step.src.size] = alphas[lengths[rows] - 1, :, rows][:, step.src]
         return alphas.transpose(0, 2, 1), _lse_last(ends)
 
     def backward(self, log_b: np.ndarray, lengths) -> np.ndarray:
-        """Backward pass; returns betas (T, B, S), 0 at each row's last frame."""
-        T, B, _ = log_b.shape
-        lattice_b = log_b.transpose(0, 2, 1)[:, self.emit]
-        edges = self._flat_edges("succ_idx", B)
-        ending: dict[int, list[int]] = {}
-        for row, n in enumerate(lengths):
-            ending.setdefault(int(n) - 1, []).append(row)
-        betas = np.full(lattice_b.shape, LOG_ZERO)
+        """Backward pass; returns betas (T, L * B, S), 0 at each column's
+        last frame."""
+        T = log_b.shape[0]
+        edges, logw, _, ending = self._prepare(log_b, lengths, "succ_idx")
+        betas = np.empty((T, self.emit.size, log_b.shape[1]))
         betas[T - 1] = 0.0
         for t in range(T - 1, 0, -1):
-            k = self._step_index(t)
-            nxt = betas[t] + lattice_b[t]
+            k = min(t, self.order) - 1
+            nxt = betas[t] + log_b[t].T.take(self.emit, axis=0)
             z = nxt.ravel()[edges[k]]
-            z += self.steps[k].succ_logw[..., None]
+            z += logw[k]
             self._lse_slots(z, betas[t - 1])
             if t - 1 in ending:
                 betas[t - 1][:, ending[t - 1]] = 0.0
         return betas.transpose(0, 2, 1)
 
     def viterbi(self, log_b: np.ndarray, lengths):
-        """Best path of every row and its log-probability.
+        """Best path of every column and its log-probability: (list of
+        L * B state paths, each as long as its utterance, scores (L * B,)).
 
-        Returns (list of B state paths, each as long as its row, scores
-        (B,)).  Each row is backtracked from its own last frame; ties
-        prefer the lowest lattice index (contexts are sorted
-        lexicographically, and a later edge slot must score strictly
-        higher to win).
+        Ties prefer the lowest lattice index (contexts are sorted, and a
+        later edge slot must score strictly higher to win).  The backtrack
+        is one gather per time step over all columns; a column joins it at
+        its own last frame, from its best final state.
         """
-        T, B, _ = log_b.shape
-        lattice_b = log_b.transpose(0, 2, 1)[:, self.emit]
-        edges = self._flat_edges("pred_idx", B)
-        scores = self._start(lattice_b)
-        slots = np.zeros(scores.shape, dtype=np.intp)  # winning edge slot
-        for t in range(1, T):
-            k = self._step_index(t)
-            z = scores[t - 1].ravel()[edges[k]]
-            z += self.steps[k].pred_logw[..., None]
-            out, slot = scores[t], slots[t]
-            out[...] = z[:, 0]
-            for col in range(1, z.shape[1]):
-                slot[z[:, col] > out] = col
-                np.maximum(out, z[:, col], out=out)
-            out += lattice_b[t]
-        lengths = np.asarray(lengths)
-        rows = np.arange(B)
-        ends = scores[lengths - 1, :, rows]
+        T, columns, _ = log_b.shape
+        edges, logw, lengths, ending = self._prepare(log_b, lengths, "pred_idx")
+        layer = self._start(log_b)
+        ends = np.empty((columns, self.emit.size))
+        slots = np.zeros((T, self.emit.size, columns), dtype=np.int8)
+        for t in range(T):
+            if t:
+                k = min(t, self.order) - 1
+                z = layer.ravel()[edges[k]]
+                z += logw[k]
+                layer, slot = z[:, 0].copy(), slots[t]
+                for col in range(1, z.shape[1]):
+                    slot[z[:, col] > layer] = col
+                    np.maximum(layer, z[:, col], out=layer)
+                layer += log_b[t].T.take(self.emit, axis=0)
+            if t in ending:
+                ends[ending[t]] = layer[:, ending[t]].T
         final = np.argmax(ends, axis=1)
 
-        preds = [s.pred_idx.tolist() for s in self.steps]
-        step_of = [self._step_index(t) for t in range(T)]
-        slot_of = slots.transpose(0, 2, 1).tolist()
-        paths = []
-        for row, n in enumerate(lengths.tolist()):
-            idx = [0] * n
-            idx[-1] = cur = int(final[row])
-            for t in range(n - 1, 0, -1):
-                idx[t - 1] = cur = preds[step_of[t]][cur][slot_of[t][row][cur]]
-            paths.append(self.emit[idx])
-        return paths, ends[rows, final]
+        rows, cur = np.arange(columns), final.copy()
+        idx = np.empty((columns, T), dtype=np.intp)
+        for t in range(T - 1, -1, -1):
+            if t in ending:
+                cur[ending[t]] = final[ending[t]]
+            idx[:, t] = cur
+            if t:
+                cur = self.steps[min(t, self.order) - 1].pred_idx[cur, slots[t, cur, rows]]
+        states = self.emit[idx]
+        return [states[row, :n] for row, n in enumerate(lengths.tolist())], ends[rows, final]
 
 
-def _emission_batch(model: HmmModel, corpus):
-    """Checked utterances as padded log-emissions (T_max, B, N) plus row
-    lengths."""
+def _emission_batch(models, corpus):
+    """Checked utterances as the L models' padded, model-major log-emissions
+    (T_max, L * B, N), the frames stacked and padded once, and B lengths."""
     frames_list = [_as_frames(seq) for seq in corpus]
-    for frames in frames_list:
+    for model, frames in itertools.product(models, frames_list):
         _check_dim(model, frames)
     lengths = np.array([f.shape[0] for f in frames_list])
-    log_b = model.emissions.log_prob_matrix(np.vstack(frames_list))
-    return _pad_rows(log_b, lengths), lengths
+    stacked = np.vstack(frames_list)
+    log_b = _pad_rows(np.stack([m.emissions.log_prob_matrix(stacked) for m in models], axis=1),
+                      lengths)  # (T, B, L, N)
+    return log_b.transpose(0, 2, 1, 3).reshape(log_b.shape[0], -1, log_b.shape[3]), lengths
 
 
 def forward_log_likelihood_batch(model: HmmModel, corpus) -> np.ndarray:
     """log P(O | model) of many utterances, (B,), from one emission matrix,
     one lattice and one batched forward pass."""
-    log_b, lengths = _emission_batch(model, corpus)
+    log_b, lengths = _emission_batch([model], corpus)
     _, lls = CompositeLattice(model).forward(log_b, lengths)
     return lls
 
@@ -624,7 +626,7 @@ def forward_log_likelihood(model: HmmModel, observations) -> float:
 def viterbi_align_batch(model: HmmModel, corpus):
     """Viterbi paths and joint log-probabilities of many utterances, aligned
     in one batched pass: (list of state paths, list of scores)."""
-    log_b, lengths = _emission_batch(model, corpus)
+    log_b, lengths = _emission_batch([model], corpus)
     paths, scores = CompositeLattice(model).viterbi(log_b, lengths)
     return paths, scores.tolist()
 
@@ -694,7 +696,7 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
         for col in range(step.succ_idx.shape[1]):
             log_xi = np.take(dest, step.succ_idx[:, col], axis=2)
             log_xi += source
-            log_xi += step.succ_logw[:, col]
+            log_xi += lattice.succ_logw[k - 1][:, col, 0]
             log_xi -= ll[:, None]
             xi = np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
             tensor_counts[k][:, col] = xi[step.src]

@@ -125,11 +125,14 @@ class SuprasegmentalModel:
             raise ValueError("utterance mean must have %d entries" % PROSODY_DIM)
 
     def validate(self, tol: float = 1e-12) -> None:
+        # Each check is written so that NaN, which fails every comparison, fails it.
         sums = self.transitions.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol or np.any(self.transitions < 0):
+        if not (np.all(np.abs(sums - 1.0) <= tol) and np.all(self.transitions >= 0)):
             raise ValueError("transition rows must be probability vectors")
-        if np.any(self.group_variances <= 0) or np.any(self.utterance_variance <= 0):
-            raise ValueError("variances must be strictly positive")
+        if not (all(np.all(np.isfinite(m)) for m in (self.group_means, self.utterance_mean))
+                and all(np.all((v > 0) & (v < np.inf))
+                        for v in (self.group_variances, self.utterance_variance))):
+            raise ValueError("means must be finite and variances finite and strictly positive")
 
     def to_dict(self) -> dict:
         return {
@@ -306,26 +309,35 @@ def _segment_summaries(paths, prosodies, layout: SuprasegmentalLayout):
             track.segment_vectors(seg.rows[seg.frame_segments]))
 
 
-def score_components_batch(model: Csphmm3Model, features, prosodies):
-    """(acoustic forward scores (U,), suprasegmental scores (U,)) of many
-    utterances.
+def score_components_batch(models, features, prosodies):
+    """(acoustic forward scores (U, L), suprasegmental scores (U, L)) of
+    many utterances under L models sharing num_states, order and prosody
+    layout.
 
-    One emission matrix and one lattice serve a batched forward pass and a
-    batched Viterbi alignment; the prosody tracks (FrameProsody) are
-    segmented along their utterances' alignments.
+    One lattice over the L models runs one batched forward pass and one
+    batched Viterbi alignment; the L * U alignments are segmented in one
+    pass over the prosody tracks (FrameProsody), and each model scores its
+    own contiguous slice of the segments.
     """
-    log_b, lengths = _emission_batch(model.acoustic, features)
-    lattice = CompositeLattice(model.acoustic)
-    _, acoustic = lattice.forward(log_b, lengths)
-    paths, _ = lattice.viterbi(log_b, lengths)
-    return acoustic, suprasegmental_log_likelihood_batch(
-        model.supra, *_segment_summaries(paths, prosodies, model.supra.layout))
+    layout, num_rows = models[0].supra.layout, len(features)
+    if any(m.supra.layout != layout for m in models):
+        raise ValueError("models scored together must share one prosody layout")
+    acoustic = [m.acoustic for m in models]
+    lattice, (log_b, lengths) = CompositeLattice(*acoustic), _emission_batch(acoustic, features)
+    groups, vectors, rows, utterances = _segment_summaries(
+        lattice.viterbi(log_b, lengths)[0], prosodies * len(models), layout)
+    bounds = np.searchsorted(rows, np.arange(len(models) + 1) * num_rows)
+    supra = [suprasegmental_log_likelihood_batch(
+        m.supra, groups[a:b], vectors[a:b], rows[a:b] - l * num_rows,
+        utterances[l * num_rows : (l + 1) * num_rows])
+        for l, (m, a, b) in enumerate(zip(models, bounds, bounds[1:]))]
+    return lattice.forward(log_b, lengths)[1].reshape(-1, num_rows).T, np.column_stack(supra)
 
 
 def score_components(model: Csphmm3Model, observations, prosody) -> tuple[float, float]:
     """(acoustic forward score, suprasegmental score) for one utterance."""
-    acoustic, supra = score_components_batch(model, [observations], [prosody])
-    return float(acoustic[0]), float(supra[0])
+    acoustic, supra = score_components_batch([model], [observations], [prosody])
+    return float(acoustic[0, 0]), float(supra[0, 0])
 
 
 def fuse_scores(acoustic_ll: float, supra_ll: float, alpha: float) -> float:

@@ -309,6 +309,8 @@ class TestTrain:
         ({"vq_codebook_size": 0}, "VQ", "vq_codebook_size"),
         ({"alpha": 2}, "CSPHMM3", "alpha"),
         ({"supra_layout": [0, 1]}, "CSPHMM3", "supra_layout"),
+        ({"supra_layout": []}, "CSPHMM3", "supra_layout"),
+        ({"supra_layout": [0, 0, 0, 2, 2, 2]}, "CSPHMM3", "supra_layout"),
     ])
     def test_bad_model_value_is_config_error_naming_the_key(
             self, tmp_path, tiny_corpus_dir, capsys, model, kind, key):
@@ -329,6 +331,9 @@ class TestTrain:
         ({"train_iters": 5}, "CHMM3", "train_iters"),
         ({"tol": "x"}, "CHMM3", "tol"),
         ({"alpha": None}, "CSPHMM3", "alpha"),
+        ({"supra_layout": 0}, "CSPHMM3", "supra_layout"),
+        ({"supra_layout": "ab"}, "CSPHMM3", "supra_layout"),
+        ({"supra_layout": [0.0, 0, 0, 1, 1, 1]}, "CSPHMM3", "supra_layout"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
     def test_model_value_of_wrong_type_is_config_error_naming_the_key(
             self, tmp_path, tiny_corpus_dir, capsys, model, kind, key):
@@ -682,6 +687,11 @@ class TestClassify:
         assert entry["id"] in err and "zero likelihood" in err
 
 
+def _with_nan(values):
+    """A copy of nested lists of numbers with NaN as the first number."""
+    return [_with_nan(values[0])] + values[1:] if isinstance(values, list) else float("nan")
+
+
 BANK_DAMAGE = {
     # (bank: 0 CSPHMM3, 1 CHMM3; damaged file; damage)
     "bank_json_array": (1, "bank.json", lambda doc: []),
@@ -700,6 +710,14 @@ BANK_DAMAGE = {
     "csphmm3_prosody_row_sums_to_3": (0, "neutral.json", lambda doc: {
         **doc, "suprasegmental": {**doc["suprasegmental"], "transitions": [
             [3 * p for p in row] for row in doc["suprasegmental"]["transitions"]]}}),
+    "csphmm3_nan_acoustic_mean": (0, "neutral.json", lambda doc: {
+        **doc, "acoustic": {**doc["acoustic"], "emissions": {
+            **doc["acoustic"]["emissions"],
+            "means": _with_nan(doc["acoustic"]["emissions"]["means"])}}}),
+    "csphmm3_nan_prosody_variance": (0, "neutral.json", lambda doc: {
+        **doc, "suprasegmental": {
+            **doc["suprasegmental"],
+            "group_variances": _with_nan(doc["suprasegmental"]["group_variances"])}}),
     "model_dim_not_fingerprint": (0, "bank.json", lambda doc: {
         **doc, "fingerprint": {**doc["fingerprint"], "dim": doc["fingerprint"]["dim"] + 2}}),
 }

@@ -67,28 +67,32 @@ class TestManifest:
             + "u1,a.wav,spk0,neutral,txt0,0\n"
             + "u2,a.wav,spk0,neutral,txt0,0\n"
         )
-        with pytest.raises(ManifestError, match="duplicate"):
+        with pytest.raises(ManifestError, match="duplicate") as err:
             load_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_missing_audio_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(MANIFEST_HEADER + "u1,gone.wav,spk0,neutral,txt0,0\n")
-        with pytest.raises(ManifestError, match="not found"):
+        with pytest.raises(ManifestError, match="not found") as err:
             load_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("id,file\nu1,a.wav\n")
-        with pytest.raises(ManifestError, match="header"):
+        with pytest.raises(ManifestError, match="header") as err:
             load_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_bad_replicate_rejected(self, tmp_path):
         wav = tmp_path / "a.wav"
         write_wav(wav)
         path = tmp_path / "m.csv"
         path.write_text(MANIFEST_HEADER + "u1,a.wav,spk0,neutral,txt0,two\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match="line 2") as err:
             load_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_paper_shaped_assessment_manifest(self, tmp_path):
         # 8 speakers x 6 emotions x 10 texts = 480 rows.

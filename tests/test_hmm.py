@@ -194,11 +194,14 @@ class TestLatticeSteps:
         assert [int(q) for q in lattice.emit] == [c[-1] for c in contexts]
         assert len(lattice.steps) == order
         for k, step in enumerate(lattice.steps, start=1):
+            # The lattice holds one model: its weights are column 0.
+            succ_logw = lattice.succ_logw[k - 1][..., 0]
+            pred_logw = lattice.pred_logw[k - 1][..., 0]
             tensor = model.tensors[k]
             branch = model.topology.branch
             edges = len(tensor.contexts) * branch
             assert step.succ_idx.shape == (len(contexts), branch)
-            for logw in (step.succ_logw, step.pred_logw):
+            for logw in (succ_logw, pred_logw):
                 assert np.isfinite(logw).sum() == edges
                 assert (logw == -np.inf).sum() == logw.size - edges
             for r, ctx in enumerate(tensor.contexts):
@@ -207,16 +210,16 @@ class TestLatticeSteps:
                     moved = ctx + (s,)
                     dst = moved[-order:] if k == order else moved[:1] * (order - k - 1) + moved
                     assert step.succ_idx[step.src[r], c] == index[dst]
-                    assert math.exp(step.succ_logw[step.src[r], c]) == pytest.approx(
+                    assert math.exp(succ_logw[step.src[r], c]) == pytest.approx(
                         tensor.prob(ctx, s), rel=1e-12)
             for j in range(len(contexts)):
-                finite = np.isfinite(step.pred_logw[j])
+                finite = np.isfinite(pred_logw[j])
                 sources = list(step.pred_idx[j][finite])
                 assert sources == sorted(sources)
-                for i, logw in zip(sources, step.pred_logw[j][finite]):
+                for i, logw in zip(sources, pred_logw[j][finite]):
                     slots = np.flatnonzero(step.succ_idx[i] == j)
                     assert slots.size == 1
-                    assert step.succ_logw[i, slots[0]] == logw
+                    assert succ_logw[i, slots[0]] == logw
 
 
 class TestBootLayerProperties:

@@ -1,6 +1,7 @@
 """The batched lattice kernel: a batch against its one-row batches, one-row
 posteriors against path enumeration, batched Viterbi against per-utterance
-alignment."""
+alignment, and models stacked on the batch axis against one lattice per
+model."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from suprahmm.classifiers import ModelBank, bank_scores
+from suprahmm.corpus import Utterance, UtteranceRecord
+from suprahmm.features import PROSODY_DIM, FeatureSequence, FrameProsody
 from suprahmm.hmm import (
     CircularTopology,
     CompositeLattice,
@@ -15,9 +19,17 @@ from suprahmm.hmm import (
     HmmModel,
     TransitionTensor,
     _accumulate_batch,
+    _emission_batch,
     baum_welch_train,
+    forward_log_likelihood_batch,
     viterbi_align,
     viterbi_align_batch,
+)
+from suprahmm.suprasegmental import (
+    Csphmm3Model,
+    SuprasegmentalLayout,
+    SuprasegmentalModel,
+    score_components_batch,
 )
 
 from oracles import enumerate_legal_paths, joint_path_log_prob, random_model
@@ -139,20 +151,99 @@ def test_batched_viterbi_equals_per_utterance(seed, order, num_states, drawn_len
 
 def test_batched_viterbi_full_tie_breaks_to_lowest_composite_index():
     # Uniform transitions and identical emissions tie every path of every
-    # row; each row must backtrack from its own end to the all-zero path.
+    # row; each row must backtrack from its own end to the all-zero path,
+    # on a one-model lattice and on three models stacked on the batch axis.
     topology = CircularTopology(3)
-    model = HmmModel(
-        topology, 3, np.full(3, 1.0 / 3),
-        {k: TransitionTensor.uniform(topology, k) for k in (1, 2, 3)},
-        GaussianMixtureEmission(np.ones((3, 1)), np.zeros((3, 1, 1)), np.ones((3, 1, 1))),
-    )
     lengths = [6, 1, 3, 2, 5]
-    paths, scores = viterbi_align_batch(model, [np.zeros((n, 1)) for n in lengths])
-    for n, path, score in zip(lengths, paths, scores):
-        want_path, want_score = viterbi_align(model, np.zeros((n, 1)))
-        np.testing.assert_array_equal(path, np.zeros(n))
-        np.testing.assert_array_equal(want_path, np.zeros(n))
-        assert score == want_score
+    frames_list = [np.zeros((n, 1)) for n in lengths]
+    for num_models in (1, 3):
+        models = [HmmModel(topology, 3, np.full(3, 1.0 / 3),
+                           {k: TransitionTensor.uniform(topology, k) for k in (1, 2, 3)},
+                           GaussianMixtureEmission(np.ones((3, 1)), np.full((3, 1, 1), l),
+                                                   np.ones((3, 1, 1))))
+                  for l in range(num_models)]
+        paths, scores = CompositeLattice(*models).viterbi(*_emission_batch(models, frames_list))
+        for l, model in enumerate(models):
+            columns = slice(l * len(lengths), (l + 1) * len(lengths))
+            for n, path, score in zip(lengths, paths[columns], scores[columns]):
+                want_path, want_score = viterbi_align(model, np.zeros((n, 1)))
+                np.testing.assert_array_equal(path, np.zeros(n))
+                np.testing.assert_array_equal(want_path, np.zeros(n))
+                assert score == want_score
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(num_models=st.integers(2, 4), **batch_cases)
+def test_stacked_models_equal_one_lattice_per_model(num_models, seed, order, num_states,
+                                                     drawn_lengths):
+    rng = np.random.default_rng(seed)
+    models = [_leaky_model(rng, num_states, order) for _ in range(num_models)]
+    frames_list = _corpus(rng, drawn_lengths)
+    lattice = CompositeLattice(*models)
+    log_b, lengths = _emission_batch(models, frames_list)
+    _, lls = lattice.forward(log_b, lengths)
+    paths, scores = lattice.viterbi(log_b, lengths)
+
+    for l, model in enumerate(models):
+        one = CompositeLattice(model)
+        one_b, _ = _emission_batch([model], frames_list)
+        _, want_lls = one.forward(one_b, lengths)
+        want_paths, want_scores = one.viterbi(one_b, lengths)
+        columns = slice(l * len(frames_list), (l + 1) * len(frames_list))
+        np.testing.assert_array_equal(lls[columns], want_lls)
+        np.testing.assert_array_equal(scores[columns], want_scores)
+        for path, want_path in zip(paths[columns], want_paths):
+            np.testing.assert_array_equal(path, want_path)
+
+
+# (num_states, order) of each model of a hand-built bank: a trained bank
+# has one shape, an edited one can mix them.  The last two models share a
+# shape but not their prosody layout.
+MIXED_SHAPES = [(3, 3), (2, 3), (3, 1), (3, 3), (2, 2), (2, 3), (2, 3)]
+
+
+def _random_supra(rng, layout):
+    groups = layout.num_groups
+    return SuprasegmentalModel(
+        layout, rng.normal(size=(groups, PROSODY_DIM)),
+        rng.uniform(0.5, 2.0, size=(groups, PROSODY_DIM)),
+        rng.dirichlet(np.ones(groups), size=groups),
+        rng.normal(size=PROSODY_DIM), rng.uniform(0.5, 2.0, size=PROSODY_DIM))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       drawn_lengths=st.lists(st.integers(1, 9), min_size=0, max_size=4))
+def test_mixed_bank_scores_equal_per_model_scoring(seed, drawn_lengths):
+    rng = np.random.default_rng(seed)
+    utterances = [
+        Utterance(UtteranceRecord("u%d" % i, "", "s", "e", "t", 0), FeatureSequence(frames),
+                  FrameProsody(rng.uniform(80.0, 300.0, len(frames)),
+                               rng.random(len(frames)) < 0.7, rng.normal(size=len(frames))))
+        for i, frames in enumerate(_corpus(rng, drawn_lengths))]
+    features = [u.features for u in utterances]
+    prosodies = [u.prosody for u in utterances]
+    acoustic = [_leaky_model(rng, n, order) for n, order in MIXED_SHAPES]
+    layouts = [SuprasegmentalLayout.halves(n) for n, _ in MIXED_SHAPES[:-1]]
+    layouts.append(SuprasegmentalLayout((0, 0)))
+    fused = [Csphmm3Model(a, _random_supra(rng, layout), rng.uniform(0.1, 0.9))
+             for a, layout in zip(acoustic, layouts)]
+    labels = tuple("m%d" % j for j in range(len(MIXED_SHAPES)))
+
+    def bank(kind, models):
+        return ModelBank(kind, labels, dict(zip(labels, models)), {"dim": DIM})
+
+    scores, _ = bank_scores(bank("CHMM3", acoustic), utterances)
+    np.testing.assert_array_equal(
+        scores, np.column_stack([forward_log_likelihood_batch(m, features) for m in acoustic]))
+    scores, (got_acoustic, got_supra) = bank_scores(bank("CSPHMM3", fused), utterances)
+    parts = [score_components_batch([m], features, prosodies) for m in fused]
+    want_acoustic = np.hstack([a for a, _ in parts])
+    want_supra = np.hstack([s for _, s in parts])
+    np.testing.assert_array_equal(got_acoustic, want_acoustic)
+    np.testing.assert_array_equal(got_supra, want_supra)
+    alphas = np.array([m.alpha for m in fused])
+    np.testing.assert_array_equal(scores, (1 - alphas) * want_acoustic + alphas * want_supra)
 
 
 def test_zero_likelihood_utterance_is_named():
