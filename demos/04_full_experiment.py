@@ -59,6 +59,4 @@ run(["ttest",
 print("\nartifacts left under %s:" % work)
 for root, _, files in sorted(os.walk(work)):
     for name in sorted(files):
-        rel = os.path.relpath(os.path.join(root, name), work)
-        if not rel.endswith(".feat"):
-            print("  " + rel)
+        print("  " + os.path.relpath(os.path.join(root, name), work))

@@ -88,6 +88,7 @@ from .corpus import (
     make_split,
     prosody_synthetic_spec,
     save_synthetic_corpus,
+    split_utterances,
     synthesize_corpus,
 )
 from .config import ConfigError, ExperimentConfig, load_config

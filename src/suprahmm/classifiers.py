@@ -56,6 +56,9 @@ BANK_KINDS = ("CSPHMM3", "CHMM3", "GMM", "VQ")
 DEFAULT_GMM_COMPONENTS = 32
 DEFAULT_VQ_CODEBOOK = 64
 
+# Utterances per lattice pass in bank_scores, whose alphas are (T, S, L x block).
+SCORE_BLOCK = 64
+
 
 class IncompleteBankError(Exception):
     """A configured emotion has no training data or no trained model."""
@@ -92,12 +95,8 @@ class GmmBaselineModel:
         return float(self.frame_log_likelihoods(frames).mean())
 
     def to_dict(self) -> dict:
-        return {
-            "format": "gmm-baseline",
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
+        return {"format": "gmm-baseline", "weights": self.weights.tolist(),
+                "means": self.means.tolist(), "variances": self.variances.tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GmmBaselineModel":
@@ -181,10 +180,8 @@ def lbg_codebook(frames, num_centroids: int = DEFAULT_VQ_CODEBOOK, seed: int = 0
     """
     frames = _as_frames(frames)
     if frames.shape[0] < num_centroids:
-        raise ValueError(
-            "need at least %d frames to build %d centroids"
-            % (num_centroids, num_centroids)
-        )
+        raise ValueError("need at least %d frames to build %d centroids"
+                         % (num_centroids, num_centroids))
     rng = np.random.default_rng(seed)
     epsilon = 0.05 * np.maximum(frames.std(axis=0), 1e-6)
 
@@ -307,36 +304,26 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
         if kind in ("CSPHMM3", "CHMM3"):
             try:
                 acoustic, _ = train_circular_chain(
-                    features,
-                    num_states=options.num_states,
-                    num_mixtures=options.num_mixtures,
-                    iters=options.iters,
-                    tol=options.tol,
-                    seed=options.seed,
-                )
+                    features, num_states=options.num_states, num_mixtures=options.num_mixtures,
+                    iters=options.iters, tol=options.tol, seed=options.seed)
             except UnscorableUtteranceError as exc:
                 raise UnscorableUtteranceError(
                     "training utterance %r of emotion %r has zero likelihood under "
                     "the model" % (utterances[exc.index].record.id, label)) from exc
             if kind == "CSPHMM3":
                 layout = options.layout or SuprasegmentalLayout.halves(options.num_states)
-                supra = train_on_alignments(
-                    acoustic, features, [u.prosody for u in utterances], layout
-                )
+                supra = train_on_alignments(acoustic, features,
+                                            [u.prosody for u in utterances], layout)
                 models[label] = Csphmm3Model(acoustic, supra, options.alpha)
             else:
                 models[label] = acoustic
         elif kind == "GMM":
             pooled = np.vstack([u.features.frames for u in utterances])
-            models[label], _ = train_gmm(
-                pooled, options.gmm_components, seed=options.seed
-            )
+            models[label], _ = train_gmm(pooled, options.gmm_components, seed=options.seed)
         else:  # VQ
             pooled = np.vstack([u.features.frames for u in utterances])
             models[label], _ = lbg_codebook(
-                pooled, min(options.vq_codebook_size, pooled.shape[0]),
-                seed=options.seed,
-            )
+                pooled, min(options.vq_codebook_size, pooled.shape[0]), seed=options.seed)
     return ModelBank(kind, labels, models,
                      feature_fingerprint(corpus_by_emotion[labels[0]]), options)
 
@@ -349,14 +336,13 @@ def bank_scores(bank: ModelBank, utterances):
     matrices that the scores fuse at each model's alpha; for the other
     kinds it is None.  HMM models score in one lattice pass per group of
     models sharing num_states, order and (CSPHMM3) prosody layout, the
-    group on the batch axis; a trained bank is one group.
+    group on the batch axis, SCORE_BLOCK utterances at a time; a trained
+    bank is one group.
     """
     for utt in utterances:
         if utt.features.dim != bank.fingerprint["dim"]:
-            raise IncompatibleFeaturesError(
-                "utterance %r dim %d does not match bank dim %d"
-                % (utt.record.id, utt.features.dim, bank.fingerprint["dim"])
-            )
+            raise IncompatibleFeaturesError("utterance %r dim %d does not match bank dim %d" % (
+                utt.record.id, utt.features.dim, bank.fingerprint["dim"]))
     models = [bank.models[label] for label in bank.labels]
     features = [u.features for u in utterances]
     if bank.kind in ("GMM", "VQ"):
@@ -366,15 +352,18 @@ def bank_scores(bank: ModelBank, utterances):
     for j, m in enumerate(models):
         hmm = m.acoustic if fused else m
         groups.setdefault((hmm.num_states, hmm.order, fused and m.supra.layout), []).append(j)
+    prosodies = [u.prosody for u in utterances]
     acoustic, supra = np.empty((2, len(utterances), len(models)))
     for cols in groups.values():
         group = [models[j] for j in cols]
-        if fused:
-            acoustic[:, cols], supra[:, cols] = score_components_batch(
-                group, features, [u.prosody for u in utterances])
-        else:
-            _, lls = CompositeLattice(*group).forward(*_emission_batch(group, features))
-            acoustic[:, cols] = lls.reshape(len(cols), -1).T
+        for lo in range(0, len(utterances), SCORE_BLOCK):
+            rows = slice(lo, lo + SCORE_BLOCK)
+            if fused:
+                acoustic[rows, cols], supra[rows, cols] = score_components_batch(
+                    group, features[rows], prosodies[rows])
+            else:
+                _, lls = CompositeLattice(*group).forward(*_emission_batch(group, features[rows]))
+                acoustic[rows, cols] = lls.reshape(len(cols), -1).T
     if not fused:
         return acoustic, None
     return fuse_scores(acoustic, supra, np.array([m.alpha for m in models])), (acoustic, supra)
@@ -401,9 +390,7 @@ def pick_label(labels, scores, utterance_id) -> str:
             best_label, best_score = label, score
     if best_label is None:
         raise UnscorableUtteranceError(
-            "utterance %r has zero likelihood under every model of the bank"
-            % utterance_id
-        )
+            "utterance %r has zero likelihood under every model of the bank" % utterance_id)
     return best_label
 
 
@@ -415,12 +402,8 @@ BANK_MANIFEST = "bank.json"
 
 # The model class of each bank kind: models encode with to_dict and decode
 # with from_dict.
-_MODEL_TYPES = {
-    "CSPHMM3": Csphmm3Model,
-    "CHMM3": HmmModel,
-    "GMM": GmmBaselineModel,
-    "VQ": VqBaselineModel,
-}
+_MODEL_TYPES = {"CSPHMM3": Csphmm3Model, "CHMM3": HmmModel, "GMM": GmmBaselineModel,
+                "VQ": VqBaselineModel}
 
 
 def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
@@ -430,19 +413,11 @@ def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
         with open(os.path.join(out_dir, label + ".json"), "w", encoding="utf-8") as fh:
             json.dump(bank.models[label].to_dict(), fh, indent=2, sort_keys=True)
     manifest = {
-        "format": "model-bank",
-        "version": 1,
-        "kind": bank.kind,
-        "labels": list(bank.labels),
-        "fingerprint": bank.fingerprint,
-        "options": bank.options.to_dict(),
-        "floors": {
-            "transition": TRANSITION_FLOOR,
-            "mixture_weight": MIXTURE_WEIGHT_FLOOR,
-            "variance_scale": VARIANCE_FLOOR_SCALE,
-            "variance_abs": ABS_VARIANCE_FLOOR,
-            "prosody_variance": PROSODY_VARIANCE_FLOOR,
-        },
+        "format": "model-bank", "version": 1, "kind": bank.kind, "labels": list(bank.labels),
+        "fingerprint": bank.fingerprint, "options": bank.options.to_dict(),
+        "floors": {"transition": TRANSITION_FLOOR, "mixture_weight": MIXTURE_WEIGHT_FLOOR,
+                   "variance_scale": VARIANCE_FLOOR_SCALE, "variance_abs": ABS_VARIANCE_FLOOR,
+                   "prosody_variance": PROSODY_VARIANCE_FLOOR},
     }
     if provenance is not None:
         manifest["provenance"] = provenance

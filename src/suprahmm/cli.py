@@ -36,10 +36,10 @@ from .corpus import (
     load_manifest,
     load_synthetic_corpus,
     load_wav_corpus,
-    make_split,
     prosody_synthetic_spec,
     read_json_object,
     save_synthetic_corpus,
+    split_utterances,
     synthesize_corpus,
 )
 from .evaluation import (
@@ -93,9 +93,8 @@ def _load_corpus(path, config: ExperimentConfig, side=None):
         utterances = load_wav_corpus(path, config.mfcc, config.features["sample_rate_hz"])
         labels, split = DEFAULT_EMOTIONS, config.partition
     if side:
-        train, test = make_split([u.record for u in utterances], split)
-        chosen = {r.id for r in (train if side == "train" else test)}
-        utterances = [u for u in utterances if u.record.id in chosen]
+        train, test = split_utterances(utterances, split)
+        utterances = train if side == "train" else test
     return utterances, tuple(config.labels or labels), split
 
 

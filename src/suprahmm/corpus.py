@@ -5,7 +5,9 @@ evaluation corpus used for the published numbers is licensed and cannot
 ship with the repo, a synthetic generator provides ground-truth corpora
 of the same shape: per-emotion circular-HMM feature generators plus
 per-emotion prosody distributions, perturbed per speaker, all driven by
-stable per-utterance sub-seeds so regeneration is bit-exact.
+stable per-utterance sub-seeds so regeneration is bit-exact.  A saved
+synthetic corpus is corpus.json (spec, records, frame counts) plus one
+corpus.npz of stacked frames and prosody tracks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import json
 import os
 import warnings
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
 
@@ -27,7 +30,6 @@ from .features import (
     frame_prosody,
     load_features,
     load_wav,
-    save_features,
 )
 from .hmm import HmmModel, sample_sequence
 
@@ -184,6 +186,13 @@ def make_split(records, spec: SplitSpec):
     return train, test
 
 
+def split_utterances(utterances, spec: SplitSpec):
+    """make_split of the utterances' records, as (train, test) utterance lists."""
+    by_id = {u.record.id: u for u in utterances}
+    train, test = make_split([u.record for u in utterances], spec)
+    return [by_id[r.id] for r in train], [by_id[r.id] for r in test]
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpora
 # ---------------------------------------------------------------------------
@@ -319,14 +328,8 @@ class SyntheticCorpus:
     spec: SyntheticSpec
     utterances: list
 
-    @property
-    def records(self) -> list[UtteranceRecord]:
-        return [u.record for u in self.utterances]
-
     def split(self, spec: SplitSpec):
-        by_id = {u.record.id: u for u in self.utterances}
-        train_recs, test_recs = make_split(self.records, spec)
-        return ([by_id[r.id] for r in train_recs], [by_id[r.id] for r in test_recs])
+        return split_utterances(self.utterances, spec)
 
 
 def feature_fingerprint(utterances) -> dict:
@@ -462,94 +465,115 @@ def prosody_synthetic_spec(seed: int = 2024, dim: int = 4,
 # ---------------------------------------------------------------------------
 
 CORPUS_SIDECAR = "corpus.json"
+CORPUS_STORE = "corpus.npz"
+
+# corpus.npz: each array's (dtype, ndim); frames stack by row, tracks end to end.
+STORE_ARRAYS = {"frames": ("float64", 2), "f0_hz": ("float64", 1), "voiced": ("bool", 1),
+                "log_energy": ("float64", 1)}
+_TRACKS = ("f0_hz", "voiced", "log_energy")
+_STRING_FIELDS = ("id", "speaker", "emotion", "text")
 
 
 def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
                           provenance: dict | None = None) -> None:
-    """Feature file per utterance plus a corpus.json sidecar carrying the
-    spec, seed, labels, and prosody tracks."""
+    """corpus.npz with every utterance's frames and prosody tracks stacked
+    in corpus order, plus a corpus.json sidecar (version 2) carrying the
+    spec, seed, and each utterance's record and frame count."""
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for utt in corpus.utterances:
-        feat_name = utt.record.id + ".feat"
-        save_features(os.path.join(out_dir, feat_name), utt.features)
-        entries.append(
-            {
-                "id": utt.record.id,
-                "features": feat_name,
-                "speaker": utt.record.speaker,
-                "emotion": utt.record.emotion,
-                "text": utt.record.text,
-                "replicate": utt.record.replicate,
-                "prosody": {
-                    "f0_hz": utt.prosody.f0_hz.tolist(),
-                    "voiced": utt.prosody.voiced.astype(int).tolist(),
-                    "log_energy": utt.prosody.log_energy.tolist(),
-                },
-            }
-        )
-    sidecar = {
-        "format": "synthetic-corpus",
-        "version": 1,
-        "seed": corpus.spec.seed,
-        "spec": corpus.spec.to_dict(),
-        "fingerprint": feature_fingerprint(corpus.utterances),
-        "utterances": entries,
-    }
+    utts = corpus.utterances
+    np.savez(os.path.join(out_dir, CORPUS_STORE),
+             frames=np.vstack([u.features.frames for u in utts]),
+             **{name: np.concatenate([getattr(u.prosody, name) for u in utts])
+                for name in _TRACKS})
+    sidecar = {"format": "synthetic-corpus", "version": 2, "seed": corpus.spec.seed,
+               "spec": corpus.spec.to_dict(), "fingerprint": feature_fingerprint(utts),
+               "utterances": [{**{k: getattr(u.record, k) for k in _STRING_FIELDS},
+                               "replicate": u.record.replicate, "frames": len(u.features)}
+                              for u in utts]}
     if provenance is not None:
         sidecar["provenance"] = provenance
     with open(os.path.join(out_dir, CORPUS_SIDECAR), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True)
 
 
-def _load_synthetic_utterance(path, entry: dict, dim: int) -> Utterance:
-    for key in ("id", "speaker", "emotion", "text"):
-        if not isinstance(entry[key], str):
-            raise ValueError("utterance field %s must be a string, not %r" % (key, entry[key]))
-    features = load_features(os.path.join(path, entry["features"]))
-    if features.dim != dim:
-        raise ValueError("%s has %d-dim frames, the spec %d" % (entry["features"],
-                                                                features.dim, dim))
-    prosody = FrameProsody(
-        np.array(entry["prosody"]["f0_hz"]),
-        np.array(entry["prosody"]["voiced"], dtype=bool),
-        np.array(entry["prosody"]["log_energy"]),
-    )
-    if len(prosody) != len(features):
-        raise ValueError("utterance %r has %d prosody frames for %d feature frames"
-                         % (entry["id"], len(prosody), len(features)))
-    record = UtteranceRecord(
-        id=entry["id"],
-        path=entry["features"],
-        speaker=entry["speaker"],
-        emotion=entry["emotion"],
-        text=entry["text"],
-        replicate=int(entry["replicate"]),
-    )
-    return Utterance(record, features, prosody)
+def _gather_v1(path, entries, dim):
+    """(stacked arrays, frame counts) of a version-1 directory: a .feat file
+    per utterance, its prosody tracks in corpus.json."""
+    frames, tracks = [], []
+    for entry in entries:
+        frames.append(load_features(os.path.join(path, entry["features"])).frames)
+        if frames[-1].shape[1] != dim:
+            raise ValueError("%s has %d-dim frames, the spec %d"
+                             % (entry["features"], frames[-1].shape[1], dim))
+        tracks.append(FrameProsody(*(entry["prosody"][name] for name in _TRACKS)))
+        if len(tracks[-1]) != len(frames[-1]):
+            raise ValueError("utterance %r has %d prosody frames for %d feature frames"
+                             % (entry["id"], len(tracks[-1]), len(frames[-1])))
+    return ({"frames": np.vstack(frames),
+             **{name: np.concatenate([getattr(p, name) for p in tracks]) for name in _TRACKS}},
+            [len(f) for f in frames])
+
+
+def _corpus_from_store(spec, dim, entries, counts, arrays) -> SyntheticCorpus:
+    """The one builder of a loaded corpus: check the stacked arrays and the
+    entries, then cut the arrays into one Utterance per entry."""
+    found = {name: (str(a.dtype), a.ndim) for name, a in arrays.items()}
+    if found != STORE_ARRAYS:
+        raise ValueError("%s holds arrays %s, not %s" % (CORPUS_STORE, found, STORE_ARRAYS))
+    if arrays["frames"].shape[1] != dim:
+        raise ValueError("%s holds %d-dim frames, the spec %d"
+                         % (CORPUS_STORE, arrays["frames"].shape[1], dim))
+    if not all(type(c) is int and c > 0 for c in counts):
+        raise ValueError("utterance frame counts must be positive integers")
+    rows = sorted({len(a) for a in arrays.values()})
+    if rows != [sum(counts)]:
+        raise ValueError("%s holds arrays of %s rows, the utterances %d frames"
+                         % (CORPUS_STORE, rows, sum(counts)))
+    records, seen = [], set()
+    for entry in entries:
+        for key in _STRING_FIELDS:
+            if not isinstance(entry[key], str):
+                raise ValueError("utterance field %s must be a string, not %r"
+                                 % (key, entry[key]))
+        if entry["id"] in seen:
+            raise ValueError("duplicate utterance id %r" % entry["id"])
+        seen.add(entry["id"])
+        records.append(UtteranceRecord(path="", replicate=int(entry["replicate"]),
+                                       **{k: entry[k] for k in _STRING_FIELDS}))
+    frames, *tracks = (np.split(arrays[name], np.cumsum(counts)[:-1]) for name in STORE_ARRAYS)
+    return SyntheticCorpus(spec, [Utterance(r, FeatureSequence(f), FrameProsody(*t))
+                                  for r, f, *t in zip(records, frames, *tracks)])
 
 
 def load_synthetic_corpus(path) -> SyntheticCorpus:
-    """Read a corpus written by save_synthetic_corpus.
+    """Read a corpus written by save_synthetic_corpus, or a version-1
+    directory (a .feat file per utterance, prosody tracks in corpus.json).
 
-    Raises ManifestError when corpus.json is not a synthetic corpus or does
-    not decode, an utterance's id, speaker, emotion or text is not a string
-    or its id repeats, a feature file is damaged or its frames are not of
-    the spec's dimension, or an utterance's prosody tracks do not cover its
-    frames one for one.
+    Raises ManifestError when corpus.json, corpus.npz or (version 1) a
+    feature file is damaged: no utterances, arrays not as STORE_ARRAYS,
+    frames not of the spec's dim, frame counts that are not positive or do
+    not sum to every array's rows, an id, speaker, emotion or text that is
+    not a string, a repeated id.
     """
     def decode(sidecar):
         if sidecar.get("format") != "synthetic-corpus":
             raise ValueError("does not contain a synthetic corpus")
         spec = SyntheticSpec.from_dict(sidecar["spec"])
-        dim = next(iter(spec.generators.values())).acoustic.dim
-        utterances = [_load_synthetic_utterance(path, e, dim) for e in sidecar["utterances"]]
-        seen = set()
-        for utt in utterances:
-            if utt.record.id in seen:
-                raise ValueError("duplicate utterance id %r" % utt.record.id)
-            seen.add(utt.record.id)
-        return SyntheticCorpus(spec, utterances)
+        dim, entries = next(iter(spec.generators.values())).acoustic.dim, sidecar["utterances"]
+        if not entries:
+            raise ValueError("the corpus has no utterances")
+        if sidecar["version"] == 1:
+            arrays, counts = _gather_v1(path, entries, dim)
+        elif sidecar["version"] == 2:
+            counts = [e["frames"] for e in entries]
+            try:
+                with np.load(os.path.join(path, CORPUS_STORE), allow_pickle=False) as npz:
+                    arrays = dict(npz)
+            except (ValueError, zipfile.BadZipFile, EOFError) as exc:
+                raise ValueError("%s: %s" % (CORPUS_STORE, exc)) from exc
+        else:
+            raise ValueError("unknown corpus version %r" % sidecar["version"])
+        return _corpus_from_store(spec, dim, entries, counts, arrays)
 
     return read_json_object(os.path.join(path, CORPUS_SIDECAR), decode)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suprahmm import classifiers
 from suprahmm.classifiers import (
     IncompatibleFeaturesError,
     IncompleteBankError,
@@ -339,3 +340,21 @@ class TestBankScores:
                                           scores)
         else:
             assert parts is None
+
+    @pytest.mark.parametrize("kind", ["CSPHMM3", "CHMM3"])
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_score_blocks_equal_one_pass(self, kind, block, mini_corpus, banks, monkeypatch):
+        # All 72 utterances, of 30-50 frames: blocks of 5 pad each pass to
+        # its own longest row and leave a last block of 2.
+        corpus, _, _ = mini_corpus
+        utts = corpus.utterances
+        monkeypatch.setattr(classifiers, "SCORE_BLOCK", len(utts))
+        whole, whole_parts = bank_scores(banks[kind], utts)
+        monkeypatch.setattr(classifiers, "SCORE_BLOCK", block)
+        blocked, parts = bank_scores(banks[kind], utts)
+        assert blocked.tobytes() == whole.tobytes()
+        if kind == "CSPHMM3":
+            for a, b in zip(parts, whole_parts):
+                assert a.tobytes() == b.tobytes()
+        else:
+            assert parts is whole_parts is None

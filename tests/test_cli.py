@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and provenance."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -18,6 +19,8 @@ from suprahmm.corpus import (
     synthesize_corpus,
 )
 from suprahmm.features import FeatureSequence, load_features, save_features
+
+from corpus_v1 import write_v1_corpus
 
 RATE = 16000
 
@@ -41,15 +44,40 @@ def dir_bytes(path):
     }
 
 
-@pytest.fixture(scope="module")
-def tiny_corpus_dir(tmp_path_factory):
+def tiny_corpus():
     doc = default_synthetic_spec(seed=42, dim=4).to_dict()
     doc.update(num_speakers=3, num_texts=4, num_replicates=1,
                min_frames=25, max_frames=40)
-    corpus = synthesize_corpus(SyntheticSpec.from_dict(doc))
+    return synthesize_corpus(SyntheticSpec.from_dict(doc))
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus") / "synth"
-    save_synthetic_corpus(corpus, out)
+    save_synthetic_corpus(tiny_corpus(), out)
     return out
+
+
+@pytest.fixture(scope="module")
+def tiny_v1_corpus_dir(tmp_path_factory):
+    # The same corpus in the version-1 layout: a .feat file per utterance.
+    out = tmp_path_factory.mktemp("corpus") / "synth_v1"
+    write_v1_corpus(tiny_corpus(), out)
+    return out
+
+
+def with_frames(corpus_dir, out, edit, indices=None):
+    """Save the corpus at `corpus_dir` to `out` with each picked utterance's
+    frames replaced by edit(frames) (all utterances when indices is None);
+    returns the records of the edited utterances."""
+    corpus = load_synthetic_corpus(corpus_dir)
+    picked = range(len(corpus.utterances)) if indices is None else indices
+    for i in picked:
+        utt = corpus.utterances[i]
+        corpus.utterances[i] = dataclasses.replace(
+            utt, features=FeatureSequence(edit(utt.features.frames.copy())))
+    save_synthetic_corpus(corpus, out)
+    return [corpus.utterances[i].record for i in picked]
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +182,8 @@ class TestSynth:
         assert main(["synth", "--spec-file", str(spec_file),
                      "--out", str(out2)]) == EXIT_OK
         b1, b2 = dir_bytes(out1), dir_bytes(out2)
-        feat1 = {k: v for k, v in b1.items() if k.endswith(".feat")}
-        feat2 = {k: v for k, v in b2.items() if k.endswith(".feat")}
-        assert feat1 == feat2
+        assert "corpus.npz" in b1
+        assert b1["corpus.npz"] == b2["corpus.npz"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPRAHMM_SEED", "99")
@@ -239,10 +266,10 @@ class TestTrain:
                      "--kind", "CHMM3", "--out", str(tmp_path / "bank"),
                      "--config", tiny_config]) == EXIT_IO
 
-    def test_truncated_feature_file_is_data_error(self, tmp_path, tiny_corpus_dir,
+    def test_truncated_feature_file_is_data_error(self, tmp_path, tiny_v1_corpus_dir,
                                                   tiny_config, capsys):
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_corpus_dir, corpus)
+        shutil.copytree(tiny_v1_corpus_dir, corpus)
         entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
         path = corpus / entry["features"]
         path.write_bytes(path.read_bytes()[:-8])
@@ -264,10 +291,10 @@ class TestTrain:
     @pytest.mark.parametrize("damage", ["not_object", "no_spec", "no_prosody",
                                         "short_track", "short_tracks", "feature_dim",
                                         "emotion_list", "id_number", "duplicate_id"])
-    def test_damaged_corpus_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
+    def test_damaged_corpus_is_data_error(self, tmp_path, tiny_v1_corpus_dir, tiny_config,
                                           capsys, damage):
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_corpus_dir, corpus)
+        shutil.copytree(tiny_v1_corpus_dir, corpus)
         sidecar = json.loads((corpus / "corpus.json").read_text())
         entry = sidecar["utterances"][3]
         if damage == "not_object":
@@ -301,6 +328,46 @@ class TestTrain:
                  "id_number": "field id must be a string",
                  "duplicate_id": "duplicate utterance id %r" % entry["id"]}
         assert named.get(damage, "") in err
+
+    @pytest.mark.parametrize("damage", ["missing_array", "object_array", "truncated_zip",
+                                        "not_zip", "short_track", "frame_width",
+                                        "count_sum", "count_zero", "no_utterances"])
+    def test_damaged_store_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
+                                         capsys, damage):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, corpus)
+        store, sidecar_path = corpus / "corpus.npz", corpus / "corpus.json"
+        with np.load(store) as npz:
+            arrays = dict(npz)
+        if damage == "truncated_zip":
+            store.write_bytes(store.read_bytes()[:-100])
+        elif damage == "not_zip":
+            store.write_text("not a zip archive")
+        elif damage in ("count_sum", "count_zero", "no_utterances"):
+            sidecar = json.loads(sidecar_path.read_text())
+            entry = sidecar["utterances"][3]
+            if damage == "no_utterances":
+                sidecar["utterances"] = []
+            else:
+                entry["frames"] = 0 if damage == "count_zero" else entry["frames"] + 1
+            sidecar_path.write_text(json.dumps(sidecar))
+        else:
+            if damage == "missing_array":
+                del arrays["voiced"]
+            elif damage == "object_array":
+                arrays["f0_hz"] = arrays["f0_hz"].astype(object)
+            elif damage == "short_track":
+                arrays["log_energy"] = arrays["log_energy"][:-1]
+            else:
+                arrays["frames"] = np.hstack([arrays["frames"], arrays["frames"][:, :2]])
+            np.savez(store, **arrays)
+        assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
+                     "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(corpus) in err
+        assert ("corpus.json" if damage in ("count_zero", "no_utterances")
+                else "corpus.npz") in err
+        assert not (tmp_path / "bank").exists()
 
     @pytest.mark.parametrize("model, kind, key", [
         ({"num_mixtures": 0}, "CHMM3", "num_mixtures"),
@@ -349,18 +416,19 @@ class TestTrain:
             self, tmp_path, tiny_corpus_dir, tiny_config, capsys):
         # One overflowing frame in a training utterance: EM cannot use it.
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_corpus_dir, corpus)
-        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
-        frames = load_features(corpus / entry["features"]).frames.copy()
-        frames[3] = 1e160
-        save_features(corpus / entry["features"], FeatureSequence(frames))
+
+        def overflow_frame(frames):
+            frames[3] = 1e160
+            return frames
+
+        record, = with_frames(tiny_corpus_dir, corpus, overflow_frame, [0])
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--corpus", str(corpus), "--kind", "CHMM3",
                          "--out", str(tmp_path / "bank"), "--config", tiny_config])
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "zero likelihood" in err
-        assert repr(entry["id"]) in err and repr(entry["emotion"]) in err
+        assert repr(record.id) in err and repr(record.emotion) in err
 
     def test_jobs_is_a_usage_error(self, tmp_path, tiny_corpus_dir):
         # No command takes --jobs.
@@ -491,11 +559,7 @@ class TestEvaluate:
         # is exit 3, as in plain evaluate.
         csp, _ = trained_banks
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_corpus_dir, corpus)
-        for entry in json.loads((corpus / "corpus.json").read_text())["utterances"]:
-            frames = load_features(corpus / entry["features"]).frames
-            save_features(corpus / entry["features"],
-                          FeatureSequence(np.full_like(frames, 1e160)))
+        with_frames(tiny_corpus_dir, corpus, lambda frames: np.full_like(frames, 1e160))
         for alphas in ("0.5", "1"):
             with np.errstate(over="ignore", invalid="ignore"):
                 code = main(["evaluate", "--bank", str(csp), "--corpus", str(corpus),
@@ -637,16 +701,13 @@ class TestClassify:
         # error (exit 3) naming the utterance, not a None label.
         _, chm = trained_banks
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_corpus_dir, corpus)
-        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
-        frames = load_features(corpus / entry["features"]).frames
-        save_features(corpus / entry["features"],
-                      FeatureSequence(np.full_like(frames, 1e160)))
+        record, = with_frames(tiny_corpus_dir, corpus,
+                              lambda frames: np.full_like(frames, 1e160), [0])
         with np.errstate(over="ignore"):
             code = main(["classify", "--bank", str(chm), "--corpus", str(corpus),
-                         "--utterance", entry["id"], "--config", tiny_config])
+                         "--utterance", record.id, "--config", tiny_config])
         assert code == EXIT_IO
-        assert entry["id"] in capsys.readouterr().err
+        assert record.id in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("which", [0, 1], ids=["CSPHMM3", "CHMM3"])
@@ -674,17 +735,14 @@ class TestClassify:
         # The batch is scored whole; the label pass still stops at the
         # unscorable utterance and names it.
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_corpus_dir, corpus)
-        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][2]
-        frames = load_features(corpus / entry["features"]).frames
-        save_features(corpus / entry["features"],
-                      FeatureSequence(np.full_like(frames, 1e160)))
+        record, = with_frames(tiny_corpus_dir, corpus,
+                              lambda frames: np.full_like(frames, 1e160), [2])
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["classify", "--bank", str(trained_banks[which]),
                          "--corpus", str(corpus), "--config", tiny_config])
         assert code == EXIT_IO
         err = capsys.readouterr().err
-        assert entry["id"] in err and "zero likelihood" in err
+        assert record.id in err and "zero likelihood" in err
 
 
 def _with_nan(values):

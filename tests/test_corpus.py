@@ -1,7 +1,13 @@
 """Manifest ingestion, protocol splits, and the synthetic generator."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from suprahmm.corpus import (
@@ -18,10 +24,13 @@ from suprahmm.corpus import (
     make_split,
     prosody_synthetic_spec,
     save_synthetic_corpus,
+    split_utterances,
     synthesize_corpus,
     SyntheticSpec,
 )
 from suprahmm.hmm import forward_log_likelihood
+
+from corpus_v1 import write_v1_corpus
 
 MANIFEST_HEADER = "id,path,speaker,emotion,text,replicate\n"
 
@@ -273,3 +282,71 @@ class TestSynthetic:
         doc["num_speakers"] = 0
         with pytest.raises(ValueError):
             SyntheticSpec.from_dict(doc)
+
+
+def assert_same_utterances(expected, got):
+    """Equal records, and frames and prosody tracks equal bit for bit."""
+    assert [u.record for u in got] == [u.record for u in expected]
+    for a, b in zip(expected, got):
+        for x, y in [(a.features.frames, b.features.frames)] + [
+                (getattr(a.prosody, name), getattr(b.prosody, name))
+                for name in ("f0_hz", "voiced", "log_energy")]:
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+class TestCorpusStore:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**31 - 1), prosody=st.booleans(),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2)),
+           min_frames=st.integers(1, 20), extra_frames=st.integers(0, 20))
+    def test_round_trip_is_bit_equal(self, seed, prosody, shape, min_frames, extra_frames):
+        builder = prosody_synthetic_spec if prosody else default_synthetic_spec
+        doc = builder(seed=seed, dim=2).to_dict()
+        doc.update(num_speakers=shape[0], num_texts=shape[1], num_replicates=shape[2],
+                   min_frames=min_frames, max_frames=min_frames + extra_frames)
+        corpus = synthesize_corpus(SyntheticSpec.from_dict(doc))
+        with tempfile.TemporaryDirectory() as out:
+            save_synthetic_corpus(corpus, out)
+            assert sorted(os.listdir(out)) == ["corpus.json", "corpus.npz"]
+            loaded = load_synthetic_corpus(out)
+        assert loaded.spec.to_dict() == corpus.spec.to_dict()
+        assert_same_utterances(corpus.utterances, loaded.utterances)
+
+    def test_sidecar_holds_records_and_frame_counts_only(self, tmp_path):
+        corpus = synthesize_corpus(tiny_spec(seed=13))
+        save_synthetic_corpus(corpus, tmp_path)
+        sidecar = json.loads((tmp_path / "corpus.json").read_text())
+        assert sidecar["version"] == 2
+        for entry, utt in zip(sidecar["utterances"], corpus.utterances):
+            assert entry == {"id": utt.record.id, "speaker": utt.record.speaker,
+                             "emotion": utt.emotion, "text": utt.record.text,
+                             "replicate": utt.record.replicate,
+                             "frames": len(utt.features)}
+
+    def test_version_1_directory_loads_to_equal_utterances(self, tmp_path):
+        corpus = synthesize_corpus(tiny_spec(seed=13))
+        write_v1_corpus(corpus, tmp_path / "v1")
+        save_synthetic_corpus(corpus, tmp_path / "v2")
+        assert any(name.endswith(".feat") for name in os.listdir(tmp_path / "v1"))
+        v1 = load_synthetic_corpus(tmp_path / "v1")
+        assert v1.spec.to_dict() == corpus.spec.to_dict()
+        assert_same_utterances(corpus.utterances, v1.utterances)
+        assert_same_utterances(load_synthetic_corpus(tmp_path / "v2").utterances,
+                               v1.utterances)
+
+    def test_unknown_version_is_rejected(self, tmp_path):
+        save_synthetic_corpus(synthesize_corpus(tiny_spec()), tmp_path)
+        sidecar = json.loads((tmp_path / "corpus.json").read_text())
+        sidecar["version"] = 3
+        (tmp_path / "corpus.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ManifestError, match="unknown corpus version 3"):
+            load_synthetic_corpus(tmp_path)
+
+    def test_split_utterances_follows_make_split(self):
+        corpus = synthesize_corpus(tiny_spec(num_speakers=3, num_texts=3))
+        spec = default_split(corpus.spec)
+        train, test = split_utterances(corpus.utterances, spec)
+        records = make_split([u.record for u in corpus.utterances], spec)
+        assert ([u.record for u in train], [u.record for u in test]) == records
+        assert corpus.split(spec) == (train, test)

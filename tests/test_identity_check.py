@@ -28,6 +28,7 @@ def test_identical_trees_report_identical(tmp_path):
     assert record["identical"]
     assert record["parent"] == record["change"]
     assert record["corpora"]["tiny-s3"]["files_compared"] > 1
+    assert record["corpora"]["tiny-s3"]["content_identical"]
     for case in record["cases"].values():
         assert case["files_differing"] == []
         assert case["worst_rel_diff"] == 0.0
@@ -45,10 +46,37 @@ def test_perturbed_floor_names_the_files_and_the_worst_difference(tmp_path):
     assert not record["identical"]
     assert record["parent"]["src_suprahmm_sha256"] != record["change"]["src_suprahmm_sha256"]
     assert record["corpora"]["tiny-s3"]["identical"]  # the floor shapes banks only
+    assert record["corpora"]["tiny-s3"]["content_identical"]
     for case in record["cases"].values():
         assert os.path.join("bank", "bank.json") in case["files_differing"]
         assert "scores.npy" in case["files_differing"]
         assert 0.0 < case["worst_rel_diff"] < np.inf
+
+
+def test_corpus_stored_differently_is_content_identical(tmp_path):
+    # An indented corpus.json changes the corpus bytes, not what loads.
+    tree = _copy_tree(tmp_path, "indented")
+    corpus = tree / "src" / "suprahmm" / "corpus.py"
+    text = corpus.read_text()
+    assert "json.dump(sidecar, fh, sort_keys=True)" in text
+    corpus.write_text(text.replace("json.dump(sidecar, fh, sort_keys=True)",
+                                   "json.dump(sidecar, fh, sort_keys=True, indent=1)"))
+    record = identity_check.check(_ROOT, str(tree), [("tiny", 3, ("VQ",))], str(tmp_path))
+    assert not record["identical"]
+    assert record["corpora"]["tiny-s3"]["files_differing"] == ["corpus.json"]
+    assert record["corpora"]["tiny-s3"]["content_identical"]
+    assert record["cases"]["tiny-s3-VQ"]["identical"]
+
+
+def test_frames_changed_on_load_are_not_content_identical(tmp_path):
+    tree = _copy_tree(tmp_path, "scaled")
+    corpus = tree / "src" / "suprahmm" / "corpus.py"
+    text = corpus.read_text()
+    assert "FeatureSequence(f)" in text
+    corpus.write_text(text.replace("FeatureSequence(f)", "FeatureSequence(2 * f)"))
+    record = identity_check.check(_ROOT, str(tree), [("tiny", 3, ("VQ",))], str(tmp_path))
+    assert record["corpora"]["tiny-s3"]["identical"]
+    assert not record["corpora"]["tiny-s3"]["content_identical"]
 
 
 def test_worst_relative_difference():

@@ -13,7 +13,10 @@ and one BLAS thread, and for every case:
   - wav seeds 5, 51: the WAV clips of `perfbench/wavgen.py` through the
     front-end; GMM and VQ banks with the default TrainOptions
 
-writes the corpus files of a synthetic case, every bank file, the
+writes the corpus files of a synthetic case and, read back through
+`load_synthetic_corpus`, its content (each record with its frame count
+but without `path`, which names a storage file, and the frames and
+prosody tracks stacked in corpus order), every bank file, the
 `bank_scores` matrices of the reloaded bank on the test split (with the
 acoustic and prosody parts of a CSPHMM3 bank), the label of every test
 utterance and the `evaluate_split` report.  A further case, cli seed 3,
@@ -24,9 +27,11 @@ of each bank, `evaluate --alpha-sweep`, `classify --out` and
 `ttest --out`, keeping the printed output too.  The two sides are then
 compared: every file byte for byte (in a cli case, after each side's work
 directory is replaced by one placeholder, as reports name absolute
-paths), every score matrix bit for bit, with the worst relative
-difference |change - parent| / max(1, |parent|), the labels that flip and
-the confusion-count cells that change.  The record goes to
+paths), the content of each synthetic corpus (`content_identical`, which
+holds when only the storage layout changed), every score matrix bit for
+bit, with the worst relative difference |change - parent| /
+max(1, |parent|), the labels that flip and the confusion-count cells that
+change.  The record goes to
 IDENTITY_<n>.json at the repository root; the exit code is 0 when every
 case is identical and 1 otherwise.
 """
@@ -94,8 +99,22 @@ def _side(corpus: str, seed: int, work: str):
                                   vq_codebook_size=4)
     sh.save_synthetic_corpus(sh.synthesize_corpus(spec), os.path.join(work, "corpus"))
     loaded = sh.load_synthetic_corpus(os.path.join(work, "corpus"))
+    dump_content(loaded.utterances, os.path.join(work, "content"))
     train, test = loaded.split(sh.default_split(loaded.spec))
     return train, test, loaded.spec.labels, options
+
+
+def dump_content(utterances, out: str) -> None:
+    """records.json (id, speaker, emotion, text, replicate and frame count
+    of each utterance) and one .npy file per stacked array under `out`."""
+    os.makedirs(out)
+    with open(os.path.join(out, "records.json"), "w", encoding="utf-8") as fh:
+        json.dump([[u.record.id, u.record.speaker, u.record.emotion, u.record.text,
+                    u.record.replicate, len(u.features)] for u in utterances], fh)
+    np.save(os.path.join(out, "frames.npy"), np.vstack([u.features.frames for u in utterances]))
+    for name in ("f0_hz", "voiced", "log_energy"):
+        np.save(os.path.join(out, name + ".npy"),
+                np.concatenate([getattr(u.prosody, name) for u in utterances]))
 
 
 def run_cli(work: str, seed: int, kinds) -> None:
@@ -272,6 +291,8 @@ def check(parent_tree: str, change_tree: str, cases=DEFAULT_CASES, work_dir=None
             if corpus != "wav":
                 corpora[base] = compare_files(*(os.path.join(o, base, "corpus")
                                                 for o in outs))
+                corpora[base]["content_identical"] = compare_files(
+                    *(os.path.join(o, base, "content") for o in outs))["identical"]
             for kind in kinds:
                 banks["%s-%s" % (base, kind)] = compare_case(
                     *(os.path.join(o, base, kind) for o in outs))
@@ -298,8 +319,12 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, case in {**record["corpora"], **record["cases"], **record["cli"]}.items():
-        print("%-22s %s" % (name, "identical" if case["identical"] else
-                            "DIFFERS: %s" % ", ".join(case["files_differing"])))
+        differing = case["files_differing"]
+        verdict = "identical" if case["identical"] else "DIFFERS (%d files): %s%s" % (
+            len(differing), ", ".join(differing[:5]), ", ..." if len(differing) > 5 else "")
+        if "content_identical" in case:
+            verdict += "; content %s" % ("identical" if case["content_identical"] else "DIFFERS")
+        print("%-22s %s" % (name, verdict))
     print("wrote %s: %s" % (out, "identical" if record["identical"] else "differences"))
     return 0 if record["identical"] else 1
 
