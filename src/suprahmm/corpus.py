@@ -28,10 +28,16 @@ from .features import (
     MfccConfig,
     extract_features,
     frame_prosody,
-    load_features,
     load_wav,
 )
-from .hmm import HmmModel, sample_sequence
+from .hmm import (
+    CircularTopology,
+    GaussianMixtureEmission,
+    HmmModel,
+    TransitionTensor,
+    legal_contexts,
+    sample_sequence,
+)
 
 MANIFEST_COLUMNS = ("id", "path", "speaker", "emotion", "text", "replicate")
 
@@ -41,7 +47,7 @@ DEFAULT_EMOTIONS = ("neutral", "hot_anger", "sadness", "happiness", "disgust", "
 class ManifestError(Exception):
     """Malformed input data: a manifest with a bad header, bad row, duplicate
     key or missing file, or a damaged JSON document (corpus.json, bank.json,
-    model document, report, spec file) or feature file."""
+    model document, report, spec file) or corpus.npz store."""
 
 
 def read_json_object(path, decode):
@@ -382,11 +388,8 @@ def default_split(spec: SyntheticSpec, train_speaker_count: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _generator_for_emotion(rng, index, dim, num_states, emotion_shift,
-                           state_scale, state_patterns):
-    from .hmm import CircularTopology, GaussianMixtureEmission, TransitionTensor
-    from .hmm import legal_contexts
-
+def _generator_for_emotion(rng, dim, num_states, emotion_shift, state_scale,
+                           state_patterns):
     topology = CircularTopology(num_states)
     offset = emotion_shift * rng.normal(0.0, 1.0, size=dim)
     tensors = {}
@@ -412,7 +415,7 @@ def _build_spec(seed, labels, dim, num_states, emotion_shift, state_scale,
     generators = {}
     for index, label in enumerate(labels):
         acoustic = _generator_for_emotion(
-            rng, index, dim, num_states, emotion_shift, state_scale, state_patterns
+            rng, dim, num_states, emotion_shift, state_scale, state_patterns
         )
         prosody = ProsodyParams(
             mean_log_f0=np.log(110.0) + prosody_gap * index,
@@ -496,27 +499,10 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
         json.dump(sidecar, fh, sort_keys=True)
 
 
-def _gather_v1(path, entries, dim):
-    """(stacked arrays, frame counts) of a version-1 directory: a .feat file
-    per utterance, its prosody tracks in corpus.json."""
-    frames, tracks = [], []
-    for entry in entries:
-        frames.append(load_features(os.path.join(path, entry["features"])).frames)
-        if frames[-1].shape[1] != dim:
-            raise ValueError("%s has %d-dim frames, the spec %d"
-                             % (entry["features"], frames[-1].shape[1], dim))
-        tracks.append(FrameProsody(*(entry["prosody"][name] for name in _TRACKS)))
-        if len(tracks[-1]) != len(frames[-1]):
-            raise ValueError("utterance %r has %d prosody frames for %d feature frames"
-                             % (entry["id"], len(tracks[-1]), len(frames[-1])))
-    return ({"frames": np.vstack(frames),
-             **{name: np.concatenate([getattr(p, name) for p in tracks]) for name in _TRACKS}},
-            [len(f) for f in frames])
-
-
-def _corpus_from_store(spec, dim, entries, counts, arrays) -> SyntheticCorpus:
-    """The one builder of a loaded corpus: check the stacked arrays and the
-    entries, then cut the arrays into one Utterance per entry."""
+def _corpus_from_store(spec, dim, entries, arrays) -> SyntheticCorpus:
+    """Check the stacked arrays and the entries, then cut the arrays into
+    one Utterance per entry by its frame count."""
+    counts = [e["frames"] for e in entries]
     found = {name: (str(a.dtype), a.ndim) for name, a in arrays.items()}
     if found != STORE_ARRAYS:
         raise ValueError("%s holds arrays %s, not %s" % (CORPUS_STORE, found, STORE_ARRAYS))
@@ -541,39 +527,41 @@ def _corpus_from_store(spec, dim, entries, counts, arrays) -> SyntheticCorpus:
         records.append(UtteranceRecord(path="", replicate=int(entry["replicate"]),
                                        **{k: entry[k] for k in _STRING_FIELDS}))
     frames, *tracks = (np.split(arrays[name], np.cumsum(counts)[:-1]) for name in STORE_ARRAYS)
-    return SyntheticCorpus(spec, [Utterance(r, FeatureSequence(f), FrameProsody(*t))
-                                  for r, f, *t in zip(records, frames, *tracks)])
+    utterances = []
+    for r, f, *t in zip(records, frames, *tracks):
+        try:
+            utterances.append(Utterance(r, FeatureSequence(f), FrameProsody(*t)))
+        except ValueError as exc:
+            raise ValueError("%s: utterance %r: %s" % (CORPUS_STORE, r.id, exc)) from exc
+    return SyntheticCorpus(spec, utterances)
 
 
 def load_synthetic_corpus(path) -> SyntheticCorpus:
-    """Read a corpus written by save_synthetic_corpus, or a version-1
-    directory (a .feat file per utterance, prosody tracks in corpus.json).
+    """Read a corpus written by save_synthetic_corpus.
 
-    Raises ManifestError when corpus.json, corpus.npz or (version 1) a
-    feature file is damaged: no utterances, arrays not as STORE_ARRAYS,
-    frames not of the spec's dim, frame counts that are not positive or do
-    not sum to every array's rows, an id, speaker, emotion or text that is
-    not a string, a repeated id.
+    Raises ManifestError when corpus.json or corpus.npz is damaged: a
+    version other than 2, no utterances, arrays not as STORE_ARRAYS, frames
+    not of the spec's dim, frame counts that are not positive or do not sum
+    to every array's rows, an id, speaker, emotion or text that is not a
+    string, a repeated id, a non-finite frame (named by its utterance id).
     """
     def decode(sidecar):
         if sidecar.get("format") != "synthetic-corpus":
             raise ValueError("does not contain a synthetic corpus")
+        if sidecar["version"] != 2:
+            raise ValueError("corpus version %r is not supported, only version 2: regenerate "
+                             "it from its embedded spec with `suprahmm synth --spec-file`"
+                             % sidecar["version"])
         spec = SyntheticSpec.from_dict(sidecar["spec"])
         dim, entries = next(iter(spec.generators.values())).acoustic.dim, sidecar["utterances"]
         if not entries:
             raise ValueError("the corpus has no utterances")
-        if sidecar["version"] == 1:
-            arrays, counts = _gather_v1(path, entries, dim)
-        elif sidecar["version"] == 2:
-            counts = [e["frames"] for e in entries]
-            try:
-                with np.load(os.path.join(path, CORPUS_STORE), allow_pickle=False) as npz:
-                    arrays = dict(npz)
-            except (ValueError, zipfile.BadZipFile, EOFError) as exc:
-                raise ValueError("%s: %s" % (CORPUS_STORE, exc)) from exc
-        else:
-            raise ValueError("unknown corpus version %r" % sidecar["version"])
-        return _corpus_from_store(spec, dim, entries, counts, arrays)
+        try:
+            with np.load(os.path.join(path, CORPUS_STORE), allow_pickle=False) as npz:
+                arrays = dict(npz)
+        except (ValueError, zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError("%s: %s" % (CORPUS_STORE, exc)) from exc
+        return _corpus_from_store(spec, dim, entries, arrays)
 
     return read_json_object(os.path.join(path, CORPUS_SIDECAR), decode)
 

@@ -471,7 +471,10 @@ class CompositeLattice:
     log-emission 0, and every column is read, reset or backtracked at its
     own last frame, so the padding reaches no result.  Lattice values are
     stored (T, S, L * B), each time layer one contiguous block for the
-    gathers, and returned as (T, L * B, S) views.
+    gathers, and returned as (T, L * B, S) views.  They stay in log space:
+    on MFCC frames one frame's log-emissions span thousands of nats across
+    a model's states, so a scaled-probability forward that shifts each
+    frame by its maximum underflows the states the path can reach.
     """
 
     def __init__(self, *models: HmmModel):
@@ -530,14 +533,7 @@ class CompositeLattice:
             z += logw[k]
             self._lse_slots(z, alphas[t])
             alphas[t] += log_b[t].T.take(self.emit, axis=0)
-        # Each column's last layer with its live states (the rows of the
-        # tensor that leaves it, in lattice order) packed to the front: the
-        # sum in the log-sum-exp groups terms by position, and packed, a
-        # score does not depend on where the padded contexts sit.
-        ends = np.full((log_b.shape[1], self.emit.size), LOG_ZERO)
-        for k, step in enumerate(self.steps, start=1):
-            rows = np.flatnonzero(np.minimum(lengths, self.order) == k)
-            ends[rows, : step.src.size] = alphas[lengths[rows] - 1, :, rows][:, step.src]
+        ends = alphas[lengths - 1, :, np.arange(log_b.shape[1])]  # each column's last layer
         return alphas.transpose(0, 2, 1), _lse_last(ends)
 
     def backward(self, log_b: np.ndarray, lengths) -> np.ndarray:

@@ -18,9 +18,7 @@ from suprahmm.corpus import (
     save_synthetic_corpus,
     synthesize_corpus,
 )
-from suprahmm.features import FeatureSequence, load_features, save_features
-
-from corpus_v1 import write_v1_corpus
+from suprahmm.features import FeatureSequence
 
 RATE = 16000
 
@@ -55,14 +53,6 @@ def tiny_corpus():
 def tiny_corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus") / "synth"
     save_synthetic_corpus(tiny_corpus(), out)
-    return out
-
-
-@pytest.fixture(scope="module")
-def tiny_v1_corpus_dir(tmp_path_factory):
-    # The same corpus in the version-1 layout: a .feat file per utterance.
-    out = tmp_path_factory.mktemp("corpus") / "synth_v1"
-    write_v1_corpus(tiny_corpus(), out)
     return out
 
 
@@ -266,17 +256,6 @@ class TestTrain:
                      "--kind", "CHMM3", "--out", str(tmp_path / "bank"),
                      "--config", tiny_config]) == EXIT_IO
 
-    def test_truncated_feature_file_is_data_error(self, tmp_path, tiny_v1_corpus_dir,
-                                                  tiny_config, capsys):
-        corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_v1_corpus_dir, corpus)
-        entry = json.loads((corpus / "corpus.json").read_text())["utterances"][0]
-        path = corpus / entry["features"]
-        path.write_bytes(path.read_bytes()[:-8])
-        assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
-                     "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
-        assert entry["features"] in capsys.readouterr().err
-
     def test_corpus_of_wrong_format_is_data_error(self, tmp_path, tiny_corpus_dir,
                                                   tiny_config, capsys):
         corpus = tmp_path / "corpus"
@@ -288,42 +267,29 @@ class TestTrain:
                      "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
         assert "does not contain a synthetic corpus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["not_object", "no_spec", "no_prosody",
-                                        "short_track", "short_tracks", "feature_dim",
-                                        "emotion_list", "id_number", "duplicate_id"])
-    def test_damaged_corpus_is_data_error(self, tmp_path, tiny_v1_corpus_dir, tiny_config,
+    @pytest.mark.parametrize("damage", ["not_object", "no_spec", "emotion_list",
+                                        "id_number", "duplicate_id"])
+    def test_damaged_corpus_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
                                           capsys, damage):
         corpus = tmp_path / "corpus"
-        shutil.copytree(tiny_v1_corpus_dir, corpus)
+        shutil.copytree(tiny_corpus_dir, corpus)
         sidecar = json.loads((corpus / "corpus.json").read_text())
         entry = sidecar["utterances"][3]
         if damage == "not_object":
             sidecar = [sidecar]
         elif damage == "no_spec":
             del sidecar["spec"]
-        elif damage == "no_prosody":
-            del entry["prosody"]
         elif damage == "emotion_list":
             entry["emotion"] = []
         elif damage == "id_number":
             entry["id"] = 5
-        elif damage == "duplicate_id":
-            entry["id"] = sidecar["utterances"][2]["id"]
-        elif damage == "feature_dim":
-            frames = load_features(corpus / entry["features"]).frames
-            save_features(corpus / entry["features"],
-                          FeatureSequence(np.hstack([frames, frames[:, :2]])))
         else:
-            names = ["f0_hz"] if damage == "short_track" else list(entry["prosody"])
-            for name in names:
-                entry["prosody"][name] = entry["prosody"][name][:-1]
+            entry["id"] = sidecar["utterances"][2]["id"]
         (corpus / "corpus.json").write_text(json.dumps(sidecar))
         assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
                      "--out", str(tmp_path / "bank"), "--config", tiny_config]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(corpus) in err
-        if damage in ("short_tracks", "feature_dim"):
-            assert entry["id"] in err
         named = {"emotion_list": "field emotion must be a string",
                  "id_number": "field id must be a string",
                  "duplicate_id": "duplicate utterance id %r" % entry["id"]}
@@ -331,7 +297,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("damage", ["missing_array", "object_array", "truncated_zip",
                                         "not_zip", "short_track", "frame_width",
-                                        "count_sum", "count_zero", "no_utterances"])
+                                        "count_sum", "count_zero", "no_utterances",
+                                        "nan_frame"])
     def test_damaged_store_is_data_error(self, tmp_path, tiny_corpus_dir, tiny_config,
                                          capsys, damage):
         corpus = tmp_path / "corpus"
@@ -339,13 +306,13 @@ class TestTrain:
         store, sidecar_path = corpus / "corpus.npz", corpus / "corpus.json"
         with np.load(store) as npz:
             arrays = dict(npz)
+        sidecar = json.loads(sidecar_path.read_text())
+        entry = sidecar["utterances"][3]
         if damage == "truncated_zip":
             store.write_bytes(store.read_bytes()[:-100])
         elif damage == "not_zip":
             store.write_text("not a zip archive")
         elif damage in ("count_sum", "count_zero", "no_utterances"):
-            sidecar = json.loads(sidecar_path.read_text())
-            entry = sidecar["utterances"][3]
             if damage == "no_utterances":
                 sidecar["utterances"] = []
             else:
@@ -358,6 +325,9 @@ class TestTrain:
                 arrays["f0_hz"] = arrays["f0_hz"].astype(object)
             elif damage == "short_track":
                 arrays["log_energy"] = arrays["log_energy"][:-1]
+            elif damage == "nan_frame":
+                first = sum(e["frames"] for e in sidecar["utterances"][:3])
+                arrays["frames"][first + 1, 0] = np.nan
             else:
                 arrays["frames"] = np.hstack([arrays["frames"], arrays["frames"][:, :2]])
             np.savez(store, **arrays)
@@ -367,6 +337,8 @@ class TestTrain:
         assert err.startswith("error:") and str(corpus) in err
         assert ("corpus.json" if damage in ("count_zero", "no_utterances")
                 else "corpus.npz") in err
+        if damage == "nan_frame":
+            assert "utterance %r" % entry["id"] in err
         assert not (tmp_path / "bank").exists()
 
     @pytest.mark.parametrize("model, kind, key", [

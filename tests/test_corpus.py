@@ -30,8 +30,6 @@ from suprahmm.corpus import (
 )
 from suprahmm.hmm import forward_log_likelihood
 
-from corpus_v1 import write_v1_corpus
-
 MANIFEST_HEADER = "id,path,speaker,emotion,text,replicate\n"
 
 
@@ -324,24 +322,17 @@ class TestCorpusStore:
                              "replicate": utt.record.replicate,
                              "frames": len(utt.features)}
 
-    def test_version_1_directory_loads_to_equal_utterances(self, tmp_path):
-        corpus = synthesize_corpus(tiny_spec(seed=13))
-        write_v1_corpus(corpus, tmp_path / "v1")
-        save_synthetic_corpus(corpus, tmp_path / "v2")
-        assert any(name.endswith(".feat") for name in os.listdir(tmp_path / "v1"))
-        v1 = load_synthetic_corpus(tmp_path / "v1")
-        assert v1.spec.to_dict() == corpus.spec.to_dict()
-        assert_same_utterances(corpus.utterances, v1.utterances)
-        assert_same_utterances(load_synthetic_corpus(tmp_path / "v2").utterances,
-                               v1.utterances)
-
-    def test_unknown_version_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unknown_version_is_rejected(self, tmp_path, version):
         save_synthetic_corpus(synthesize_corpus(tiny_spec()), tmp_path)
         sidecar = json.loads((tmp_path / "corpus.json").read_text())
-        sidecar["version"] = 3
+        sidecar["version"] = version
         (tmp_path / "corpus.json").write_text(json.dumps(sidecar))
-        with pytest.raises(ManifestError, match="unknown corpus version 3"):
+        with pytest.raises(ManifestError) as err:
             load_synthetic_corpus(tmp_path)
+        message = str(err.value)
+        assert "corpus version %d is not supported" % version in message
+        assert "regenerate it from its embedded spec with `suprahmm synth --spec-file`" in message
 
     def test_split_utterances_follows_make_split(self):
         corpus = synthesize_corpus(tiny_spec(num_speakers=3, num_texts=3))

@@ -309,6 +309,15 @@ class TestIo:
         loaded = load_features(path)
         np.testing.assert_array_equal(loaded.frames, seq.frames)
 
+    @pytest.mark.parametrize("part", ["header", "payload"])
+    def test_truncated_feature_file_is_rejected_naming_the_path(self, tmp_path, part):
+        path = tmp_path / "u.feat"
+        save_features(path, FeatureSequence(np.arange(6.0).reshape(3, 2)))
+        path.write_bytes(path.read_bytes()[:5 if part == "header" else -8])
+        with pytest.raises(ValueError, match="truncated feature (file )?%s" % part) as err:
+            load_features(path)
+        assert str(path) in str(err.value)
+
     def test_feature_binary_layout(self, tmp_path):
         seq = FeatureSequence(np.array([[1.0, 2.0], [3.0, 4.0]]))
         path = tmp_path / "tiny.feat"

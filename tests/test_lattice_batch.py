@@ -32,7 +32,13 @@ from suprahmm.suprasegmental import (
     score_components_batch,
 )
 
-from oracles import enumerate_legal_paths, joint_path_log_prob, random_model
+from oracles import (
+    brute_forward,
+    brute_viterbi,
+    enumerate_legal_paths,
+    joint_path_log_prob,
+    random_model,
+)
 
 DIM = 2
 
@@ -147,6 +153,33 @@ def test_batched_viterbi_equals_per_utterance(seed, order, num_states, drawn_len
         want_path, want_score = viterbi_align(model, frames)
         np.testing.assert_array_equal(path, want_path)
         assert score == want_score
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3), num_states=st.integers(2, 4),
+       length=st.integers(2, 6))
+def test_far_apart_states_stay_exact_in_log_space(seed, order, num_states, length):
+    # Narrow mixtures, and each frame at the mean of a state drawn on its
+    # own: a frame's log-emissions span thousands of nats across the
+    # states, and its best state is often out of the path's reach.  A
+    # forward that rescales each frame by its best state's emission then
+    # underflows the states the path can take.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, num_states, 2, DIM, order=order)
+    em = model.emissions
+    em.variances = rng.uniform(1e-4, 1e-3, size=em.variances.shape)
+    picks = rng.integers(num_states, size=length), rng.integers(2, size=length)
+    obs = em.means[picks] + rng.normal(0.0, 0.01, size=(length, DIM))
+    corpus = [obs[:n] for n in range(length, 0, -1)]  # shorter copies in the same batch
+
+    totals = forward_log_likelihood_batch(model, corpus)
+    paths, scores = viterbi_align_batch(model, corpus)
+
+    for frames, total, path, score in zip(corpus, totals, paths, scores):
+        assert total == pytest.approx(brute_forward(model, frames), rel=1e-12)
+        want_path, want_score = brute_viterbi(model, frames)
+        np.testing.assert_array_equal(path, want_path)
+        assert score == pytest.approx(want_score, rel=1e-12)
 
 
 def test_batched_viterbi_full_tie_breaks_to_lowest_composite_index():

@@ -11,7 +11,10 @@ and one BLAS thread, and for every case:
   - desk seeds 1, 2, 3: `default_synthetic_spec(seed)` with 6 texts, saved
     and reloaded; CSPHMM3 and CHMM3 banks with the default TrainOptions
   - wav seeds 5, 51: the WAV clips of `perfbench/wavgen.py` through the
-    front-end; GMM and VQ banks with the default TrainOptions
+    front-end; GMM and VQ banks with the default TrainOptions, and on seed
+    51 CSPHMM3 and CHMM3 banks too (on MFCC frames one frame's
+    log-emissions span thousands of nats across a model's states, against
+    tens on the desk corpora)
 
 writes the corpus files of a synthetic case and, read back through
 `load_synthetic_corpus`, its content (each record with its frame count
@@ -55,6 +58,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CASES = (
     [("desk", seed, ("CSPHMM3", "CHMM3")) for seed in (1, 2, 3)]
     + [("wav", seed, ("GMM", "VQ")) for seed in (5, 51)]
+    + [("wav", 51, ("CSPHMM3", "CHMM3"))]
     + [("cli", 3, ("CSPHMM3", "CHMM3", "GMM", "VQ"))]
 )
 
