@@ -91,8 +91,13 @@ def legal_contexts(topology: CircularTopology, order: int) -> list[tuple[int, ..
 
 
 def _lse_last(z: np.ndarray) -> np.ndarray:
-    """log-sum-exp over the last axis; rows that are all -inf give -inf."""
-    peak = z.max(axis=-1)
+    """log-sum-exp over the last axis; rows that are all -inf give -inf.
+
+    The peak is taken over a copy with the last axis moved first, so the
+    max is one elementwise sweep per slab, not one short reduction per
+    row; `z` itself is left as it is.
+    """
+    peak = np.moveaxis(z, -1, 0).copy().max(axis=0)
     shift = np.where(np.isfinite(peak), peak, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(z - shift[..., None]).sum(axis=-1)) + shift
@@ -196,7 +201,9 @@ class GaussianMixtureEmission:
         work = np.empty((min(obs.shape[0], EMISSION_BLOCK_FRAMES),) + self.means.shape)
         for start in range(0, obs.shape[0], EMISSION_BLOCK_FRAMES):
             x = obs[start : start + EMISSION_BLOCK_FRAMES, None, None, :]
-            diff = np.subtract(x, self.means[None], out=work[: x.shape[0]])
+            diff = work[: x.shape[0]]
+            diff[...] = x
+            diff -= self.means
             sq = np.divide(np.square(diff, out=diff), self.variances[None], out=diff).sum(axis=3)
             out[start : start + EMISSION_BLOCK_FRAMES] = (
                 log_w[None] - 0.5 * (self.dim * _LOG_2PI + log_det[None] + sq)
@@ -456,8 +463,9 @@ class CompositeLattice:
     self-loop always is) and padding keeps lexicographic order, so every
     step, boot or stationary, moves context P to (P + (s,))[1:]; a boot
     layer holds -inf at every state that is not a padded context.  Every
-    state has at most two predecessors and two successors, so the DP
-    recursions reduce to fixed-width gather/logaddexp operations.
+    state has at most two predecessors and two successors, so each DP
+    step is one gather of the two edge slots and one whole-layer sweep
+    over them: a two-slot log-sum-exp (forward, backward) or max (Viterbi).
 
     One lattice runs L models of one num_states and order.  Its layout
     (`emit`, `start`, each step's index arrays) depends on that pair only
@@ -494,13 +502,16 @@ class CompositeLattice:
 
     def _prepare(self, log_b: np.ndarray, lengths, kind: str):
         """Over the L * B columns: each step's `kind` edges as flat indices
-        into a C-ordered (S, L * B) layer (a gather is one 1-D take), their
-        weights spread over each model's columns, the column lengths and
-        the columns ending at each frame."""
+        into a C-ordered (S, L * B) layer (a gather is one 1-D take), shaped
+        (width, S, L * B) so each slot gathers into one contiguous block,
+        their weights spread over each model's columns in that shape, the
+        column lengths and the columns ending at each frame."""
         columns = log_b.shape[1]
         weights = self.pred_logw if kind == "pred_idx" else self.succ_logw
-        edges = [getattr(s, kind)[:, :, None] * columns + np.arange(columns) for s in self.steps]
-        logw = [np.repeat(w, columns // self.num_models, axis=2) for w in weights]
+        edges = [np.ascontiguousarray(getattr(s, kind).T)[:, :, None] * columns
+                 + np.arange(columns) for s in self.steps]
+        logw = [np.repeat(w.transpose(1, 0, 2), columns // self.num_models, axis=2)
+                for w in weights]
         lengths = np.tile(np.asarray(lengths), self.num_models)
         ending: dict[int, list[int]] = {}
         for row, n in enumerate(lengths.tolist()):
@@ -516,23 +527,36 @@ class CompositeLattice:
 
     @staticmethod
     def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
-        """log-sum-exp of (S, width, B) edge scores over the width slots."""
-        out[...] = z[:, 0]
-        for col in range(1, z.shape[1]):
-            np.logaddexp(out, z[:, col], out=out)
+        """log-sum-exp of (width, S, C) edge scores over the width <= 2
+        slots into `out`, as max + log1p(exp(min - max)) in whole-layer
+        sweeps, with the first slot as scratch.  Run under
+        errstate(invalid="ignore"): a pair of -inf gives min - max = NaN,
+        which fmin turns into 0, so the result stays -inf."""
+        if z.shape[0] == 1:  # a one-state ring: one edge per context
+            out[...] = z[0]
+            return
+        lo, other = z
+        np.maximum(lo, other, out=out)
+        np.minimum(lo, other, out=lo)
+        lo -= out
+        np.fmin(lo, 0.0, out=lo)
+        np.log1p(np.exp(lo, out=lo), out=lo)
+        out += lo
 
     def forward(self, log_b: np.ndarray, lengths):
         """Forward pass; returns (alphas (T, L * B, S), per-column
         log-likelihoods (L * B,))."""
         edges, logw, lengths, _ = self._prepare(log_b, lengths, "pred_idx")
-        alphas = np.empty((log_b.shape[0], self.emit.size, log_b.shape[1]))
+        alphas = log_b.transpose(0, 2, 1).take(self.emit, axis=1)  # each context's emissions
         alphas[0] = self._start(log_b)
-        for t in range(1, log_b.shape[0]):
-            k = min(t, self.order) - 1  # the step feeding the layer at time t
-            z = alphas[t - 1].ravel()[edges[k]]
-            z += logw[k]
-            self._lse_slots(z, alphas[t])
-            alphas[t] += log_b[t].T.take(self.emit, axis=0)
+        lse = np.empty(alphas.shape[1:])
+        with np.errstate(invalid="ignore"):
+            for t in range(1, log_b.shape[0]):
+                k = min(t, self.order) - 1  # the step feeding the layer at time t
+                z = alphas[t - 1].ravel()[edges[k]]
+                z += logw[k]
+                self._lse_slots(z, lse)
+                alphas[t] += lse
         ends = alphas[lengths - 1, :, np.arange(log_b.shape[1])]  # each column's last layer
         return alphas.transpose(0, 2, 1), _lse_last(ends)
 
@@ -543,22 +567,23 @@ class CompositeLattice:
         edges, logw, _, ending = self._prepare(log_b, lengths, "succ_idx")
         betas = np.empty((T, self.emit.size, log_b.shape[1]))
         betas[T - 1] = 0.0
-        for t in range(T - 1, 0, -1):
-            k = min(t, self.order) - 1
-            nxt = betas[t] + log_b[t].T.take(self.emit, axis=0)
-            z = nxt.ravel()[edges[k]]
-            z += logw[k]
-            self._lse_slots(z, betas[t - 1])
-            if t - 1 in ending:
-                betas[t - 1][:, ending[t - 1]] = 0.0
+        with np.errstate(invalid="ignore"):
+            for t in range(T - 1, 0, -1):
+                k = min(t, self.order) - 1
+                nxt = betas[t] + log_b[t].T.take(self.emit, axis=0)
+                z = nxt.ravel()[edges[k]]
+                z += logw[k]
+                self._lse_slots(z, betas[t - 1])
+                if t - 1 in ending:
+                    betas[t - 1][:, ending[t - 1]] = 0.0
         return betas.transpose(0, 2, 1)
 
     def viterbi(self, log_b: np.ndarray, lengths):
         """Best path of every column and its log-probability: (list of
         L * B state paths, each as long as its utterance, scores (L * B,)).
 
-        Ties prefer the lowest lattice index (contexts are sorted, and a
-        later edge slot must score strictly higher to win).  The backtrack
+        Ties prefer the lowest lattice index (contexts are sorted, and the
+        second edge slot must score strictly higher to win).  The backtrack
         is one gather per time step over all columns; a column joins it at
         its own last frame, from its best final state.
         """
@@ -572,10 +597,10 @@ class CompositeLattice:
                 k = min(t, self.order) - 1
                 z = layer.ravel()[edges[k]]
                 z += logw[k]
-                layer, slot = z[:, 0].copy(), slots[t]
-                for col in range(1, z.shape[1]):
-                    slot[z[:, col] > layer] = col
-                    np.maximum(layer, z[:, col], out=layer)
+                layer = z[0]
+                if z.shape[0] == 2:  # the second slot wins only when strictly higher
+                    np.greater(z[1], layer, out=slots[t].view(bool))
+                    np.maximum(layer, z[1], out=layer)
                 layer += log_b[t].T.take(self.emit, axis=0)
             if t in ending:
                 ends[ending[t]] = layer[:, ending[t]].T

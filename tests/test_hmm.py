@@ -16,6 +16,8 @@ from suprahmm.hmm import (
     GaussianMixtureEmission,
     HmmModel,
     TransitionTensor,
+    _layout,
+    _lse_last,
     baum_welch_train,
     forward_log_likelihood,
     initial_model,
@@ -220,6 +222,35 @@ class TestLatticeSteps:
                     slots = np.flatnonzero(step.succ_idx[i] == j)
                     assert slots.size == 1
                     assert succ_logw[i, slots[0]] == logw
+
+
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    @pytest.mark.parametrize("num_states", range(1, 7))
+    def test_every_step_has_at_most_two_slots(self, num_states, order):
+        # The recursions sweep a layer over two edge slots at most.
+        _, _, steps = _layout(num_states, order)
+        for step in steps:
+            assert step.succ_idx.shape[1] <= 2
+            assert step.pred_idx.shape[1] <= 2
+
+
+class TestLseLast:
+    @pytest.mark.parametrize("num_mixtures", (1, 2, 3, 32))
+    def test_bit_equal_to_max_reduce_and_leaves_its_argument(self, num_mixtures):
+        rng = np.random.default_rng(num_mixtures)
+        z = rng.normal(size=(40, 6, num_mixtures))  # near 0: a reordered sum shows
+        z[rng.random(z.shape) < 0.2] = -np.inf
+        z[2, 3] = -np.inf
+        z[5] = -np.inf
+        before = z.copy()
+        got = _lse_last(z)
+        np.testing.assert_array_equal(z, before)
+        peak = before.max(axis=-1)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        with np.errstate(divide="ignore"):
+            want = np.log(np.exp(before - shift[..., None]).sum(axis=-1)) + shift
+        np.testing.assert_array_equal(got, want)
+        assert got[2, 3] == -np.inf and np.all(got[5] == -np.inf)
 
 
 class TestBootLayerProperties:

@@ -79,6 +79,11 @@ def test_frames_changed_on_load_are_not_content_identical(tmp_path):
     assert not record["corpora"]["tiny-s3"]["content_identical"]
 
 
+def test_default_cases_build_each_corpus_once():
+    pairs = [(corpus, seed) for corpus, seed, _ in identity_check.DEFAULT_CASES]
+    assert len(pairs) == len(set(pairs))
+
+
 def test_worst_relative_difference():
     worst = identity_check.worst_relative_difference
     a = np.array([[-np.inf, 2.0, np.nan], [0.5, -4.0, 1.0]])

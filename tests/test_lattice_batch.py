@@ -3,6 +3,8 @@ posteriors against path enumeration, batched Viterbi against per-utterance
 alignment, and models stacked on the batch axis against one lattice per
 model."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,58 @@ def test_far_apart_states_stay_exact_in_log_space(seed, order, num_states, lengt
         want_path, want_score = brute_viterbi(model, frames)
         np.testing.assert_array_equal(path, want_path)
         assert score == pytest.approx(want_score, rel=1e-12)
+
+
+_log_weight = st.one_of(st.just(-np.inf), st.floats(-1e5, 1e5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(_log_weight, _log_weight), min_size=1, max_size=40))
+def test_two_slot_log_sum_exp_matches_logaddexp(pairs):
+    a, b = np.array(pairs).T
+    z = np.stack([a, b])[:, None, :]  # (width 2, S 1, C)
+    got = np.empty((1, a.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):  # as forward and backward run it
+            CompositeLattice._lse_slots(z, got)
+    got, want = got[0], np.logaddexp(a, b)
+    assert not np.isnan(got).any()
+    either = (a == -np.inf) | (b == -np.inf)
+    np.testing.assert_array_equal(got[either], want[either])
+    got, want = got[~either], want[~either]
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3), num_states=st.integers(2, 4),
+       length=st.integers(1, 6))
+def test_certain_and_impossible_moves_match_enumeration(seed, order, num_states, length):
+    # Transition rows of (1, 0) and (0, 1) and a start that skips states
+    # leave contexts unreachable, so stationary layers hold pairs of -inf
+    # in both edge slots; forward and backward must keep them -inf, with
+    # no NaN and no warning.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, num_states, 2, DIM, order=order)
+    model.initial[rng.permutation(num_states)[: num_states // 2]] = 0.0
+    model.initial /= model.initial.sum()
+    for tensor in model.tensors.values():
+        certain = rng.random(tensor.matrix.shape[0]) < 0.6
+        tensor.matrix[certain] = np.eye(2)[rng.integers(2, size=certain.sum())]
+    corpus = [rng.normal(size=(n, DIM)) for n in range(length, 0, -1)]
+    log_b, lengths = _emission_batch([model], corpus)
+    lattice = CompositeLattice(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alphas, totals = lattice.forward(log_b, lengths)
+        betas = lattice.backward(log_b, lengths)
+    assert not np.isnan(alphas).any() and not np.isnan(betas).any()
+    for col, frames in enumerate(corpus):
+        want = brute_forward(model, frames)
+        assert totals[col] == pytest.approx(want, rel=1e-12)
+        for t in range(len(frames)):
+            assert logsumexp(alphas[t, col] + betas[t, col]) == pytest.approx(want, rel=1e-12)
 
 
 def test_batched_viterbi_full_tie_breaks_to_lowest_composite_index():

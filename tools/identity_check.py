@@ -54,11 +54,11 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (corpus, seed, bank kinds)
+# (corpus, seed, bank kinds); one entry per (corpus, seed), whose clips or
+# corpus each side builds once
 DEFAULT_CASES = (
     [("desk", seed, ("CSPHMM3", "CHMM3")) for seed in (1, 2, 3)]
-    + [("wav", seed, ("GMM", "VQ")) for seed in (5, 51)]
-    + [("wav", 51, ("CSPHMM3", "CHMM3"))]
+    + [("wav", 5, ("GMM", "VQ")), ("wav", 51, ("GMM", "VQ", "CSPHMM3", "CHMM3"))]
     + [("cli", 3, ("CSPHMM3", "CHMM3", "GMM", "VQ"))]
 )
 
