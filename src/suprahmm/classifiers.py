@@ -51,8 +51,6 @@ from .suprasegmental import (
     train_on_alignments,
 )
 
-BANK_KINDS = ("CSPHMM3", "CHMM3", "GMM", "VQ")
-
 DEFAULT_GMM_COMPONENTS = 32
 DEFAULT_VQ_CODEBOOK = 64
 
@@ -205,6 +203,12 @@ def lbg_codebook(frames, num_centroids: int = DEFAULT_VQ_CODEBOOK, seed: int = 0
 # ---------------------------------------------------------------------------
 # Banks
 # ---------------------------------------------------------------------------
+
+# The model class of each bank kind: models encode with to_dict and decode
+# with from_dict.
+_MODEL_TYPES = {"CSPHMM3": Csphmm3Model, "CHMM3": HmmModel, "GMM": GmmBaselineModel,
+                "VQ": VqBaselineModel}
+BANK_KINDS = tuple(_MODEL_TYPES)
 
 
 @dataclass(frozen=True)
@@ -399,11 +403,6 @@ def pick_label(labels, scores, utterance_id) -> str:
 # ---------------------------------------------------------------------------
 
 BANK_MANIFEST = "bank.json"
-
-# The model class of each bank kind: models encode with to_dict and decode
-# with from_dict.
-_MODEL_TYPES = {"CSPHMM3": Csphmm3Model, "CHMM3": HmmModel, "GMM": GmmBaselineModel,
-                "VQ": VqBaselineModel}
 
 
 def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:

@@ -9,6 +9,7 @@ overrides both.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -61,8 +62,15 @@ class ExperimentConfig:
         unknown = set(self.model) - set(_MODEL_KEYS)
         if unknown:
             raise ConfigError("unknown model keys: %s" % sorted(unknown))
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        if not (type(self.seed) is int and self.seed >= 0):  # a bool is not an int here
+            raise ConfigError("seed must be a non-negative integer")
+        for key, default in _FEATURE_KEYS.items():  # typed as their defaults
+            value = self.features[key]
+            if type(default) is int and not (type(value) is int and value > 0):
+                raise ConfigError("%s must be a positive integer" % key)
+            if type(default) is float and not (type(value) in (int, float)
+                                               and math.isfinite(value)):
+                raise ConfigError("%s must be a finite number" % key)
         field_of_key = {key: name for name, key in _MODEL_NAMES.items()}
         try:
             self.mfcc = MfccConfig(**{f.name: self.features[f.name]

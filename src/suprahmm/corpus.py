@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .features import (
+    PROSODY_DIM,
     FeatureSequence,
     FrameProsody,
     MfccConfig,
@@ -344,7 +345,7 @@ def feature_fingerprint(utterances) -> dict:
     return {
         "source": "mfcc" if utterances[0].record.path.endswith(".wav") else "synthetic",
         "dim": utterances[0].features.dim,
-        "prosody_dim": 6,
+        "prosody_dim": PROSODY_DIM,
     }
 
 

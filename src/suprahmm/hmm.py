@@ -8,7 +8,8 @@ keeps one tensor per context length 1..r: the shorter ones boot the chain
 at t = 2..r, the full-order tensor drives every later step.  Every time
 layer of the lattice is one S-wide layer over the S full-order contexts:
 a shorter boot context sits at its left-padded full-order tuple (its first
-state repeated), and the other states of a boot layer hold -inf.
+state repeated), so every step runs on one edge set, and a boot step
+differs only in its weights: -inf off its tensor's rows.
 
 All probability math runs in log space; illegal moves are structurally
 absent from the sparse tensors and therefore carry exactly zero mass.
@@ -30,7 +31,6 @@ import functools
 import itertools
 import warnings
 from bisect import bisect_right
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,12 +393,6 @@ def joint_log_prob(model: HmmModel, states, observations) -> float:
 # ---------------------------------------------------------------------------
 
 
-# One lattice step's index arrays: `src`, the lattice index of every tensor row;
-# its edges by source (`succ_idx`) and by destination (`pred_idx`); `pred_edge`,
-# the flat (S * width) successor slot of each predecessor slot, S * width if none.
-_Step = namedtuple("_Step", "src succ_idx pred_idx pred_edge")
-
-
 def _safe_log(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(values)
@@ -406,37 +400,31 @@ def _safe_log(values: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _layout(num_states: int, order: int):
-    """The read-only (emit, start, steps) of an order-`order` lattice on
-    `num_states` states: each context's ring state, the index of each
-    length-1 context and one `_Step` per context length.  Tensor row `ctx`
-    of step k sits at its padded context and moves to the shifted padded
-    tuple after each successor of its last state; the predecessor view
-    lists sources ascending, which gives Viterbi its lowest-index tie-break.
+    """The read-only (emit, start, succ_idx, pred_idx, pred_edge, srcs) of
+    an order-`order` lattice on `num_states` states: each context's ring
+    state, the index of each length-1 context, the one edge set of every
+    step and, per context length, the padded context of each tensor row.
+    Context P moves to (P + (s,))[1:] after each successor s of its last
+    state: two edges (S, 2) by source, and by destination with sources
+    ascending, which gives Viterbi its lowest-index tie-break; `pred_edge`
+    is the flat successor slot of each predecessor slot.  A one-state ring
+    pads its one move with a second self edge, weighted -inf.
     """
     topology = CircularTopology(num_states)
     contexts = legal_contexts(topology, order)
     index = {c: j for j, c in enumerate(contexts)}
-    steps = []
-    for k in range(1, order + 1):
-        src = np.array([index[ctx[:1] * (order - k) + ctx]
-                        for ctx in legal_contexts(topology, k)], dtype=np.intp)
-        succ_idx = np.array([[index[(ctx + (s,))[1:]] for s in topology.successors(ctx[-1])]
-                             for ctx in contexts], dtype=np.intp)
-        width = succ_idx.shape[1]
-        edge = (src[:, None] * width + np.arange(width)).ravel()[
-            np.argsort(succ_idx[src].ravel(), kind="stable")]  # keeps sources ascending
-        dst = succ_idx.ravel()[edge]
-        in_degree = np.bincount(dst, minlength=len(contexts))
-        slot = np.arange(dst.size) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
-        pred_edge = np.full((len(contexts), int(in_degree.max())), succ_idx.size, dtype=np.intp)
-        pred_edge[dst, slot] = edge
-        pred_idx = np.where(pred_edge < succ_idx.size, pred_edge // width, 0)
-        steps.append(_Step(src, succ_idx, pred_idx, pred_edge))
+    succ_idx = np.array([[index[(ctx + (s,))[1:]] for s in (ctx[-1], (ctx[-1] + 1) % num_states)]
+                         for ctx in contexts], dtype=np.intp)
+    pred_edge = np.argsort(succ_idx.ravel(), kind="stable").reshape(-1, 2)  # sources ascending
+    pred_idx = pred_edge // 2
+    srcs = tuple(np.array([index[ctx[:1] * (order - k) + ctx]
+                           for ctx in legal_contexts(topology, k)], dtype=np.intp)
+                 for k in range(1, order + 1))
     emit = np.array([c[-1] for c in contexts])
     start = np.array([index[(i,) * order] for i in range(num_states)])
-    for array in [emit, start, *(a for step in steps for a in step)]:
+    for array in (emit, start, succ_idx, pred_idx, pred_edge, *srcs):
         array.flags.writeable = False
-    return emit, start, tuple(steps)
+    return emit, start, succ_idx, pred_idx, pred_edge, srcs
 
 
 def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
@@ -461,17 +449,18 @@ class CompositeLattice:
     length k is stored at the index of c[:1] * (r - k) + c, c padded on the
     left with copies of its first state.  The padded tuple is legal (the
     self-loop always is) and padding keeps lexicographic order, so every
-    step, boot or stationary, moves context P to (P + (s,))[1:]; a boot
-    layer holds -inf at every state that is not a padded context.  Every
-    state has at most two predecessors and two successors, so each DP
-    step is one gather of the two edge slots and one whole-layer sweep
-    over them: a two-slot log-sum-exp (forward, backward) or max (Viterbi).
+    step, boot or stationary, moves context P to (P + (s,))[1:].  So all
+    steps share one edge set, two slots per state each way, and a boot
+    step differs only in its weights: -inf on the edges of every state
+    that is not a padded context.  Each DP step is one gather of the two
+    edge slots and one whole-layer sweep over them: a two-slot
+    log-sum-exp (forward, backward) or max (Viterbi).
 
     One lattice runs L models of one num_states and order.  Its layout
-    (`emit`, `start`, each step's index arrays) depends on that pair only
-    and is built once per pair, shared read-only; the models' weights are
-    kept apart: (S, width, L) `succ_logw` and `pred_logw` per step and
-    (N, L) `initial_log`.  The recursions step B utterances through time
+    (`emit`, `start`, the edges and each tensor's rows) depends on that
+    pair only and is built once per pair, shared read-only; the models'
+    weights are kept apart: (S, 2, L) `succ_logw` and `pred_logw` per step
+    and (N, L) `initial_log`.  The recursions step B utterances through time
     together, the L models on the same batch axis: log-emissions are
     (T, L * B, N), model-major (model l scores utterance b in column
     l * B + b), and each model's weights broadcast over its B columns.
@@ -490,26 +479,24 @@ class CompositeLattice:
         if any((m.num_states, m.order) != key for m in models):
             raise ValueError("the models of one lattice must share num_states and order")
         self.order, self.num_models = key[1], len(models)
-        self.emit, self.start, self.steps = _layout(*key)
+        self.emit, self.start, self.succ_idx, self.pred_idx, pred_edge, self.srcs = _layout(*key)
         self.initial_log = _safe_log(np.column_stack([m.initial for m in models]))
         self.succ_logw, self.pred_logw = [], []
-        for k, step in enumerate(self.steps, start=1):
-            succ = np.full(step.succ_idx.shape + (len(models),), LOG_ZERO)
-            succ[step.src] = _safe_log(np.stack([m.tensors[k].matrix for m in models], axis=-1))
+        for k, src in enumerate(self.srcs, start=1):
+            logw = _safe_log(np.stack([m.tensors[k].matrix for m in models], axis=-1))
+            succ = np.full(self.succ_idx.shape + (len(models),), LOG_ZERO)
+            succ[src, : logw.shape[1]] = logw
             self.succ_logw.append(succ)
-            flat = np.vstack([succ.reshape(-1, len(models)), np.full(len(models), LOG_ZERO)])
-            self.pred_logw.append(flat[step.pred_edge])  # the -inf row past S * width: no edge
+            self.pred_logw.append(succ.reshape(-1, len(models))[pred_edge])
 
-    def _prepare(self, log_b: np.ndarray, lengths, kind: str):
-        """Over the L * B columns: each step's `kind` edges as flat indices
+    def _prepare(self, log_b: np.ndarray, lengths, index: np.ndarray, weights):
+        """Over the L * B columns: the (S, 2) edges `index` as flat indices
         into a C-ordered (S, L * B) layer (a gather is one 1-D take), shaped
-        (width, S, L * B) so each slot gathers into one contiguous block,
-        their weights spread over each model's columns in that shape, the
+        (2, S, L * B) so each slot gathers into one contiguous block, each
+        step's `weights` spread over each model's columns in that shape, the
         column lengths and the columns ending at each frame."""
         columns = log_b.shape[1]
-        weights = self.pred_logw if kind == "pred_idx" else self.succ_logw
-        edges = [np.ascontiguousarray(getattr(s, kind).T)[:, :, None] * columns
-                 + np.arange(columns) for s in self.steps]
+        edges = np.ascontiguousarray(index.T)[:, :, None] * columns + np.arange(columns)
         logw = [np.repeat(w.transpose(1, 0, 2), columns // self.num_models, axis=2)
                 for w in weights]
         lengths = np.tile(np.asarray(lengths), self.num_models)
@@ -527,14 +514,12 @@ class CompositeLattice:
 
     @staticmethod
     def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
-        """log-sum-exp of (width, S, C) edge scores over the width <= 2
-        slots into `out`, as max + log1p(exp(min - max)) in whole-layer
-        sweeps, with the first slot as scratch.  Run under
+        """log-sum-exp of (2, S, C) edge scores over the two slots into
+        `out`, as max + log1p(exp(min - max)) in whole-layer sweeps, with
+        the first slot as scratch.  Symmetric in the slots; a -inf slot
+        adds log1p(0) = 0, so the other comes out exact.  Run under
         errstate(invalid="ignore"): a pair of -inf gives min - max = NaN,
         which fmin turns into 0, so the result stays -inf."""
-        if z.shape[0] == 1:  # a one-state ring: one edge per context
-            out[...] = z[0]
-            return
         lo, other = z
         np.maximum(lo, other, out=out)
         np.minimum(lo, other, out=lo)
@@ -546,14 +531,14 @@ class CompositeLattice:
     def forward(self, log_b: np.ndarray, lengths):
         """Forward pass; returns (alphas (T, L * B, S), per-column
         log-likelihoods (L * B,))."""
-        edges, logw, lengths, _ = self._prepare(log_b, lengths, "pred_idx")
+        edges, logw, lengths, _ = self._prepare(log_b, lengths, self.pred_idx, self.pred_logw)
         alphas = log_b.transpose(0, 2, 1).take(self.emit, axis=1)  # each context's emissions
         alphas[0] = self._start(log_b)
         lse = np.empty(alphas.shape[1:])
         with np.errstate(invalid="ignore"):
             for t in range(1, log_b.shape[0]):
                 k = min(t, self.order) - 1  # the step feeding the layer at time t
-                z = alphas[t - 1].ravel()[edges[k]]
+                z = alphas[t - 1].ravel()[edges]
                 z += logw[k]
                 self._lse_slots(z, lse)
                 alphas[t] += lse
@@ -564,14 +549,15 @@ class CompositeLattice:
         """Backward pass; returns betas (T, L * B, S), 0 at each column's
         last frame."""
         T = log_b.shape[0]
-        edges, logw, _, ending = self._prepare(log_b, lengths, "succ_idx")
+        edges, logw, _, ending = self._prepare(log_b, lengths, self.succ_idx,
+                                               self.succ_logw)
         betas = np.empty((T, self.emit.size, log_b.shape[1]))
         betas[T - 1] = 0.0
         with np.errstate(invalid="ignore"):
             for t in range(T - 1, 0, -1):
                 k = min(t, self.order) - 1
                 nxt = betas[t] + log_b[t].T.take(self.emit, axis=0)
-                z = nxt.ravel()[edges[k]]
+                z = nxt.ravel()[edges]
                 z += logw[k]
                 self._lse_slots(z, betas[t - 1])
                 if t - 1 in ending:
@@ -588,19 +574,19 @@ class CompositeLattice:
         its own last frame, from its best final state.
         """
         T, columns, _ = log_b.shape
-        edges, logw, lengths, ending = self._prepare(log_b, lengths, "pred_idx")
+        edges, logw, lengths, ending = self._prepare(log_b, lengths, self.pred_idx,
+                                                     self.pred_logw)
         layer = self._start(log_b)
         ends = np.empty((columns, self.emit.size))
         slots = np.zeros((T, self.emit.size, columns), dtype=np.int8)
         for t in range(T):
             if t:
                 k = min(t, self.order) - 1
-                z = layer.ravel()[edges[k]]
+                z = layer.ravel()[edges]
                 z += logw[k]
                 layer = z[0]
-                if z.shape[0] == 2:  # the second slot wins only when strictly higher
-                    np.greater(z[1], layer, out=slots[t].view(bool))
-                    np.maximum(layer, z[1], out=layer)
+                np.greater(z[1], layer, out=slots[t].view(bool))  # only when strictly higher
+                np.maximum(layer, z[1], out=layer)
                 layer += log_b[t].T.take(self.emit, axis=0)
             if t in ending:
                 ends[ending[t]] = layer[:, ending[t]].T
@@ -613,7 +599,7 @@ class CompositeLattice:
                 cur[ending[t]] = final[ending[t]]
             idx[:, t] = cur
             if t:
-                cur = self.steps[min(t, self.order) - 1].pred_idx[cur, slots[t, cur, rows]]
+                cur = self.pred_idx[cur, slots[t, cur, rows]]
         states = self.emit[idx]
         return [states[row, :n] for row, n in enumerate(lengths.tolist())], ends[rows, final]
 
@@ -706,21 +692,22 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     # (time, row) frames that step feeds: t = k for a boot step k < order,
     # t = order .. T-1 for the stationary step (a step with k >= T feeds
     # none).  Sources that are not rows of the step's tensor carry weight
-    # -inf.  A step that feeds no frame keeps zero counts.
+    # -inf, and a one-state ring's padded slot is no tensor column.  A step
+    # that feeds no frame keeps zero counts.
     tensor_counts = {k: np.zeros_like(t.matrix) for k, t in model.tensors.items()}
-    for k, step in enumerate(lattice.steps[: T - 1], start=1):
+    for k, src in enumerate(lattice.srcs[: T - 1], start=1):
         times = slice(k, T if k == model.order else k + 1)
         dest = betas[times]  # the betas are not read again: reuse them
         dest += log_b[times][:, :, lattice.emit]
         dest[~mask[times]] = LOG_ZERO
         source = alphas[k - 1 : times.stop - 1]
-        for col in range(step.succ_idx.shape[1]):
-            log_xi = np.take(dest, step.succ_idx[:, col], axis=2)
+        for col in range(model.topology.branch):
+            log_xi = np.take(dest, lattice.succ_idx[:, col], axis=2)
             log_xi += source
             log_xi += lattice.succ_logw[k - 1][:, col, 0]
             log_xi -= ll[:, None]
             xi = np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
-            tensor_counts[k][:, col] = xi[step.src]
+            tensor_counts[k][:, col] = xi[src]
     return ll, (initial, tensor_counts, mixture_stats)
 
 

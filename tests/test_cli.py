@@ -919,3 +919,38 @@ class TestConfigHandling:
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPRAHMM_SEED", "not-a-number")
         assert main(["synth", "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc, flags, key", [
+        ({"seed": True}, [], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"seed": 1.0}, [], "seed"),
+        ({"seed": "1"}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"features": {"sample_rate_hz": "16000"}}, [], "sample_rate_hz"),
+        ({"features": {"sample_rate_hz": True}}, [], "sample_rate_hz"),
+        ({"features": {"sample_rate_hz": -5}}, [], "sample_rate_hz"),
+        ({"features": {"sample_rate_hz": 16000.0}}, [], "sample_rate_hz"),
+        ({"features": {"num_cepstra": True}}, [], "num_cepstra"),
+        ({"features": {"delta_window": True}}, [], "delta_window"),
+        ({"features": {"fft_size": 512.0}}, [], "fft_size"),
+        ({"features": {"num_mel_filters": "26"}}, [], "num_mel_filters"),
+        ({"features": {"preemphasis_coeff": "0.97"}}, [], "preemphasis_coeff"),
+        ({"features": {"frame_length_ms": None}}, [], "frame_length_ms"),
+        ({"features": {"frame_shift_ms": True}}, [], "frame_shift_ms"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, (dict, list)) else v)
+    @pytest.mark.parametrize("command", ["synth", "extract"])
+    def test_seed_or_feature_value_of_wrong_type_is_config_error_naming_the_key(
+            self, tmp_path, capsys, command, doc, flags, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"synth": ["synth"],
+                "extract": ["extract", "--manifest", str(tmp_path / "manifest.csv")]}[command]
+        assert main(argv + ["--out", str(out), "--config", str(cfg)] + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: %s " % key)
+        assert not out.exists()
+
+    def test_negative_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SUPRAHMM_SEED", "-3")
+        assert main(["synth", "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: seed ")

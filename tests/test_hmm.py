@@ -182,56 +182,71 @@ class TestLatticeSteps:
     @pytest.mark.parametrize("order", (1, 2, 3))
     @pytest.mark.parametrize("num_states", range(1, 7))
     def test_both_views_list_the_same_legal_edges(self, num_states, order):
-        # Every step lives on the full-order contexts.  Tensor row ctx sits
-        # at ctx left-padded with its first state and moves to the padded
-        # extended (boot) or shifted (stationary) context with the tensor's
-        # probability; every finite predecessor slot is one of those edges,
-        # with sources ascending within a destination; edge-less slots of
-        # either view carry -inf.
+        # Every step lives on the full-order contexts and shares one edge
+        # set.  Tensor row ctx of step k sits at ctx left-padded with its
+        # first state and moves to the padded extended (boot) or shifted
+        # (stationary) context with the tensor's probability; every finite
+        # predecessor slot is one of those edges, with sources ascending
+        # within a destination; edge-less slots of either view carry -inf.
         model = random_model(np.random.default_rng(num_states + 10 * order),
                              num_states, 1, 1, order=order)
         lattice = CompositeLattice(model)
         contexts = legal_contexts(model.topology, order)
         index = {c: j for j, c in enumerate(contexts)}
         assert [int(q) for q in lattice.emit] == [c[-1] for c in contexts]
-        assert len(lattice.steps) == order
-        for k, step in enumerate(lattice.steps, start=1):
+        assert len(lattice.srcs) == len(lattice.succ_logw) == len(lattice.pred_logw) == order
+        for j in range(len(contexts)):
+            sources = list(lattice.pred_idx[j])
+            assert sources == sorted(sources)
+        for k, src in enumerate(lattice.srcs, start=1):
             # The lattice holds one model: its weights are column 0.
             succ_logw = lattice.succ_logw[k - 1][..., 0]
             pred_logw = lattice.pred_logw[k - 1][..., 0]
             tensor = model.tensors[k]
-            branch = model.topology.branch
-            edges = len(tensor.contexts) * branch
-            assert step.succ_idx.shape == (len(contexts), branch)
+            edges = len(tensor.contexts) * model.topology.branch
             for logw in (succ_logw, pred_logw):
+                assert logw.shape == (len(contexts), 2)
                 assert np.isfinite(logw).sum() == edges
                 assert (logw == -np.inf).sum() == logw.size - edges
             for r, ctx in enumerate(tensor.contexts):
-                assert contexts[step.src[r]] == ctx[:1] * (order - k) + ctx
+                assert contexts[src[r]] == ctx[:1] * (order - k) + ctx
                 for c, s in enumerate(model.topology.successors(ctx[-1])):
                     moved = ctx + (s,)
                     dst = moved[-order:] if k == order else moved[:1] * (order - k - 1) + moved
-                    assert step.succ_idx[step.src[r], c] == index[dst]
-                    assert math.exp(succ_logw[step.src[r], c]) == pytest.approx(
+                    assert lattice.succ_idx[src[r], c] == index[dst]
+                    assert math.exp(succ_logw[src[r], c]) == pytest.approx(
                         tensor.prob(ctx, s), rel=1e-12)
             for j in range(len(contexts)):
                 finite = np.isfinite(pred_logw[j])
-                sources = list(step.pred_idx[j][finite])
-                assert sources == sorted(sources)
-                for i, logw in zip(sources, pred_logw[j][finite]):
-                    slots = np.flatnonzero(step.succ_idx[i] == j)
+                for i, logw in zip(lattice.pred_idx[j][finite], pred_logw[j][finite]):
+                    slots = np.flatnonzero((lattice.succ_idx[i] == j)
+                                           & np.isfinite(succ_logw[i]))
                     assert slots.size == 1
                     assert succ_logw[i, slots[0]] == logw
-
 
     @pytest.mark.parametrize("order", (1, 2, 3))
     @pytest.mark.parametrize("num_states", range(1, 7))
     def test_every_step_has_at_most_two_slots(self, num_states, order):
-        # The recursions sweep a layer over two edge slots at most.
-        _, _, steps = _layout(num_states, order)
-        for step in steps:
-            assert step.succ_idx.shape[1] <= 2
-            assert step.pred_idx.shape[1] <= 2
+        # The recursions sweep a layer over two edge slots: every context
+        # has exactly two successor and two predecessor slots, shared by
+        # every step.  A one-state ring pads its one move with a second
+        # self edge that every step weighs -inf in both views.
+        emit, _, succ_idx, pred_idx, pred_edge, srcs = _layout(num_states, order)
+        every_twice = np.repeat(np.arange(emit.size), 2)
+        assert succ_idx.shape == pred_idx.shape == pred_edge.shape == (emit.size, 2)
+        assert len(srcs) == order
+        assert np.array_equal(np.sort(succ_idx.ravel()), every_twice)
+        assert np.array_equal(succ_idx.ravel()[pred_edge].ravel(), every_twice)
+        assert np.array_equal(pred_edge // 2, pred_idx)
+        if num_states > 1:  # two distinct sources per destination
+            assert (pred_idx[:, 0] != pred_idx[:, 1]).all()
+        model = random_model(np.random.default_rng(num_states + 10 * order),
+                             num_states, 1, 1, order=order)
+        lattice = CompositeLattice(model)
+        for logw in (*lattice.succ_logw, *lattice.pred_logw):
+            assert logw.shape == (emit.size, 2, 1)
+            if num_states == 1:
+                assert np.isfinite(logw[:, 0]).all() and (logw[:, 1] == -np.inf).all()
 
 
 class TestLseLast:

@@ -33,6 +33,27 @@ def test_identical_trees_report_identical(tmp_path):
         assert case["files_differing"] == []
         assert case["worst_rel_diff"] == 0.0
         assert case["label_flips"] == 0 and case["confusion_cells_changed"] == 0
+    chmm3, gmm = record["cases"]["tiny-s3-CHMM3"], record["cases"]["tiny-s3-GMM"]
+    assert chmm3["alignment_paths_differing"] == 0
+    assert chmm3["alignment_paths_compared"] > 0
+    assert "alignment_paths_compared" not in gmm  # a GMM bank aligns nothing
+
+
+def test_changed_alignments_with_the_same_scores_are_counted(tmp_path):
+    # A CHMM3 bank scores by the forward pass alone, so reversed Viterbi
+    # paths change no score or label: only the alignments show it.
+    tree = _copy_tree(tmp_path, "reversed")
+    hmm = tree / "src" / "suprahmm" / "hmm.py"
+    text = hmm.read_text()
+    assert text.count("    return paths, scores.tolist()\n") == 1
+    hmm.write_text(text.replace("    return paths, scores.tolist()\n",
+                                "    return [p[::-1] for p in paths], scores.tolist()\n"))
+    record = identity_check.check(_ROOT, str(tree), [("tiny", 3, ("CHMM3",))], str(tmp_path))
+    assert not record["identical"]
+    case = record["cases"]["tiny-s3-CHMM3"]
+    assert case["files_differing"] == ["alignments.npz"]
+    assert 0 < case["alignment_paths_differing"] <= case["alignment_paths_compared"]
+    assert case["worst_rel_diff"] == 0.0 and case["label_flips"] == 0
 
 
 def test_perturbed_floor_names_the_files_and_the_worst_difference(tmp_path):
@@ -120,3 +141,16 @@ def test_cli_case_names_bank_json_when_a_config_default_differs(tmp_path):
     differing = record["cli"]["cli-s3"]["files_differing"]
     for kind in CLI_CASES[0][2]:
         assert os.path.join(kind, "bank.json") in differing
+
+
+def test_differing_paths(tmp_path):
+    lengths = np.array([2, 3])
+    parent, change, short = (str(tmp_path / n) for n in ("p.npz", "c.npz", "s.npz"))
+    np.savez(parent, lengths=lengths, path_a=np.array([0, 0, 1, 1, 2]),
+             path_b=np.array([0, 1, 0, 0, 0]))
+    np.savez(change, lengths=lengths, path_a=np.array([0, 0, 1, 2, 2]),
+             path_b=np.array([0, 1, 0, 0, 0]))
+    np.savez(short, lengths=lengths[:1], path_a=np.array([0, 0]), path_b=np.array([0, 1]))
+    assert identity_check.differing_paths(parent, parent) == (4, 0)
+    assert identity_check.differing_paths(parent, change) == (4, 1)
+    assert identity_check.differing_paths(parent, short) == (0, 4)

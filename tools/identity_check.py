@@ -21,8 +21,10 @@ writes the corpus files of a synthetic case and, read back through
 but without `path`, which names a storage file, and the frames and
 prosody tracks stacked in corpus order), every bank file, the
 `bank_scores` matrices of the reloaded bank on the test split (with the
-acoustic and prosody parts of a CSPHMM3 bank), the label of every test
-utterance and the `evaluate_split` report.  A further case, cli seed 3,
+acoustic and prosody parts of a CSPHMM3 bank), the Viterbi path of every
+test utterance under each HMM of a CSPHMM3 (its acoustic part) or CHMM3
+bank (`viterbi_align_batch`), the label of every test utterance and the
+`evaluate_split` report.  A further case, cli seed 3,
 runs the command line (`suprahmm.cli.main`, with SUPRAHMM_SEED unset) on a
 tiny `--spec-file` and a config that sets every model key to a value
 other than its default: `synth`, `train` of each bank kind, `evaluate`
@@ -33,8 +35,8 @@ directory is replaced by one placeholder, as reports name absolute
 paths), the content of each synthetic corpus (`content_identical`, which
 holds when only the storage layout changed), every score matrix bit for
 bit, with the worst relative difference |change - parent| /
-max(1, |parent|), the labels that flip and the confusion-count cells that
-change.  The record goes to
+max(1, |parent|), the alignment paths that differ in any frame, the
+labels that flip and the confusion-count cells that change.  The record goes to
 IDENTITY_<n>.json at the repository root; the exit code is 0 when every
 case is identical and 1 otherwise.
 """
@@ -121,6 +123,19 @@ def dump_content(utterances, out: str) -> None:
                 np.concatenate([getattr(u.prosody, name) for u in utterances]))
 
 
+def write_alignments(bank, test, out: str) -> None:
+    """The Viterbi paths of the test utterances under each HMM of the bank
+    (a CSPHMM3 model's acoustic part), concatenated per label as
+    `path_<label>`, and the utterance `lengths`, in one .npz file."""
+    from suprahmm.hmm import viterbi_align_batch
+
+    features = [u.features for u in test]
+    paths = {"path_" + label: np.concatenate(
+        viterbi_align_batch(getattr(model, "acoustic", model), features)[0])
+        for label, model in bank.models.items()}
+    np.savez(out, lengths=np.array([len(f) for f in features]), **paths)
+
+
 def run_cli(work: str, seed: int, kinds) -> None:
     """The command-line case: every command's files and printed output
     under `work`."""
@@ -178,6 +193,8 @@ def run_tree(out_dir: str, cases) -> None:
             bank = sh.load_bank(bank_dir)
             scores, parts = sh.bank_scores(bank, test)
             np.save(os.path.join(case, "scores.npy"), scores)
+            if kind in ("CSPHMM3", "CHMM3"):
+                write_alignments(bank, test, os.path.join(case, "alignments.npz"))
             if parts is not None:
                 np.save(os.path.join(case, "acoustic.npy"), parts[0])
                 np.save(os.path.join(case, "supra.npy"), parts[1])
@@ -238,6 +255,21 @@ def worst_relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
+def differing_paths(parent: str, change: str) -> tuple[int, int]:
+    """(paths compared, paths differing in any frame) between two
+    `write_alignments` files; a label or a length on one side only makes
+    every path of the larger side differ."""
+    with np.load(parent) as a, np.load(change) as b:
+        if sorted(a.files) != sorted(b.files) or not np.array_equal(a["lengths"], b["lengths"]):
+            return 0, max(a["lengths"].size * (len(a.files) - 1),
+                          b["lengths"].size * (len(b.files) - 1))
+        starts = np.r_[0, np.cumsum(a["lengths"])[:-1]]
+        keys = [k for k in a.files if k != "lengths"]
+        differ = sum(int(np.count_nonzero(np.add.reduceat(a[k] != b[k], starts)))
+                     for k in keys)
+        return len(keys) * starts.size, differ
+
+
 def _read(path: str, work: str | None = None) -> bytes:
     """The file's bytes, with `work` replaced by the placeholder when given."""
     with open(path, "rb") as fh:
@@ -273,6 +305,10 @@ def compare_case(parent: str, change: str) -> dict:
     counts = [np.array(json.loads(_read(os.path.join(side, "report.json")))["counts"])
               for side in (parent, change)]
     record["worst_rel_diff"] = worst
+    paths = [os.path.join(side, "alignments.npz") for side in (parent, change)]
+    if any(os.path.isfile(p) for p in paths):
+        record["alignment_paths_compared"], record["alignment_paths_differing"] = (
+            differing_paths(*paths) if all(os.path.isfile(p) for p in paths) else (0, -1))
     record["label_flips"] = (sum(a != b for a, b in zip(*labels))
                              + abs(len(labels[0]) - len(labels[1])))
     record["confusion_cells_changed"] = (int(np.sum(counts[0] != counts[1]))
@@ -326,6 +362,9 @@ def main(argv=None) -> int:
         differing = case["files_differing"]
         verdict = "identical" if case["identical"] else "DIFFERS (%d files): %s%s" % (
             len(differing), ", ".join(differing[:5]), ", ..." if len(differing) > 5 else "")
+        if "alignment_paths_differing" in case:
+            verdict += "; %d of %d alignment paths differ" % (
+                case["alignment_paths_differing"], case["alignment_paths_compared"])
         if "content_identical" in case:
             verdict += "; content %s" % ("identical" if case["content_identical"] else "DIFFERS")
         print("%-22s %s" % (name, verdict))
