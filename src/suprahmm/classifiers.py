@@ -35,6 +35,7 @@ from .hmm import (
     _as_frames,
     _emission_batch,
     _lse_last,
+    corpus_variance_floor,
     kmeans_mixture,
     lloyd_kmeans,
     mixture_statistics,
@@ -43,6 +44,7 @@ from .hmm import (
     update_mixtures,
 )
 from .suprasegmental import (
+    DEFAULT_ALPHA,
     PROSODY_VARIANCE_FLOOR,
     Csphmm3Model,
     SuprasegmentalLayout,
@@ -114,7 +116,7 @@ def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
     num_components = min(num_components, frames.shape[0])
 
     global_var = np.maximum(frames.var(axis=0), ABS_VARIANCE_FLOOR)
-    var_floor = np.maximum(VARIANCE_FLOOR_SCALE * global_var, ABS_VARIANCE_FLOOR)
+    var_floor = corpus_variance_floor([frames])
     center = frames.mean(axis=0)
     centered = frames - center
 
@@ -220,7 +222,7 @@ class TrainOptions:
     iters: tuple[int, int, int] = (6, 6, 8)
     tol: float | None = 1e-4
     seed: int = 0
-    alpha: float = 0.5
+    alpha: float = DEFAULT_ALPHA
     layout: SuprasegmentalLayout | None = None
     gmm_components: int = DEFAULT_GMM_COMPONENTS
     vq_codebook_size: int = DEFAULT_VQ_CODEBOOK
@@ -315,9 +317,8 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
                     "training utterance %r of emotion %r has zero likelihood under "
                     "the model" % (utterances[exc.index].record.id, label)) from exc
             if kind == "CSPHMM3":
-                layout = options.layout or SuprasegmentalLayout.halves(options.num_states)
                 supra = train_on_alignments(acoustic, features,
-                                            [u.prosody for u in utterances], layout)
+                                            [u.prosody for u in utterances], options.layout)
                 models[label] = Csphmm3Model(acoustic, supra, options.alpha)
             else:
                 models[label] = acoustic

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 import zipfile
@@ -277,10 +278,16 @@ class SyntheticSpec:
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
         counts = ("num_speakers", "num_texts", "num_replicates", "min_frames", "max_frames",
                   "seed")
-        return cls(labels=tuple(doc["labels"]), speaker_scale=float(doc["speaker_scale"]),
+        for name in counts:  # a JSON boolean is no integer: type(True) is bool
+            if type(doc[name]) is not int or doc[name] < 0:
+                raise ValueError("%s must be a non-negative integer, not %r" % (name, doc[name]))
+        scale = doc["speaker_scale"]
+        if type(scale) not in (int, float) or not math.isfinite(scale):
+            raise ValueError("speaker_scale must be a finite number, not %r" % (scale,))
+        return cls(labels=tuple(doc["labels"]), speaker_scale=float(scale),
                    generators={label: EmotionGenerator.from_dict(g)
                                for label, g in doc["generators"].items()},
-                   **{name: int(doc[name]) for name in counts})
+                   **{name: doc[name] for name in counts})
 
 
 def _stable_hash(text: str) -> int:

@@ -14,15 +14,15 @@ differs only in its weights: -inf off its tensor's rows.
 All probability math runs in log space; illegal moves are structurally
 absent from the sparse tensors and therefore carry exactly zero mass.
 
-A lattice's layout (its index arrays) is built once per (num_states,
-order) and shared; each lattice keeps its models' log weights apart.  The
-recursions (forward, backward, Viterbi) carry a batch axis of L models
-times B utterances: log-emissions are (T, L * B, N), time first, model-major,
-padded with log-emission 0 past each row's length and read at each row's
-own last frame; Viterbi backtracks all rows with one gather per time step.
-A bank's models of one shape score in one pass, Baum-Welch runs one batched
-E-step over the corpus per iteration, and one model or utterance is the
-one-column case.
+A lattice's layout (its slot-first edge arrays) is built once per
+(num_states, order) and shared; each lattice keeps its models' log weights
+apart.  Each step gathers whole rows of a layer along the edges, and
+forward and Viterbi share one recursion.  The recursions carry a batch
+axis of L models times B utterances: log-emissions are (T, L * B, N), time
+first, model-major, padded with log-emission 0 past each row's length and
+read at each row's own last frame.  A bank's models of one shape score in
+one pass, Baum-Welch runs one batched E-step over the corpus per
+iteration, and one model or utterance is the one-column case.
 """
 
 from __future__ import annotations
@@ -400,31 +400,34 @@ def _safe_log(values: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _layout(num_states: int, order: int):
-    """The read-only (emit, start, succ_idx, pred_idx, pred_edge, srcs) of
+    """The read-only (emit, start, succ_idx, pred_idx, pred_slot, srcs) of
     an order-`order` lattice on `num_states` states: each context's ring
     state, the index of each length-1 context, the one edge set of every
     step and, per context length, the padded context of each tensor row.
     Context P moves to (P + (s,))[1:] after each successor s of its last
-    state: two edges (S, 2) by source, and by destination with sources
-    ascending, which gives Viterbi its lowest-index tie-break; `pred_edge`
-    is the flat successor slot of each predecessor slot.  A one-state ring
-    pads its one move with a second self edge, weighted -inf.
+    state.  The edges are slot-first (2, S): slot c of context i leads to
+    `succ_idx[c, i]`, and slot p of context j comes from `pred_idx[p, j]`
+    along that source's successor slot `pred_slot[p, j]`, sources ascending,
+    which gives Viterbi its lowest-index tie-break.  A one-state ring pads
+    its one move with a second self edge, weighted -inf.
     """
     topology = CircularTopology(num_states)
     contexts = legal_contexts(topology, order)
     index = {c: j for j, c in enumerate(contexts)}
-    succ_idx = np.array([[index[(ctx + (s,))[1:]] for s in (ctx[-1], (ctx[-1] + 1) % num_states)]
-                         for ctx in contexts], dtype=np.intp)
-    pred_edge = np.argsort(succ_idx.ravel(), kind="stable").reshape(-1, 2)  # sources ascending
-    pred_idx = pred_edge // 2
+    succ = [[index[(ctx + (s,))[1:]] for s in (ctx[-1], (ctx[-1] + 1) % num_states)]
+            for ctx in contexts]
+    # Copied C-ordered: `take` copies a strided index array on every call.
+    edge = np.argsort(np.ravel(succ), kind="stable").reshape(-1, 2).T.copy()  # sources ascending
+    succ_idx = np.array(succ, dtype=np.intp).T.copy()
+    pred_idx, pred_slot = np.divmod(edge, 2)
     srcs = tuple(np.array([index[ctx[:1] * (order - k) + ctx]
                            for ctx in legal_contexts(topology, k)], dtype=np.intp)
                  for k in range(1, order + 1))
     emit = np.array([c[-1] for c in contexts])
     start = np.array([index[(i,) * order] for i in range(num_states)])
-    for array in (emit, start, succ_idx, pred_idx, pred_edge, *srcs):
+    for array in (emit, start, succ_idx, pred_idx, pred_slot, *srcs):
         array.flags.writeable = False
-    return emit, start, succ_idx, pred_idx, pred_edge, srcs
+    return emit, start, succ_idx, pred_idx, pred_slot, srcs
 
 
 def _time_mask(lengths: np.ndarray, num_steps: int) -> np.ndarray:
@@ -452,26 +455,27 @@ class CompositeLattice:
     step, boot or stationary, moves context P to (P + (s,))[1:].  So all
     steps share one edge set, two slots per state each way, and a boot
     step differs only in its weights: -inf on the edges of every state
-    that is not a padded context.  Each DP step is one gather of the two
-    edge slots and one whole-layer sweep over them: a two-slot
-    log-sum-exp (forward, backward) or max (Viterbi).
+    that is not a padded context.  Each DP step gathers the two edge slots
+    as whole rows of a layer and sweeps the layer over them: a two-slot
+    log-sum-exp (forward, backward) or max (Viterbi, the same `_sweep`).
 
     One lattice runs L models of one num_states and order.  Its layout
-    (`emit`, `start`, the edges and each tensor's rows) depends on that
-    pair only and is built once per pair, shared read-only; the models'
-    weights are kept apart: (S, 2, L) `succ_logw` and `pred_logw` per step
-    and (N, L) `initial_log`.  The recursions step B utterances through time
-    together, the L models on the same batch axis: log-emissions are
-    (T, L * B, N), model-major (model l scores utterance b in column
-    l * B + b), and each model's weights broadcast over its B columns.
-    `lengths` holds the B frame counts.  Frames past a row's end carry
-    log-emission 0, and every column is read, reset or backtracked at its
-    own last frame, so the padding reaches no result.  Lattice values are
-    stored (T, S, L * B), each time layer one contiguous block for the
-    gathers, and returned as (T, L * B, S) views.  They stay in log space:
-    on MFCC frames one frame's log-emissions span thousands of nats across
-    a model's states, so a scaled-probability forward that shifts each
-    frame by its maximum underflows the states the path can reach.
+    (`emit`, the edges and each tensor's rows) depends on that pair only
+    and is built once per pair, shared read-only; the models' weights are
+    kept apart: slot-first (2, S, L) `succ_logw` and `pred_logw` per step
+    and (S, L) `initial_logw`, -inf but at the length-1 contexts.  The
+    recursions step B utterances through time together, the L models on
+    the same batch axis: log-emissions are (T, L * B, N), model-major
+    (model l scores utterance b in column l * B + b), and each model's
+    weights broadcast over its B columns.  `lengths` holds the B frame
+    counts.  Frames past a row's end carry log-emission 0, and every
+    column is read, reset or backtracked at its own last frame, so the
+    padding reaches no result.  Lattice values are stored (T, S, L * B),
+    each time layer one contiguous block of rows for the gathers, and
+    returned as (T, L * B, S) views.  They stay in log space: on MFCC
+    frames one frame's log-emissions span thousands of nats across a
+    model's states, so a scaled-probability forward that shifts each frame
+    by its maximum underflows the states the path can reach.
     """
 
     def __init__(self, *models: HmmModel):
@@ -479,38 +483,27 @@ class CompositeLattice:
         if any((m.num_states, m.order) != key for m in models):
             raise ValueError("the models of one lattice must share num_states and order")
         self.order, self.num_models = key[1], len(models)
-        self.emit, self.start, self.succ_idx, self.pred_idx, pred_edge, self.srcs = _layout(*key)
-        self.initial_log = _safe_log(np.column_stack([m.initial for m in models]))
+        self.emit, start, self.succ_idx, self.pred_idx, pred_slot, self.srcs = _layout(*key)
+        self.initial_logw = np.full((self.emit.size, len(models)), LOG_ZERO)
+        self.initial_logw[start] = _safe_log(np.column_stack([m.initial for m in models]))
         self.succ_logw, self.pred_logw = [], []
         for k, src in enumerate(self.srcs, start=1):
-            logw = _safe_log(np.stack([m.tensors[k].matrix for m in models], axis=-1))
+            logw = _safe_log(np.stack([m.tensors[k].matrix.T for m in models], axis=-1))
             succ = np.full(self.succ_idx.shape + (len(models),), LOG_ZERO)
-            succ[src, : logw.shape[1]] = logw
+            succ[: logw.shape[0], src] = logw
             self.succ_logw.append(succ)
-            self.pred_logw.append(succ.reshape(-1, len(models))[pred_edge])
+            self.pred_logw.append(succ[pred_slot, self.pred_idx])
 
-    def _prepare(self, log_b: np.ndarray, lengths, index: np.ndarray, weights):
-        """Over the L * B columns: the (S, 2) edges `index` as flat indices
-        into a C-ordered (S, L * B) layer (a gather is one 1-D take), shaped
-        (2, S, L * B) so each slot gathers into one contiguous block, each
-        step's `weights` spread over each model's columns in that shape, the
-        column lengths and the columns ending at each frame."""
-        columns = log_b.shape[1]
-        edges = np.ascontiguousarray(index.T)[:, :, None] * columns + np.arange(columns)
-        logw = [np.repeat(w.transpose(1, 0, 2), columns // self.num_models, axis=2)
-                for w in weights]
+    def _prepare(self, log_b: np.ndarray, lengths, weights):
+        """Over the L * B columns: each of `weights`, per model on its last
+        axis, spread over that model's columns, the column lengths and the
+        columns ending at each frame."""
+        logw = [np.repeat(w, log_b.shape[1] // self.num_models, axis=-1) for w in weights]
         lengths = np.tile(np.asarray(lengths), self.num_models)
         ending: dict[int, list[int]] = {}
         for row, n in enumerate(lengths.tolist()):
             ending.setdefault(n - 1, []).append(row)
-        return edges, logw, lengths, ending
-
-    def _start(self, log_b: np.ndarray) -> np.ndarray:
-        """The (S, L * B) layer at t = 0: -inf but at the length-1 contexts."""
-        layer = np.full((self.emit.size, log_b.shape[1]), LOG_ZERO)
-        initial = np.repeat(self.initial_log, log_b.shape[1] // self.num_models, axis=1)
-        layer[self.start] = initial + log_b[0].T  # context (i,) * r emits state i
-        return layer
+        return logw, lengths, ending
 
     @staticmethod
     def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
@@ -528,37 +521,45 @@ class CompositeLattice:
         np.log1p(np.exp(lo, out=lo), out=lo)
         out += lo
 
+    def _sweep(self, log_b: np.ndarray, lengths, combine):
+        """Forward's and Viterbi's recursion (Rabiner 1989, section III).
+        Each layer (S, C) is its contexts' emissions plus, at t = 0, the
+        start weights and, at t > 0, `combine(z, out)` of the edge scores z
+        (2, S, C): layer t - 1's rows gathered along the predecessor slots
+        plus the step's weights.  Returns (layers (T, S, C), each column's
+        last layer (C, S), the column lengths, the columns ending at each
+        frame)."""
+        (initial, *logw), lengths, ending = self._prepare(
+            log_b, lengths, (self.initial_logw, *self.pred_logw))
+        layers = log_b.transpose(0, 2, 1).take(self.emit, axis=1)  # each context's emissions
+        layers[0] += initial
+        step = np.empty(layers.shape[1:])
+        with np.errstate(invalid="ignore"):
+            for t in range(1, log_b.shape[0]):
+                z = layers[t - 1].take(self.pred_idx, axis=0)
+                z += logw[min(t, self.order) - 1]  # the step feeding the layer at time t
+                combine(z, step)
+                layers[t] += step
+        return layers, layers[lengths - 1, :, np.arange(log_b.shape[1])], lengths, ending
+
     def forward(self, log_b: np.ndarray, lengths):
         """Forward pass; returns (alphas (T, L * B, S), per-column
         log-likelihoods (L * B,))."""
-        edges, logw, lengths, _ = self._prepare(log_b, lengths, self.pred_idx, self.pred_logw)
-        alphas = log_b.transpose(0, 2, 1).take(self.emit, axis=1)  # each context's emissions
-        alphas[0] = self._start(log_b)
-        lse = np.empty(alphas.shape[1:])
-        with np.errstate(invalid="ignore"):
-            for t in range(1, log_b.shape[0]):
-                k = min(t, self.order) - 1  # the step feeding the layer at time t
-                z = alphas[t - 1].ravel()[edges]
-                z += logw[k]
-                self._lse_slots(z, lse)
-                alphas[t] += lse
-        ends = alphas[lengths - 1, :, np.arange(log_b.shape[1])]  # each column's last layer
+        alphas, ends, _, _ = self._sweep(log_b, lengths, self._lse_slots)
         return alphas.transpose(0, 2, 1), _lse_last(ends)
 
     def backward(self, log_b: np.ndarray, lengths) -> np.ndarray:
         """Backward pass; returns betas (T, L * B, S), 0 at each column's
         last frame."""
         T = log_b.shape[0]
-        edges, logw, _, ending = self._prepare(log_b, lengths, self.succ_idx,
-                                               self.succ_logw)
+        logw, _, ending = self._prepare(log_b, lengths, self.succ_logw)
         betas = np.empty((T, self.emit.size, log_b.shape[1]))
         betas[T - 1] = 0.0
         with np.errstate(invalid="ignore"):
             for t in range(T - 1, 0, -1):
-                k = min(t, self.order) - 1
                 nxt = betas[t] + log_b[t].T.take(self.emit, axis=0)
-                z = nxt.ravel()[edges]
-                z += logw[k]
+                z = nxt.take(self.succ_idx, axis=0)
+                z += logw[min(t, self.order) - 1]
                 self._lse_slots(z, betas[t - 1])
                 if t - 1 in ending:
                     betas[t - 1][:, ending[t - 1]] = 0.0
@@ -574,22 +575,14 @@ class CompositeLattice:
         its own last frame, from its best final state.
         """
         T, columns, _ = log_b.shape
-        edges, logw, lengths, ending = self._prepare(log_b, lengths, self.pred_idx,
-                                                     self.pred_logw)
-        layer = self._start(log_b)
-        ends = np.empty((columns, self.emit.size))
-        slots = np.zeros((T, self.emit.size, columns), dtype=np.int8)
-        for t in range(T):
-            if t:
-                k = min(t, self.order) - 1
-                z = layer.ravel()[edges]
-                z += logw[k]
-                layer = z[0]
-                np.greater(z[1], layer, out=slots[t].view(bool))  # only when strictly higher
-                np.maximum(layer, z[1], out=layer)
-                layer += log_b[t].T.take(self.emit, axis=0)
-            if t in ending:
-                ends[ending[t]] = layer[:, ending[t]].T
+        slots = np.zeros((T, self.emit.size, columns), dtype=np.int8)  # 1 where slot 1 won
+        record = iter(slots[1:].view(bool))  # one (S, C) layer per step, t = 1 .. T - 1
+
+        def pick(z, out):
+            np.greater(z[1], z[0], out=next(record))  # only when strictly higher
+            np.maximum(z[0], z[1], out=out)
+
+        _, ends, lengths, ending = self._sweep(log_b, lengths, pick)
         final = np.argmax(ends, axis=1)
 
         rows, cur = np.arange(columns), final.copy()
@@ -599,7 +592,7 @@ class CompositeLattice:
                 cur[ending[t]] = final[ending[t]]
             idx[:, t] = cur
             if t:
-                cur = self.pred_idx[cur, slots[t, cur, rows]]
+                cur = self.pred_idx[slots[t, cur, rows], cur]
         states = self.emit[idx]
         return [states[row, :n] for row, n in enumerate(lengths.tolist())], ends[rows, final]
 
@@ -688,26 +681,24 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
         comp_log, log_b_stacked, gamma_states.transpose(1, 0, 2)[mask.T], stacked - center)
     del comp_log
 
-    # Transitions, one step and one successor slot at a time, over the
-    # (time, row) frames that step feeds: t = k for a boot step k < order,
-    # t = order .. T-1 for the stationary step (a step with k >= T feeds
-    # none).  Sources that are not rows of the step's tensor carry weight
-    # -inf, and a one-state ring's padded slot is no tensor column.  A step
-    # that feeds no frame keeps zero counts.
+    # Transitions, one step at a time, over the (time, row) frames that
+    # step feeds: t = k for a boot step k < order, t = order .. T-1 for the
+    # stationary step (a step with k >= T feeds none), both successor slots
+    # gathered in one take.  Sources that are not rows of the step's tensor
+    # carry weight -inf, and a one-state ring's padded slot is no tensor
+    # column.  A step that feeds no frame keeps zero counts.
     tensor_counts = {k: np.zeros_like(t.matrix) for k, t in model.tensors.items()}
     for k, src in enumerate(lattice.srcs[: T - 1], start=1):
         times = slice(k, T if k == model.order else k + 1)
         dest = betas[times]  # the betas are not read again: reuse them
         dest += log_b[times][:, :, lattice.emit]
         dest[~mask[times]] = LOG_ZERO
-        source = alphas[k - 1 : times.stop - 1]
-        for col in range(model.topology.branch):
-            log_xi = np.take(dest, lattice.succ_idx[:, col], axis=2)
-            log_xi += source
-            log_xi += lattice.succ_logw[k - 1][:, col, 0]
-            log_xi -= ll[:, None]
-            xi = np.exp(log_xi, out=log_xi).sum(axis=(0, 1))
-            tensor_counts[k][:, col] = xi[src]
+        log_xi = np.take(dest, lattice.succ_idx, axis=2)  # (time, row, slot, source)
+        log_xi += alphas[k - 1 : times.stop - 1, :, None]
+        log_xi += lattice.succ_logw[k - 1][..., 0]
+        log_xi -= ll[:, None, None]
+        xi = np.exp(log_xi, out=log_xi)[:, :, : model.topology.branch].sum(axis=(0, 1))
+        tensor_counts[k][:] = xi[:, src].T
     return ll, (initial, tensor_counts, mixture_stats)
 
 

@@ -34,6 +34,7 @@ from suprahmm.corpus import (
 )
 from suprahmm.evaluation import evaluate_split
 from suprahmm.features import FeatureSequence, FrameProsody
+from suprahmm.hmm import ABS_VARIANCE_FLOOR
 from suprahmm.suprasegmental import SuprasegmentalLayout, fuse_scores
 
 from oracles import mixture_log_density
@@ -128,6 +129,15 @@ class TestGmmBaseline:
             for offset in (0.0, 1e6)]
         np.testing.assert_allclose(moved_history, base_history, rtol=1e-9)
         np.testing.assert_allclose(moved.variances, base.variances, rtol=1e-6)
+
+    def test_degenerate_frames_warn_as_an_hmm_corpus_does(self):
+        # The variance floor is hmm.corpus_variance_floor's, which warns on a
+        # near-zero variance dimension and floors it at ABS_VARIANCE_FLOOR.
+        rng = np.random.default_rng(4)
+        frames = np.column_stack([rng.normal(size=60), np.ones(60)])
+        with pytest.warns(RuntimeWarning, match="degenerate corpus"):
+            model, _ = train_gmm(frames, 3, max_iters=3)
+        np.testing.assert_array_equal(model.variances[:, 1], ABS_VARIANCE_FLOOR)
 
 
 class TestLbg:

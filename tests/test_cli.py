@@ -227,6 +227,26 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(spec_file) in err
 
+    @pytest.mark.parametrize("key, value", [("seed", 3.9), ("num_texts", True),
+                                            ("num_speakers", "2"), ("speaker_scale", "0.15"),
+                                            ("speaker_scale", float("nan")), ("seed", -1)])
+    def test_wrongly_typed_spec_value_is_data_error_naming_the_key(self, tmp_path, capsys,
+                                                                   key, value):
+        # Counts and the seed must be non-negative integers (not booleans,
+        # floats or strings) and speaker_scale a finite number; none is
+        # coerced.
+        doc = default_synthetic_spec(seed=1, dim=4).to_dict()
+        doc.update(num_speakers=1, num_texts=1, num_replicates=1,
+                   min_frames=5, max_frames=6)
+        doc[key] = value
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(doc))
+        out = tmp_path / "c"
+        assert main(["synth", "--spec-file", str(spec_file), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: %s must be " % (spec_file, key))
+        assert not out.exists()
+
 
 class TestTrain:
     def test_bank_layout_on_disk(self, trained_banks):

@@ -182,12 +182,13 @@ class TestLatticeSteps:
     @pytest.mark.parametrize("order", (1, 2, 3))
     @pytest.mark.parametrize("num_states", range(1, 7))
     def test_both_views_list_the_same_legal_edges(self, num_states, order):
-        # Every step lives on the full-order contexts and shares one edge
-        # set.  Tensor row ctx of step k sits at ctx left-padded with its
-        # first state and moves to the padded extended (boot) or shifted
-        # (stationary) context with the tensor's probability; every finite
-        # predecessor slot is one of those edges, with sources ascending
-        # within a destination; edge-less slots of either view carry -inf.
+        # Every step lives on the full-order contexts and shares one
+        # slot-first edge set.  Tensor row ctx of step k sits at ctx
+        # left-padded with its first state and moves to the padded extended
+        # (boot) or shifted (stationary) context with the tensor's
+        # probability; every finite predecessor slot is one of those edges,
+        # with sources ascending within a destination; edge-less slots of
+        # either view carry -inf.
         model = random_model(np.random.default_rng(num_states + 10 * order),
                              num_states, 1, 1, order=order)
         lattice = CompositeLattice(model)
@@ -196,7 +197,7 @@ class TestLatticeSteps:
         assert [int(q) for q in lattice.emit] == [c[-1] for c in contexts]
         assert len(lattice.srcs) == len(lattice.succ_logw) == len(lattice.pred_logw) == order
         for j in range(len(contexts)):
-            sources = list(lattice.pred_idx[j])
+            sources = list(lattice.pred_idx[:, j])
             assert sources == sorted(sources)
         for k, src in enumerate(lattice.srcs, start=1):
             # The lattice holds one model: its weights are column 0.
@@ -205,7 +206,7 @@ class TestLatticeSteps:
             tensor = model.tensors[k]
             edges = len(tensor.contexts) * model.topology.branch
             for logw in (succ_logw, pred_logw):
-                assert logw.shape == (len(contexts), 2)
+                assert logw.shape == (2, len(contexts))
                 assert np.isfinite(logw).sum() == edges
                 assert (logw == -np.inf).sum() == logw.size - edges
             for r, ctx in enumerate(tensor.contexts):
@@ -213,40 +214,44 @@ class TestLatticeSteps:
                 for c, s in enumerate(model.topology.successors(ctx[-1])):
                     moved = ctx + (s,)
                     dst = moved[-order:] if k == order else moved[:1] * (order - k - 1) + moved
-                    assert lattice.succ_idx[src[r], c] == index[dst]
-                    assert math.exp(succ_logw[src[r], c]) == pytest.approx(
+                    assert lattice.succ_idx[c, src[r]] == index[dst]
+                    assert math.exp(succ_logw[c, src[r]]) == pytest.approx(
                         tensor.prob(ctx, s), rel=1e-12)
             for j in range(len(contexts)):
-                finite = np.isfinite(pred_logw[j])
-                for i, logw in zip(lattice.pred_idx[j][finite], pred_logw[j][finite]):
-                    slots = np.flatnonzero((lattice.succ_idx[i] == j)
-                                           & np.isfinite(succ_logw[i]))
+                finite = np.isfinite(pred_logw[:, j])
+                for i, logw in zip(lattice.pred_idx[finite, j], pred_logw[finite, j]):
+                    slots = np.flatnonzero((lattice.succ_idx[:, i] == j)
+                                           & np.isfinite(succ_logw[:, i]))
                     assert slots.size == 1
-                    assert succ_logw[i, slots[0]] == logw
+                    assert succ_logw[slots[0], i] == logw
 
     @pytest.mark.parametrize("order", (1, 2, 3))
     @pytest.mark.parametrize("num_states", range(1, 7))
     def test_every_step_has_at_most_two_slots(self, num_states, order):
         # The recursions sweep a layer over two edge slots: every context
         # has exactly two successor and two predecessor slots, shared by
-        # every step.  A one-state ring pads its one move with a second
-        # self edge that every step weighs -inf in both views.
-        emit, _, succ_idx, pred_idx, pred_edge, srcs = _layout(num_states, order)
+        # every step, each slot one (S,) row of a slot-first edge array.
+        # Predecessor slot p of j comes from pred_idx[p, j] along that
+        # source's successor slot pred_slot[p, j].  A one-state ring pads
+        # its one move with a second self edge that every step weighs -inf
+        # in both views.
+        emit, _, succ_idx, pred_idx, pred_slot, srcs = _layout(num_states, order)
         every_twice = np.repeat(np.arange(emit.size), 2)
-        assert succ_idx.shape == pred_idx.shape == pred_edge.shape == (emit.size, 2)
+        assert succ_idx.shape == pred_idx.shape == pred_slot.shape == (2, emit.size)
         assert len(srcs) == order
         assert np.array_equal(np.sort(succ_idx.ravel()), every_twice)
-        assert np.array_equal(succ_idx.ravel()[pred_edge].ravel(), every_twice)
-        assert np.array_equal(pred_edge // 2, pred_idx)
+        assert np.array_equal(succ_idx[pred_slot, pred_idx], np.tile(np.arange(emit.size), (2, 1)))
+        edges = pred_idx * 2 + pred_slot  # each (source, slot) edge once
+        assert np.array_equal(np.sort(edges.ravel()), np.arange(2 * emit.size))
         if num_states > 1:  # two distinct sources per destination
-            assert (pred_idx[:, 0] != pred_idx[:, 1]).all()
+            assert (pred_idx[0] != pred_idx[1]).all()
         model = random_model(np.random.default_rng(num_states + 10 * order),
                              num_states, 1, 1, order=order)
         lattice = CompositeLattice(model)
         for logw in (*lattice.succ_logw, *lattice.pred_logw):
-            assert logw.shape == (emit.size, 2, 1)
+            assert logw.shape == (2, emit.size, 1)
             if num_states == 1:
-                assert np.isfinite(logw[:, 0]).all() and (logw[:, 1] == -np.inf).all()
+                assert np.isfinite(logw[0]).all() and (logw[1] == -np.inf).all()
 
 
 class TestLseLast:

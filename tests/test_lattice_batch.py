@@ -24,6 +24,7 @@ from suprahmm.hmm import (
     _emission_batch,
     baum_welch_train,
     forward_log_likelihood_batch,
+    joint_log_prob,
     viterbi_align,
     viterbi_align_batch,
 )
@@ -281,6 +282,34 @@ def test_stacked_models_equal_one_lattice_per_model(num_models, seed, order, num
         np.testing.assert_array_equal(scores[columns], want_scores)
         for path, want_path in zip(paths[columns], want_paths):
             np.testing.assert_array_equal(path, want_path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(num_models=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3),
+       num_states=st.integers(1, 4), longest=st.integers(1, 9), more=st.integers(0, 4))
+def test_each_column_ends_at_its_own_last_layer(num_models, seed, order, num_states, longest,
+                                                 more):
+    # Forward and Viterbi share one recursion and read each column's total
+    # and best path at its own last layer.  With leaky rows, a column read
+    # at a padded frame past its end would not score its own path: every
+    # Viterbi score is its returned path's joint log-probability, and the
+    # forward total, a sum over every path, is never below it.
+    rng = np.random.default_rng(seed)
+    models = [_leaky_model(rng, num_states, order) for _ in range(num_models)]
+    lengths = [1, longest] + rng.integers(1, longest + 1, size=more).tolist()
+    frames_list = [rng.normal(size=(n, DIM)) for n in lengths]
+    lattice = CompositeLattice(*models)
+    log_b, batch_lengths = _emission_batch(models, frames_list)
+    _, totals = lattice.forward(log_b, batch_lengths)
+    paths, scores = lattice.viterbi(log_b, batch_lengths)
+
+    for l, model in enumerate(models):
+        for b, frames in enumerate(frames_list):
+            col = l * len(frames_list) + b
+            assert len(paths[col]) == len(frames)
+            assert scores[col] == pytest.approx(joint_log_prob(model, paths[col], frames),
+                                                rel=1e-12)
+            assert totals[col] >= scores[col]
 
 
 # (num_states, order) of each model of a hand-built bank: a trained bank

@@ -90,10 +90,8 @@ def _side(corpus: str, seed: int, work: str):
         manifest, _, split = wavgen.write_corpus(seed, os.path.join(work, "wav"),
                                                  sh.DEFAULT_EMOTIONS)
         utterances = sh.corpus.load_wav_corpus(manifest, sh.MfccConfig(), wavgen.RATE_HZ)
-        by_id = {u.record.id: u for u in utterances}
-        train, test = sh.make_split([u.record for u in utterances], sh.SplitSpec(*split))
-        return ([by_id[r.id] for r in train], [by_id[r.id] for r in test],
-                sh.DEFAULT_EMOTIONS, sh.TrainOptions())
+        train, test = sh.corpus.split_utterances(utterances, sh.SplitSpec(*split))
+        return train, test, sh.DEFAULT_EMOTIONS, sh.TrainOptions()
     if corpus == "desk":
         spec = dataclasses.replace(sh.default_synthetic_spec(seed=seed), num_texts=6)
         options = sh.TrainOptions()
