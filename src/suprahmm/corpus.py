@@ -519,6 +519,8 @@ def _corpus_from_store(spec, dim, entries, arrays) -> SyntheticCorpus:
                          % (CORPUS_STORE, arrays["frames"].shape[1], dim))
     if not all(type(c) is int and c > 0 for c in counts):
         raise ValueError("utterance frame counts must be positive integers")
+    if not all(type(e["replicate"]) is int for e in entries):  # type(True) is bool
+        raise ValueError("utterance replicates must be integers")
     rows = sorted({len(a) for a in arrays.values()})
     if rows != [sum(counts)]:
         raise ValueError("%s holds arrays of %s rows, the utterances %d frames"
@@ -532,8 +534,11 @@ def _corpus_from_store(spec, dim, entries, arrays) -> SyntheticCorpus:
         if entry["id"] in seen:
             raise ValueError("duplicate utterance id %r" % entry["id"])
         seen.add(entry["id"])
-        records.append(UtteranceRecord(path="", replicate=int(entry["replicate"]),
+        records.append(UtteranceRecord(path="", replicate=entry["replicate"],
                                        **{k: entry[k] for k in _STRING_FIELDS}))
+    for name, key in (("num_speakers", "speaker"), ("num_texts", "text")):
+        if getattr(spec, name) != len({getattr(r, key) for r in records}):
+            raise ValueError("spec %s does not match the %ss the utterances name" % (name, key))
     frames, *tracks = (np.split(arrays[name], np.cumsum(counts)[:-1]) for name in STORE_ARRAYS)
     utterances = []
     for r, f, *t in zip(records, frames, *tracks):
@@ -550,8 +555,9 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
     Raises ManifestError when corpus.json or corpus.npz is damaged: a
     version other than 2, no utterances, arrays not as STORE_ARRAYS, frames
     not of the spec's dim, frame counts that are not positive or do not sum
-    to every array's rows, an id, speaker, emotion or text that is not a
-    string, a repeated id, a non-finite frame (named by its utterance id).
+    to every array's rows, a non-integer replicate, a non-string id,
+    speaker, emotion or text, a repeated id, spec speaker or text counts
+    the utterances do not match, a non-finite frame (named by its id).
     """
     def decode(sidecar):
         if sidecar.get("format") != "synthetic-corpus":

@@ -80,8 +80,10 @@ class EvaluationReport:
         labels = tuple(doc["labels"])
         if not all(isinstance(l, str) for l in labels) or len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct strings")
-        return cls(labels, ConfusionMatrix(labels, np.array(doc["counts"])),
-                   doc.get("metadata", {}))
+        counts = doc["counts"]  # int64 entries, and type(True) is bool
+        if not all(type(c) is int and 0 <= c < 2**63 for row in counts for c in row):
+            raise ValueError("counts must be integers in [0, 2^63)")
+        return cls(labels, ConfusionMatrix(labels, np.array(counts)), doc.get("metadata", {}))
 
     def render_text(self) -> str:
         width = max(len(cell) for cell in (*self.labels, "accuracy", "Average", "100.0")) + 2

@@ -128,17 +128,8 @@ class TransitionTensor:
         self.matrix = matrix
         self._row_index = {ctx: i for i, ctx in enumerate(self.contexts)}
 
-    @classmethod
-    def uniform(cls, topology: CircularTopology, order: int) -> "TransitionTensor":
-        rows = len(legal_contexts(topology, order))
-        matrix = np.full((rows, topology.branch), 1.0 / topology.branch)
-        return cls(topology, order, matrix)
-
     def row(self, context: tuple[int, ...]) -> np.ndarray:
         return self.matrix[self._row_index[context]]
-
-    def row_index(self, context: tuple[int, ...]) -> int:
-        return self._row_index[context]
 
     def prob(self, context: tuple[int, ...], next_state: int) -> float:
         """Probability of `next_state` after `context`; 0 for illegal moves."""
@@ -307,22 +298,29 @@ class HmmModel:
     def from_dict(cls, doc: dict) -> "HmmModel":
         if doc.get("format") != "circular-hmm":
             raise ValueError("not a circular-hmm document")
-        topology = CircularTopology(int(doc["num_states"]))
-        tensors = {}
-        for key, rows in doc["tensors"].items():
-            order = int(key)
-            tensor = TransitionTensor.uniform(topology, order)
-            matrix = np.empty_like(tensor.matrix)
-            for ctx_key, row in rows.items():
-                ctx = tuple(int(v) for v in ctx_key.split(","))
-                matrix[tensor.row_index(ctx)] = row
-            tensors[order] = TransitionTensor(topology, order, matrix)
+        em = doc["emissions"]
         emissions = GaussianMixtureEmission(
-            np.array(doc["emissions"]["weights"]),
-            np.array(doc["emissions"]["means"]),
-            np.array(doc["emissions"]["variances"]),
-        )
-        model = cls(topology, int(doc["order"]), np.array(doc["initial"]), tensors, emissions)
+            np.array(em["weights"]), np.array(em["means"]), np.array(em["variances"]))
+        num_states, order, docs = doc["num_states"], doc["order"], doc["tensors"]
+        # Sizes are checked before any context is enumerated; type(True) is bool.
+        if type(num_states) is not int or num_states != emissions.num_states:
+            raise ValueError("num_states must be the emissions' state count %d, not %r"
+                             % (emissions.num_states, num_states))
+        if (type(order) is not int or order not in (1, 2, 3)
+                or sorted(docs) != [str(k) for k in range(1, order + 1)]):
+            raise ValueError("order must be 1, 2 or 3 with one tensor per context length "
+                             "1..order, not order %r with tensors %s" % (order, sorted(docs)))
+        topology = CircularTopology(num_states)
+        tensors = {}
+        for k in range(1, order + 1):
+            rows = docs[str(k)]
+            keys = [",".join(map(str, ctx)) for ctx in legal_contexts(topology, k)]
+            if sorted(rows) != sorted(keys):
+                raise ValueError("tensor %d must hold one row per legal context: missing %s, "
+                                 "extra %s" % (k, sorted(set(keys) - set(rows)),
+                                               sorted(set(rows) - set(keys))))
+            tensors[k] = TransitionTensor(topology, k, [rows[key] for key in keys])
+        model = cls(topology, order, np.array(doc["initial"]), tensors, emissions)
         model.validate(tol=1e-9)
         return model
 
@@ -826,20 +824,13 @@ def promote_order(model: HmmModel) -> HmmModel:
     """
     if model.order not in (1, 2):
         raise ValueError("can only promote models of order 1 or 2")
-    source = model.tensors[model.order]
-    promoted = TransitionTensor.uniform(model.topology, model.order + 1)
-    matrix = np.empty_like(promoted.matrix)
-    for i, ctx in enumerate(promoted.contexts):
-        matrix[i] = source.row(ctx[1:])
+    source, order = model.tensors[model.order], model.order + 1
     tensors = {k: t.copy() for k, t in model.tensors.items()}
-    tensors[model.order + 1] = TransitionTensor(model.topology, model.order + 1, matrix)
-    return HmmModel(
-        model.topology,
-        model.order + 1,
-        model.initial.copy(),
-        tensors,
-        model.emissions.copy(),
-    )
+    tensors[order] = TransitionTensor(
+        model.topology, order,
+        [source.row(ctx[1:]) for ctx in legal_contexts(model.topology, order)])
+    return HmmModel(model.topology, order, model.initial.copy(), tensors,
+                    model.emissions.copy())
 
 
 def _choice_cdfs(probs) -> list[list[float]]:
@@ -975,13 +966,10 @@ def initial_model(
         for chunks in per_state))
     variances = np.tile(global_var, (num_states, num_mixtures, 1))
 
-    return HmmModel(
-        topology,
-        1,
-        np.full(num_states, 1.0 / num_states),
-        {1: TransitionTensor.uniform(topology, 1)},
-        GaussianMixtureEmission(np.array(weights), np.array(means), variances),
-    )
+    uniform = np.full((num_states, topology.branch), 1.0 / topology.branch)
+    return HmmModel(topology, 1, np.full(num_states, 1.0 / num_states),
+                    {1: TransitionTensor(topology, 1, uniform)},
+                    GaussianMixtureEmission(np.array(weights), np.array(means), variances))
 
 
 def train_circular_chain(

@@ -121,8 +121,8 @@ class SuprasegmentalModel:
             raise ValueError("group variances must match group means")
         if self.transitions.shape != (g, g):
             raise ValueError("transition weights must be (G, G)")
-        if self.utterance_mean.shape != (PROSODY_DIM,):
-            raise ValueError("utterance mean must have %d entries" % PROSODY_DIM)
+        if not self.utterance_mean.shape == self.utterance_variance.shape == (PROSODY_DIM,):
+            raise ValueError("utterance mean and variance must have %d entries" % PROSODY_DIM)
 
     def validate(self, tol: float = 1e-12) -> None:
         # Each check is written so that NaN, which fails every comparison, fails it.
@@ -289,6 +289,8 @@ class Csphmm3Model:
     def from_dict(cls, doc: dict) -> "Csphmm3Model":
         if doc.get("format") != "csphmm3-model":
             raise ValueError("not a csphmm3-model document")
+        if type(doc["alpha"]) not in (int, float):  # type(True) is bool
+            raise ValueError("alpha must be a number, not %r" % (doc["alpha"],))
         return cls(
             HmmModel.from_dict(doc["acoustic"]),
             SuprasegmentalModel.from_dict(doc["suprasegmental"]),

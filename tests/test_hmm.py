@@ -43,7 +43,9 @@ from oracles import (
 
 def uniform_model(num_states, order, dim=1, num_mixtures=1, mean_scale=0.0):
     topology = CircularTopology(num_states)
-    tensors = {k: TransitionTensor.uniform(topology, k) for k in range(1, order + 1)}
+    tensors = {k: TransitionTensor(topology, k, np.full(
+                   (len(legal_contexts(topology, k)), topology.branch), 1.0 / topology.branch))
+               for k in range(1, order + 1)}
     weights = np.full((num_states, num_mixtures), 1.0 / num_mixtures)
     means = mean_scale * np.arange(num_states)[:, None, None] * np.ones(
         (num_states, num_mixtures, dim)

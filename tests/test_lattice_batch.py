@@ -25,6 +25,7 @@ from suprahmm.hmm import (
     baum_welch_train,
     forward_log_likelihood_batch,
     joint_log_prob,
+    legal_contexts,
     viterbi_align,
     viterbi_align_batch,
 )
@@ -119,7 +120,7 @@ def _brute_posteriors(model, obs):
             k = min(t, model.order)
             context = path[t - k : t]
             col = model.topology.successors(context[-1]).index(path[t])
-            counts[k][model.tensors[k].row_index(context), col] += weight
+            counts[k][model.tensors[k].contexts.index(context), col] += weight
     return total, occupancy, counts
 
 
@@ -246,7 +247,9 @@ def test_batched_viterbi_full_tie_breaks_to_lowest_composite_index():
     frames_list = [np.zeros((n, 1)) for n in lengths]
     for num_models in (1, 3):
         models = [HmmModel(topology, 3, np.full(3, 1.0 / 3),
-                           {k: TransitionTensor.uniform(topology, k) for k in (1, 2, 3)},
+                           {k: TransitionTensor(topology, k,
+                                                np.full((len(legal_contexts(topology, k)), 2), 0.5))
+                            for k in (1, 2, 3)},
                            GaussianMixtureEmission(np.ones((3, 1)), np.full((3, 1, 1), l),
                                                    np.ones((3, 1, 1))))
                   for l in range(num_models)]
