@@ -33,10 +33,11 @@ from .hmm import (
     HmmModel,
     UnscorableUtteranceError,
     _as_frames,
+    _converged,
     _emission_batch,
     _lse_last,
     corpus_variance_floor,
-    kmeans_mixture,
+    initial_model,
     lloyd_kmeans,
     mixture_statistics,
     squared_distances,
@@ -109,20 +110,13 @@ class GmmBaselineModel:
 def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
               max_iters: int = 20, tol: float | None = 1e-5, seed: int = 0):
     """EM for a diagonal GMM, run as a one-state mixture emission through
-    the HMM's mixture E-step and M-step; returns (model, per-iteration mean
-    frame LL)."""
+    the HMM's mixture E-step and M-step from `initial_model`'s one-state
+    start; returns (model, per-iteration mean frame LL)."""
     frames = _as_frames(frames)
-    rng = np.random.default_rng(seed)
-    num_components = min(num_components, frames.shape[0])
-
-    global_var = np.maximum(frames.var(axis=0), ABS_VARIANCE_FLOOR)
+    emission = initial_model([frames], 1, min(num_components, frames.shape[0]), seed).emissions
     var_floor = corpus_variance_floor([frames])
     center = frames.mean(axis=0)
     centered = frames - center
-
-    weights, means = kmeans_mixture(frames, num_components, rng)
-    emission = GaussianMixtureEmission(weights[None], means[None],
-                                       np.tile(global_var, (1, num_components, 1)))
 
     history = []
     for _ in range(max_iters):
@@ -131,9 +125,8 @@ def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
         history.append(float(frame_ll.mean()))
         stats = mixture_statistics(comp_log, frame_ll, np.ones_like(frame_ll), centered)
         update_mixtures(emission, stats, center, var_floor)
-        if tol is not None and len(history) >= 2:
-            if history[-1] - history[-2] < tol * abs(history[-2]):
-                break
+        if _converged(history, tol):
+            break
     model = GmmBaselineModel(emission.weights[0], emission.means[0], emission.variances[0])
     return model, history
 

@@ -46,8 +46,7 @@ from .evaluation import (
     EvaluationReport,
     compare_accuracies,
     evaluate_split,
-    report_from_predictions,
-    report_metadata,
+    report_from_scores,
 )
 from .features import extract_features, load_wav, save_features, save_features_csv
 from .suprasegmental import fuse_scores
@@ -142,29 +141,24 @@ def cmd_train(args, config: ExperimentConfig) -> int:
     train_side, labels, _ = _load_corpus(args.corpus, config, "train")
     if not train_side:
         raise ConfigError("training split selected no utterances")
-    options = config.options
+    options, by_emotion = config.options, group_by_emotion(train_side)
     if args.kind == "CSPHMM3" and options.layout is None and options.num_states < 2:
         raise ConfigError("model.num_states must be at least 2 for a CSPHMM3 bank "
                           "without a model.supra_layout")
-    bank = train_bank(args.kind, group_by_emotion(train_side), options, labels)
+    if args.kind in ("CSPHMM3", "CHMM3"):
+        # Larger sizes exhaust memory before EM starts.  An emotion without
+        # utterances is train_bank's to report.
+        fewest = min((sum(len(u.features) for u in by_emotion[label])
+                      for label in labels if label in by_emotion), default=float("inf"))
+        for key in ("num_states", "num_mixtures"):
+            if getattr(options, key) > fewest:
+                raise ConfigError("model.%s of %d is more than the %d training frames of the "
+                                  "emotion with the fewest" % (key, getattr(options, key), fewest))
+    bank = train_bank(args.kind, by_emotion, options, labels)
     save_bank(bank, args.out, provenance=_provenance(config))
     print("trained %s bank on %d utterances -> %s"
           % (args.kind, len(train_side), args.out))
     return EXIT_OK
-
-
-def _sweep_reports(bank, test_side, alphas, metadata):
-    _, (acoustic, supra) = bank_scores(bank, test_side)
-    labels = bank.labels
-    reports = []
-    for alpha in alphas:
-        fused = fuse_scores(acoustic, supra, alpha)
-        pairs = [(pick_label(labels, row, utt.record.id), utt.emotion)
-                 for row, utt in zip(fused, test_side)]
-        meta = report_metadata(bank, len(test_side), metadata)
-        meta["alpha"] = alpha
-        reports.append((alpha, report_from_predictions(labels, pairs, meta)))
-    return reports
 
 
 def cmd_evaluate(args, config: ExperimentConfig) -> int:
@@ -185,7 +179,10 @@ def cmd_evaluate(args, config: ExperimentConfig) -> int:
         for alpha in alphas:
             if not 0.0 <= alpha <= 1.0:
                 raise ConfigError("--alpha-sweep: alpha %g outside [0, 1]" % alpha)
-        for alpha, report in _sweep_reports(bank, test_side, alphas, metadata):
+        _, (acoustic, supra) = bank_scores(bank, test_side)
+        reports = [report_from_scores(bank, test_side, fuse_scores(acoustic, supra, alpha),
+                                      {**metadata, "alpha": alpha}) for alpha in alphas]
+        for alpha, report in zip(alphas, reports):
             stem = os.path.join(args.out, "report_alpha_%.2f" % alpha)
             report.save(stem + ".json", stem + ".txt")
             print("alpha=%.2f average accuracy %.1f%%"
@@ -245,7 +242,8 @@ def cmd_ttest(args, config: ExperimentConfig) -> int:
     report_a = EvaluationReport.load(args.report_a)
     report_b = EvaluationReport.load(args.report_b)
     if report_a.labels != report_b.labels:
-        raise ConfigError("reports cover different label sets")
+        raise ConfigError("--report-a and --report-b cover different label sets: %s, %s"
+                          % (list(report_a.labels), list(report_b.labels)))
     acc_a = [report_a.per_emotion_accuracy[l] for l in report_a.labels]
     acc_b = [report_b.per_emotion_accuracy[l] for l in report_b.labels]
     try:

@@ -121,7 +121,7 @@ def load_config(path=None, seed: int | None = None) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from exc
         if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
+            raise ConfigError("config %s is not a JSON object" % path)
     if seed is not None:
         doc["seed"] = seed
     env_seed = os.environ.get(SEED_ENV_VAR)

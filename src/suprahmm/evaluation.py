@@ -83,6 +83,8 @@ class EvaluationReport:
         counts = doc["counts"]  # int64 entries, and type(True) is bool
         if not all(type(c) is int and 0 <= c < 2**63 for row in counts for c in row):
             raise ValueError("counts must be integers in [0, 2^63)")
+        if any(sum(column) >= 2**63 for column in zip(*counts)):
+            raise ValueError("the counts of each true label must total below 2^63")
         return cls(labels, ConfusionMatrix(labels, np.array(counts)), doc.get("metadata", {}))
 
     def render_text(self) -> str:
@@ -136,32 +138,29 @@ def confusion_from_pairs(labels, pairs) -> ConfusionMatrix:
     return ConfusionMatrix(labels, counts)
 
 
-def report_metadata(bank: ModelBank, num_utterances: int, metadata: dict | None = None
-                    ) -> dict:
-    """The metadata of a report on `num_utterances` test utterances scored
-    by `bank`, updated with `metadata`."""
-    meta = {
-        "kind": bank.kind,
-        "num_test_utterances": num_utterances,
-        "train_seed": bank.options.seed,
-    }
-    if bank.kind == "CSPHMM3":
-        meta["alpha"] = bank.options.alpha
-    meta.update(metadata or {})
-    return meta
-
-
 def evaluate_split(bank: ModelBank, utterances, metadata: dict | None = None
                    ) -> EvaluationReport:
     """Label every test utterance from one bank score matrix and tally the
     confusion matrix."""
     if not utterances:
         raise ValueError("test corpus must be non-empty")
-    scores, _ = bank_scores(bank, utterances)
+    return report_from_scores(bank, utterances, bank_scores(bank, utterances)[0], metadata)
+
+
+def report_from_scores(bank: ModelBank, utterances, scores, metadata: dict | None = None
+                       ) -> EvaluationReport:
+    """The report on `utterances` labelled from their rows of `scores`
+    (U, L) over the bank's labels: metadata holds the bank kind, the test
+    count, the training seed and, for CSPHMM3, alpha, updated with
+    `metadata`."""
     pairs = [(pick_label(bank.labels, row, utt.record.id), utt.emotion)
              for row, utt in zip(scores, utterances)]
-    return report_from_predictions(bank.labels, pairs,
-                                   report_metadata(bank, len(utterances), metadata))
+    meta = {"kind": bank.kind, "num_test_utterances": len(utterances),
+            "train_seed": bank.options.seed}
+    if bank.kind == "CSPHMM3":
+        meta["alpha"] = bank.options.alpha
+    meta.update(metadata or {})
+    return report_from_predictions(bank.labels, pairs, meta)
 
 
 def report_from_predictions(labels, pairs, metadata: dict | None = None

@@ -103,6 +103,12 @@ def _lse_last(z: np.ndarray) -> np.ndarray:
         return np.log(np.exp(z - shift[..., None]).sum(axis=-1)) + shift
 
 
+def _safe_log(values: np.ndarray) -> np.ndarray:
+    """np.log with log(0) = -inf and no divide warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(values)
+
+
 def _floored_row(probs: np.ndarray, floor: float) -> np.ndarray:
     probs = np.maximum(probs, floor)
     return probs / probs.sum()
@@ -186,8 +192,7 @@ class GaussianMixtureEmission:
         so no block maps fresh pages, however many utterances `obs` stacks.
         """
         log_det = np.log(self.variances).sum(axis=2)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
+        log_w = _safe_log(self.weights)
         out = np.empty((obs.shape[0],) + self.weights.shape)
         work = np.empty((min(obs.shape[0], EMISSION_BLOCK_FRAMES),) + self.means.shape)
         for start in range(0, obs.shape[0], EMISSION_BLOCK_FRAMES):
@@ -301,11 +306,13 @@ class HmmModel:
         em = doc["emissions"]
         emissions = GaussianMixtureEmission(
             np.array(em["weights"]), np.array(em["means"]), np.array(em["variances"]))
-        num_states, order, docs = doc["num_states"], doc["order"], doc["tensors"]
         # Sizes are checked before any context is enumerated; type(True) is bool.
-        if type(num_states) is not int or num_states != emissions.num_states:
-            raise ValueError("num_states must be the emissions' state count %d, not %r"
-                             % (emissions.num_states, num_states))
+        for key, size in (("num_states", emissions.num_states),
+                          ("num_mixtures", emissions.num_mixtures), ("dim", emissions.dim)):
+            if type(doc[key]) is not int or doc[key] != size:
+                raise ValueError("%s must be %d, as in the emissions, not %r"
+                                 % (key, size, doc[key]))
+        num_states, order, docs = doc["num_states"], doc["order"], doc["tensors"]
         if (type(order) is not int or order not in (1, 2, 3)
                 or sorted(docs) != [str(k) for k in range(1, order + 1)]):
             raise ValueError("order must be 1, 2 or 3 with one tensor per context length "
@@ -348,10 +355,6 @@ def _check_dim(model: HmmModel, frames: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _log(p: float) -> float:
-    return float(np.log(p)) if p > 0.0 else LOG_ZERO
-
-
 def sequence_log_prob(model: HmmModel, states) -> float:
     """Log-probability of a state path; -inf if it uses an illegal move.
 
@@ -364,11 +367,11 @@ def sequence_log_prob(model: HmmModel, states) -> float:
     for s in states:
         if not 0 <= s < model.num_states:
             raise ValueError("state %d out of range" % s)
-    total = _log(float(model.initial[states[0]]))
+    total = float(_safe_log(model.initial[states[0]]))
     for t in range(1, len(states)):
         k = min(t, model.order)
         context = tuple(states[t - k : t])
-        total += _log(model.tensors[k].prob(context, states[t]))
+        total += float(_safe_log(model.tensors[k].prob(context, states[t])))
     return total
 
 
@@ -389,11 +392,6 @@ def joint_log_prob(model: HmmModel, states, observations) -> float:
 # ---------------------------------------------------------------------------
 # Composite lattice
 # ---------------------------------------------------------------------------
-
-
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -770,6 +768,13 @@ def corpus_variance_floor(corpus) -> np.ndarray:
     return np.maximum(VARIANCE_FLOOR_SCALE * global_var, ABS_VARIANCE_FLOOR)
 
 
+def _converged(history, tol: float | None) -> bool:
+    """The EM stop rule: the last gain of `history` fell below `tol` times
+    the previous entry's magnitude; never with `tol` None."""
+    return (tol is not None and len(history) >= 2
+            and history[-1] - history[-2] < tol * abs(history[-2]))
+
+
 def baum_welch_train(
     model: HmmModel,
     corpus,
@@ -807,10 +812,8 @@ def baum_welch_train(
                                        center)
         log_likelihoods.append(sum(lls.tolist()))
         current = _m_step(current, stats, center, variance_floor)
-        if tol is not None and len(log_likelihoods) >= 2:
-            prev = log_likelihoods[-2]
-            if log_likelihoods[-1] - prev < tol * abs(prev):
-                break
+        if _converged(log_likelihoods, tol):
+            break
     return current, log_likelihoods
 
 

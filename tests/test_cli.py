@@ -10,12 +10,15 @@ import pytest
 from scipy.io import wavfile
 
 from suprahmm.classifiers import classify, load_bank
-from suprahmm.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from suprahmm.cli import EXIT_CONFIG, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_OK, main
 from suprahmm.corpus import (
     SyntheticSpec,
+    default_split,
     default_synthetic_spec,
+    group_by_emotion,
     load_synthetic_corpus,
     save_synthetic_corpus,
+    split_utterances,
     synthesize_corpus,
 )
 from suprahmm.features import FeatureSequence
@@ -42,8 +45,8 @@ def dir_bytes(path):
     }
 
 
-def tiny_corpus():
-    doc = default_synthetic_spec(seed=42, dim=4).to_dict()
+def tiny_corpus(dim=4):
+    doc = default_synthetic_spec(seed=42, dim=dim).to_dict()
     doc.update(num_speakers=3, num_texts=4, num_replicates=1,
                min_frames=25, max_frames=40)
     return synthesize_corpus(SyntheticSpec.from_dict(doc))
@@ -404,6 +407,34 @@ class TestTrain:
         assert err.startswith("config error: %s " % key)
         assert not (tmp_path / "bank").exists()
 
+    @pytest.mark.parametrize("kind", ["CHMM3", "CSPHMM3"])
+    @pytest.mark.parametrize("key, value", [
+        ("num_states", 10**30), ("num_states", 10**8), ("num_mixtures", 10**30)])
+    def test_model_size_above_the_training_frames_is_config_error_naming_the_key(
+            self, tmp_path, tiny_corpus_dir, capsys, kind, key, value):
+        # Sizes like these exhaust memory before EM starts; GMM and VQ clamp
+        # theirs to the frames.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": {key: value}}))
+        assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", kind,
+                     "--out", str(tmp_path / "bank"), "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: model.%s of %d " % (key, value))
+        assert not (tmp_path / "bank").exists()
+
+    def test_model_size_bound_is_the_fewest_training_frames(self, tmp_path, tiny_corpus_dir,
+                                                            tiny_config, capsys):
+        corpus = load_synthetic_corpus(tiny_corpus_dir)
+        train, _ = split_utterances(corpus.utterances, default_split(corpus.spec))
+        fewest = min(sum(len(u.features) for u in utts)
+                     for utts in group_by_emotion(train).values())
+        cfg = tmp_path / "config.json"
+        for num_mixtures, code in ((fewest + 1, EXIT_CONFIG), (fewest, EXIT_OK)):
+            cfg.write_text(json.dumps({"model": {"num_mixtures": num_mixtures,
+                                                 "train_iters": [1, 0, 0]}}))
+            assert main(["train", "--corpus", str(tiny_corpus_dir), "--kind", "CHMM3",
+                         "--out", str(tmp_path / "bank"), "--config", str(cfg)]) == code
+        assert "the %d training frames" % fewest in capsys.readouterr().err
+
     def test_zero_likelihood_training_utterance_is_data_error(
             self, tmp_path, tiny_corpus_dir, tiny_config, capsys):
         # One overflowing frame in a training utterance: EM cannot use it.
@@ -737,6 +768,41 @@ class TestClassify:
         assert record.id in err and "zero likelihood" in err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_split_side_without_utterances_is_config_error(tmp_path, tiny_corpus_dir,
+                                                       trained_banks, capsys, command):
+    side = "train" if command == "train" else "test"
+    split = {"train_speakers": ["spk00"], "test_speakers": ["spk01"],
+             "train_texts": ["txt00"], "test_texts": ["txt01"],
+             side + "_speakers": ["nobody"]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"split": split}))
+    args = (["train", "--kind", "VQ"] if command == "train"
+            else ["evaluate", "--bank", str(trained_banks[0])])
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="empty %s set" % side):
+        code = main(args + ["--corpus", str(tiny_corpus_dir), "--out", str(out),
+                            "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "split selected no utterances" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "classify"])
+def test_corpus_of_other_dim_is_incompatible(tmp_path, tiny_config, trained_banks, capsys,
+                                             command):
+    corpus = tmp_path / "dim6"
+    save_synthetic_corpus(tiny_corpus(dim=6), corpus)
+    args = (["evaluate", "--out", str(tmp_path / "out")] if command == "evaluate"
+            else ["classify"])
+    assert main(args + ["--bank", str(trained_banks[0]), "--corpus", str(corpus),
+                        "--config", tiny_config]) == EXIT_INCOMPATIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("incompatible features: ") and "dim 6" in err
+    assert "bank dim 4" in err
+
+
 def _with_nan(values):
     """A copy of nested lists of numbers with NaN as the first number."""
     return [_with_nan(values[0])] + values[1:] if isinstance(values, list) else float("nan")
@@ -879,6 +945,16 @@ class TestTtestAndReport:
         assert "Average" in text
         assert "Confusion" in text
 
+    def test_reports_over_other_labels_are_config_error_naming_the_flags(self, tmp_path,
+                                                                         capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.make_report(a, [80] * 6)
+        self.make_report(b, [80] * 5)
+        assert main(["ttest", "--report-a", str(a), "--report-b", str(b)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --report-a and --report-b ")
+        assert "different label sets" in err
+
     @pytest.mark.parametrize("damage", ["no_labels", "wrong_format", "counts_not_square",
                                         "labels_not_strings", "labels_repeated"])
     @pytest.mark.parametrize("command", ["report", "ttest"])
@@ -909,6 +985,25 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         assert main(["synth", "--out", str(tmp_path / "c"),
                      "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["missing", "not_object"])
+    def test_config_that_is_no_object_is_config_error_naming_the_file(self, tmp_path, capsys,
+                                                                      content):
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert main(["synth", "--out", str(tmp_path / "c"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err
+
+    def test_unknown_feature_key_is_config_error_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"features": {"bogus_rate": 1}}))
+        assert main(["synth", "--out", str(tmp_path / "c"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown feature keys") and "bogus_rate" in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"

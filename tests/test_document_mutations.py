@@ -97,6 +97,12 @@ HMM_DAMAGE = {
     "num_states_4.0": _setter("num_states", value=4.0),
     "num_states_inf": _setter("num_states", value=INF),
     "num_states_1e30": _setter("num_states", value=10**30),
+    "dim_99": _setter("dim", value=99),
+    "dim_8.0": _setter("dim", value=8.0),
+    "dim_true": _setter("dim", value=True),
+    "dim_as_float": lambda doc: doc.update(dim=float(doc["dim"])),
+    "num_mixtures_x": _setter("num_mixtures", value="x"),
+    "num_mixtures_as_float": lambda doc: doc.update(num_mixtures=float(doc["num_mixtures"])),
     "order_3.7": _setter("order", value=3.7),
     "order_true": _setter("order", value=True),
     "order_inf": _setter("order", value=INF),
@@ -165,14 +171,26 @@ def test_damaged_corpus_counts_are_data_error(tmp_path, corpus_dir, config, caps
                         "--out", str(tmp_path / "bank"), "--config", config], path, capsys)
 
 
-@pytest.mark.parametrize("count", [10**30, 2.5, True], ids=["1e30", "2.5", "true"])
-@pytest.mark.parametrize("command", ["report", "ttest"])
-def test_report_count_that_is_no_integer_is_data_error(tmp_path, capsys, command, count):
+def _assert_damaged_report_is_data_error(tmp_path, capsys, command, mutate):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     report_from_predictions(("a", "b"), [("a", "a"), ("b", "a"), ("b", "b")]).save(good)
     doc = json.loads(good.read_text())
-    doc["counts"][0][0] = count
+    mutate(doc)
     bad.write_text(json.dumps(doc))
     argv = (["report", "--report", str(bad)] if command == "report"
             else ["ttest", "--report-a", str(good), "--report-b", str(bad)])
     _assert_data_error(argv, bad, capsys)
+
+
+@pytest.mark.parametrize("count", [10**30, 2.5, True], ids=["1e30", "2.5", "true"])
+@pytest.mark.parametrize("command", ["report", "ttest"])
+def test_report_count_that_is_no_integer_is_data_error(tmp_path, capsys, command, count):
+    _assert_damaged_report_is_data_error(tmp_path, capsys, command,
+                                         _setter("counts", 0, 0, value=count))
+
+
+@pytest.mark.parametrize("command", ["report", "ttest"])
+def test_report_column_total_past_int64_is_data_error(tmp_path, capsys, command):
+    # Each count fits int64, but label a's column sums to 2^63.
+    _assert_damaged_report_is_data_error(tmp_path, capsys, command,
+                                         _setter("counts", value=[[2**62, 0], [2**62, 1]]))
