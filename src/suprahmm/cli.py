@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import __version__
 from .classifiers import (
@@ -92,7 +93,10 @@ def _load_corpus(path, config: ExperimentConfig, side=None):
         utterances = load_wav_corpus(path, config.mfcc, config.features["sample_rate_hz"])
         labels, split = DEFAULT_EMOTIONS, config.partition
     if side:
-        train, test = split_utterances(utterances, split)
+        # An empty side is a config error of cmd_train / cmd_evaluate, not a warning.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "split produced an empty", RuntimeWarning)
+            train, test = split_utterances(utterances, split)
         utterances = train if side == "train" else test
     return utterances, tuple(config.labels or labels), split
 

@@ -8,6 +8,7 @@ over arbitrary frame segments for the suprasegmental layer.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -130,9 +131,15 @@ def _frame_signal(samples: np.ndarray, frame_len: int, shift: int) -> np.ndarray
             "clip of %d samples is shorter than one %d-sample frame"
             % (samples.size, frame_len)
         )
-    num_frames = 1 + (samples.size - frame_len) // shift
-    idx = shift * np.arange(num_frames)[:, None] + np.arange(frame_len)[None, :]
-    return samples[idx]
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::shift]
+
+
+@functools.lru_cache(maxsize=16)
+def _hamming(frame_len: int) -> np.ndarray:
+    """np.hamming(frame_len), built once per frame length; read-only."""
+    window = np.hamming(frame_len)
+    window.flags.writeable = False
+    return window
 
 
 def frame_and_window(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
@@ -144,7 +151,7 @@ def frame_and_window(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     frame_len = cfg.frame_length_samples(clip.sample_rate_hz)
     shift = cfg.frame_shift_samples(clip.sample_rate_hz)
     frames = _frame_signal(clip.samples, frame_len, shift)
-    return frames * np.hamming(frame_len)
+    return frames * _hamming(frame_len)
 
 
 def hz_to_mel(freq_hz):
@@ -175,6 +182,15 @@ def mel_filterbank(num_filters: int, fft_size: int, sample_rate_hz: int):
     return weights, hz_points[1:-1]
 
 
+@functools.lru_cache(maxsize=16)
+def _mel_weights(num_filters: int, fft_size: int, sample_rate_hz: int) -> np.ndarray:
+    """mel_filterbank's weights, built once per (filters, FFT size, rate);
+    read-only.  Use the `.T` view: a contiguous copy sums in another order."""
+    weights, _ = mel_filterbank(num_filters, fft_size, sample_rate_hz)
+    weights.flags.writeable = False
+    return weights
+
+
 def filterbank_energies(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     """Per-frame mel filterbank energies of the power spectrum, shape (T, K)."""
     frames = frame_and_window(clip, cfg)
@@ -185,7 +201,7 @@ def filterbank_energies(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
         )
     spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    weights, _ = mel_filterbank(cfg.num_mel_filters, cfg.fft_size, clip.sample_rate_hz)
+    weights = _mel_weights(cfg.num_mel_filters, cfg.fft_size, clip.sample_rate_hz)
     return power @ weights.T
 
 
@@ -303,11 +319,23 @@ class FrameProsody:
         return self.segment_vectors(np.zeros(len(self), dtype=np.intp))[0]
 
 
+def _autocorrelation(frames: np.ndarray, lag_max: int) -> np.ndarray:
+    """Lags 0..lag_max of each row's autocorrelation (see frame_prosody)."""
+    nfft = scipy.fft.next_fast_len(frames.shape[1] + lag_max, real=True)
+    spectrum = scipy.fft.rfft(frames, n=nfft, axis=1)
+    acf = scipy.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=nfft, axis=1)
+    return acf[:, : lag_max + 1]
+
+
 def frame_prosody(clip: AudioClip, cfg: MfccConfig | None = None) -> FrameProsody:
     """Track F0 (autocorrelation peak in 60-400 Hz), voicing, and log-energy.
 
     Uses the same framing grid as the cepstral front-end but raw
-    (unwindowed, unpreemphasized) frames.
+    (unwindowed, unpreemphasized) frames.  The autocorrelation is the
+    inverse FFT of each frame's power spectrum at length
+    n = next_fast_len(frame_len + lag_max) (675 for 400-sample frames).
+    Its circular wrap-around adds x[m] * x[m + k - n] at lag k only for
+    k > n - frame_len >= lag_max, so lag 0 and every lag searched are exact.
     """
     cfg = cfg or MfccConfig()
     rate = clip.sample_rate_hz
@@ -323,13 +351,9 @@ def frame_prosody(clip: AudioClip, cfg: MfccConfig | None = None) -> FrameProsod
     if lag_max <= lag_min:
         raise ValueError("frames too short for the 60-400 Hz pitch search")
 
-    nfft = 1
-    while nfft < 2 * frame_len:
-        nfft *= 2
-    spectrum = np.fft.rfft(frames, n=nfft, axis=1)
-    acf = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=nfft, axis=1)
+    acf = _autocorrelation(frames, lag_max)
     r0 = acf[:, 0]
-    window = acf[:, lag_min : lag_max + 1]
+    window = acf[:, lag_min:]
     peak_lag = lag_min + np.argmax(window, axis=1)
     peak_val = window.max(axis=1) / np.where(r0 > 0, r0, 1.0)
 

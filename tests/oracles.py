@@ -129,3 +129,9 @@ def direct_dft_power(frame, fft_size):
         im = float((frame * np.sin(angle)).sum())
         power[k] = re * re + im * im
     return power
+
+
+def direct_autocorrelation(frame, lag_max):
+    """sum_m x[m] x[m + k] for k = 0..lag_max, one dot product per lag."""
+    return np.array([float(np.dot(frame[: frame.size - k], frame[k:]))
+                     for k in range(lag_max + 1)])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -780,9 +781,11 @@ def test_split_side_without_utterances_is_config_error(tmp_path, tiny_corpus_dir
     args = (["train", "--kind", "VQ"] if command == "train"
             else ["evaluate", "--bank", str(trained_banks[0])])
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="empty %s set" % side):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(args + ["--corpus", str(tiny_corpus_dir), "--out", str(out),
                             "--config", str(cfg)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "split selected no utterances" in err

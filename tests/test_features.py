@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from suprahmm.features import (
+    F0_MAX_HZ,
+    F0_MIN_HZ,
+    VOICING_THRESHOLD,
     AudioClip,
     FeatureSequence,
     FrameProsody,
@@ -27,8 +30,9 @@ from suprahmm.features import (
     save_features,
     save_features_csv,
 )
+from suprahmm.features import _autocorrelation, _frame_signal, _hamming, _mel_weights
 
-from oracles import direct_dft_power
+from oracles import direct_autocorrelation, direct_dft_power
 
 RATE = 16000
 
@@ -93,6 +97,34 @@ class TestFraming:
     def test_too_short_clip(self):
         with pytest.raises(ValueError):
             frame_and_window(AudioClip(np.zeros(399), RATE), MfccConfig())
+
+    @pytest.mark.parametrize("length", [400, 559, 560, 561])
+    def test_rows_are_the_shifted_sample_windows(self, length):
+        samples = np.random.default_rng(length).normal(size=length)
+        frames = _frame_signal(samples, 400, 160)
+        assert frames.shape == (1 + (length - 400) // 160, 400)
+        for t, row in enumerate(frames):
+            np.testing.assert_array_equal(row, samples[t * 160 : t * 160 + 400])
+
+    def test_windowed_frames_are_a_fresh_array(self):
+        clip = AudioClip(np.ones(560), RATE)
+        frame_and_window(clip, MfccConfig())[:] = 0.0
+        np.testing.assert_array_equal(clip.samples, np.ones(560))
+
+
+class TestCachedConstants:
+    def test_cached_arrays_are_read_only(self):
+        for array in (_hamming(400), _mel_weights(26, 512, RATE)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_writing_the_public_filterbank_leaves_energies(self):
+        clip, cfg = tone(700), MfccConfig()
+        before = filterbank_energies(clip, cfg)
+        weights, _ = mel_filterbank(cfg.num_mel_filters, cfg.fft_size, RATE)
+        weights[:] = 7.0
+        np.testing.assert_array_equal(filterbank_energies(clip, cfg), before)
 
 
 class TestMelFilterbank:
@@ -226,6 +258,34 @@ class TestProsody:
         track = frame_prosody(clip)
         whole = track.segment_vectors(np.zeros(len(track), dtype=int))[0]
         np.testing.assert_array_equal(track.utterance_vector(), whole)
+
+
+@pytest.mark.parametrize("frame_ms", [25.0, 15.0])
+def test_autocorrelation_matches_direct_sum(frame_ms):
+    # 15 ms frames are 240 samples, so the pitch search reaches lag 239 =
+    # frame_len - 1 and the transform length must cover 479 points.
+    cfg = MfccConfig(frame_length_ms=frame_ms)
+    frame_len = cfg.frame_length_samples(RATE)
+    lag_min = math.ceil(RATE / F0_MAX_HZ)
+    lag_max = min(frame_len - 1, math.floor(RATE / F0_MIN_HZ))
+    assert lag_max == (266 if frame_ms == 25.0 else frame_len - 1)
+    rng = np.random.default_rng(11)
+    clip = AudioClip(np.concatenate([tone(110, 0.15).samples, tone(310, 0.15).samples,
+                                     0.3 * rng.normal(size=2400)]), RATE)
+    frames = _frame_signal(clip.samples, frame_len, cfg.frame_shift_samples(RATE))
+    acf = _autocorrelation(frames, lag_max)
+    direct = np.array([direct_autocorrelation(f, lag_max) for f in frames])
+    assert acf.shape == direct.shape
+    lags = [0, *range(lag_min, lag_max + 1)]
+    assert np.all(np.abs(acf[:, lags] - direct[:, lags]) <= 1e-12 * direct[:, :1])
+
+    r0, window = direct[:, 0], direct[:, lag_min:]
+    voiced = (r0 > 0) & (window.max(axis=1) / r0 >= VOICING_THRESHOLD)
+    track = frame_prosody(clip, cfg)
+    np.testing.assert_array_equal(track.voiced, voiced)
+    assert voiced.any() and not voiced.all()
+    peak_lag = lag_min + np.argmax(window, axis=1)
+    np.testing.assert_array_equal(track.f0_hz, np.where(voiced, RATE / peak_lag, 0.0))
 
 
 def per_segment_summary(f0, voiced, log_e):

@@ -29,6 +29,7 @@ def test_identical_trees_report_identical(tmp_path):
     assert record["parent"] == record["change"]
     assert record["corpora"]["tiny-s3"]["files_compared"] > 1
     assert record["corpora"]["tiny-s3"]["content_identical"]
+    assert record["corpora"]["tiny-s3"]["frames_differing"] == {"f0_hz": 0, "voiced": 0}
     for case in record["cases"].values():
         assert case["files_differing"] == []
         assert case["worst_rel_diff"] == 0.0
@@ -98,6 +99,26 @@ def test_frames_changed_on_load_are_not_content_identical(tmp_path):
     record = identity_check.check(_ROOT, str(tree), [("tiny", 3, ("VQ",))], str(tmp_path))
     assert record["corpora"]["tiny-s3"]["identical"]
     assert not record["corpora"]["tiny-s3"]["content_identical"]
+
+
+def test_wav_front_end_change_is_counted_by_frame(tmp_path):
+    # A higher voicing threshold leaves the generated clips as they were
+    # and unvoices frames: only the content and its frame counts show it.
+    tree = _copy_tree(tmp_path, "threshold")
+    shutil.copytree(os.path.join(_ROOT, "perfbench"), tree / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__", "out", "work", "tests"))
+    features = tree / "src" / "suprahmm" / "features.py"
+    text = features.read_text()
+    assert "\nVOICING_THRESHOLD = 0.3\n" in text
+    features.write_text(text.replace("\nVOICING_THRESHOLD = 0.3\n",
+                                     "\nVOICING_THRESHOLD = 0.9\n"))
+    record = identity_check.check(_ROOT, str(tree), [("wav", 5, ())], str(tmp_path))
+    assert not record["identical"]
+    wav = record["corpora"]["wav-s5"]
+    assert wav["identical"] and wav["files_compared"] > 200  # the clips and manifest
+    assert not wav["content_identical"]
+    # Each frame the threshold unvoices reads F0 0: the two counts match.
+    assert wav["frames_differing"]["voiced"] == wav["frames_differing"]["f0_hz"] > 0
 
 
 def test_default_cases_build_each_corpus_once():

@@ -16,29 +16,31 @@ and one BLAS thread, and for every case:
     log-emissions span thousands of nats across a model's states, against
     tens on the desk corpora)
 
-writes the corpus files of a synthetic case and, read back through
-`load_synthetic_corpus`, its content (each record with its frame count
-but without `path`, which names a storage file, and the frames and
-prosody tracks stacked in corpus order), every bank file, the
-`bank_scores` matrices of the reloaded bank on the test split (with the
-acoustic and prosody parts of a CSPHMM3 bank), the Viterbi path of every
-test utterance under each HMM of a CSPHMM3 (its acoustic part) or CHMM3
-bank (`viterbi_align_batch`), the label of every test utterance and the
-`evaluate_split` report.  A further case, cli seed 3,
-runs the command line (`suprahmm.cli.main`, with SUPRAHMM_SEED unset) on a
-tiny `--spec-file` and a config that sets every model key to a value
-other than its default: `synth`, `train` of each bank kind, `evaluate`
-of each bank, `evaluate --alpha-sweep`, `classify --out` and
-`ttest --out`, keeping the printed output too.  The two sides are then
-compared: every file byte for byte (in a cli case, after each side's work
-directory is replaced by one placeholder, as reports name absolute
-paths), the content of each synthetic corpus (`content_identical`, which
-holds when only the storage layout changed), every score matrix bit for
-bit, with the worst relative difference |change - parent| /
-max(1, |parent|), the alignment paths that differ in any frame, the
-labels that flip and the confusion-count cells that change.  The record goes to
-IDENTITY_<n>.json at the repository root; the exit code is 0 when every
-case is identical and 1 otherwise.
+writes the corpus files of a case (a synthetic corpus as saved, the WAV
+clips and manifest as generated) and its content as the program reads it
+back (`load_synthetic_corpus`, or the front-end's `load_wav_corpus`): each
+record with its frame count but without `path`, which names a storage
+file, and the frames and prosody tracks stacked in corpus order.  It also
+writes every bank file, the `bank_scores` matrices of the reloaded bank on
+the test split (with the acoustic and prosody parts of a CSPHMM3 bank),
+the Viterbi path of every test utterance under each HMM of a CSPHMM3 (its
+acoustic part) or CHMM3 bank (`viterbi_align_batch`), the label of every
+test utterance and the `evaluate_split` report.  A further case, cli seed
+3, runs the command line (`suprahmm.cli.main`, with SUPRAHMM_SEED unset)
+on a tiny `--spec-file` and a config that sets every model key to a value
+other than its default: `synth`, `train` of each bank kind, `evaluate` of
+each bank, `evaluate --alpha-sweep`, `classify --out` and `ttest --out`,
+keeping the printed output too.  The two sides are then compared: every
+file byte for byte (in a cli case, after each side's work directory is
+replaced by one placeholder, as reports name absolute paths), the content
+of each corpus (`content_identical`, which holds when only the storage
+layout changed, and `frames_differing`, the frames whose F0 or voicing
+differs), every score matrix bit for bit, with the worst relative
+difference |change - parent| / max(1, |parent|), the alignment paths that
+differ in any frame, the labels that flip and the confusion-count cells
+that change.  The record goes to IDENTITY_<n>.json at the repository
+root; the exit code is 0 when every case is identical (files and corpus
+content) and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ def _side(corpus: str, seed: int, work: str):
     if corpus == "wav":
         import wavgen
 
-        manifest, _, split = wavgen.write_corpus(seed, os.path.join(work, "wav"),
+        manifest, _, split = wavgen.write_corpus(seed, os.path.join(work, "corpus"),
                                                  sh.DEFAULT_EMOTIONS)
         utterances = sh.corpus.load_wav_corpus(manifest, sh.MfccConfig(), wavgen.RATE_HZ)
+        dump_content(utterances, os.path.join(work, "content"))
         train, test = sh.corpus.split_utterances(utterances, sh.SplitSpec(*split))
         return train, test, sh.DEFAULT_EMOTIONS, sh.TrainOptions()
     if corpus == "desk":
@@ -268,6 +271,18 @@ def differing_paths(parent: str, change: str) -> tuple[int, int]:
         return len(keys) * starts.size, differ
 
 
+def differing_frames(parent: str, change: str) -> dict:
+    """{track: frames differing} for the f0_hz and voiced tracks of two
+    `dump_content` directories; tracks of different lengths count every
+    frame of the longer one."""
+    counts = {}
+    for name in ("f0_hz", "voiced"):
+        a, b = (np.load(os.path.join(side, name + ".npy")) for side in (parent, change))
+        counts[name] = (int(np.count_nonzero(a != b)) if a.shape == b.shape
+                        else max(a.size, b.size))
+    return counts
+
+
 def _read(path: str, work: str | None = None) -> bytes:
     """The file's bytes, with `work` replaced by the placeholder when given."""
     with open(path, "rb") as fh:
@@ -326,17 +341,16 @@ def check(parent_tree: str, change_tree: str, cases=DEFAULT_CASES, work_dir=None
             if corpus == "cli":
                 cli[base] = compare_files(*(os.path.join(o, base) for o in outs), outs)
                 continue
-            if corpus != "wav":
-                corpora[base] = compare_files(*(os.path.join(o, base, "corpus")
-                                                for o in outs))
-                corpora[base]["content_identical"] = compare_files(
-                    *(os.path.join(o, base, "content") for o in outs))["identical"]
+            corpora[base] = compare_files(*(os.path.join(o, base, "corpus") for o in outs))
+            contents = [os.path.join(o, base, "content") for o in outs]
+            corpora[base]["content_identical"] = compare_files(*contents)["identical"]
+            corpora[base]["frames_differing"] = differing_frames(*contents)
             for kind in kinds:
                 banks["%s-%s" % (base, kind)] = compare_case(
                     *(os.path.join(o, base, kind) for o in outs))
     return {
-        "identical": all(c["identical"] for c in [*corpora.values(), *banks.values(),
-                                                  *cli.values()]),
+        "identical": all(c["identical"] and c.get("content_identical", True)
+                         for c in [*corpora.values(), *banks.values(), *cli.values()]),
         "parent": source_summary(parent_tree),
         "change": source_summary(change_tree),
         "corpora": corpora,
@@ -365,6 +379,8 @@ def main(argv=None) -> int:
                 case["alignment_paths_differing"], case["alignment_paths_compared"])
         if "content_identical" in case:
             verdict += "; content %s" % ("identical" if case["content_identical"] else "DIFFERS")
+            verdict += "; f0 differs in %(f0_hz)d frames, voicing in %(voiced)d" % (
+                case["frames_differing"])
         print("%-22s %s" % (name, verdict))
     print("wrote %s: %s" % (out, "identical" if record["identical"] else "differences"))
     return 0 if record["identical"] else 1
