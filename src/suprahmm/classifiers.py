@@ -16,13 +16,13 @@ configured order.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DEFAULT_EMOTIONS, Utterance, feature_fingerprint, read_json_object
+from .corpus import (DEFAULT_EMOTIONS, Utterance, check_labels, feature_fingerprint,
+                     read_json_object, write_json_object)
 from .hmm import (
     ABS_VARIANCE_FLOOR,
     MIXTURE_WEIGHT_FLOOR,
@@ -36,6 +36,7 @@ from .hmm import (
     _converged,
     _emission_batch,
     _lse_last,
+    _stack,
     corpus_variance_floor,
     initial_model,
     lloyd_kmeans,
@@ -255,12 +256,10 @@ class TrainOptions:
             kwargs["iters"] = tuple(kwargs["iters"])
         layout = kwargs.get("layout")
         if layout is not None:
-            if not (isinstance(layout, list) and all(type(g) is int for g in layout)):
-                raise ValueError("supra_layout must be a list of integer group ids or null")
             try:
                 kwargs["layout"] = SuprasegmentalLayout(tuple(layout))
-            except ValueError as exc:
-                raise ValueError("supra_layout: %s" % exc) from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError("supra_layout %r: %s" % (layout, exc)) from exc
         return cls(**kwargs)
 
 
@@ -291,7 +290,7 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
     options = options or TrainOptions()
     if kind not in BANK_KINDS:
         raise ValueError("unknown bank kind %r" % kind)
-    labels = tuple(labels)
+    labels = check_labels(labels)
     for label in labels:
         if not corpus_by_emotion.get(label):
             raise IncompleteBankError("no training utterances for %r" % label)
@@ -315,13 +314,13 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
                 models[label] = Csphmm3Model(acoustic, supra, options.alpha)
             else:
                 models[label] = acoustic
-        elif kind == "GMM":
-            pooled = np.vstack([u.features.frames for u in utterances])
-            models[label], _ = train_gmm(pooled, options.gmm_components, seed=options.seed)
-        else:  # VQ
-            pooled = np.vstack([u.features.frames for u in utterances])
-            models[label], _ = lbg_codebook(
-                pooled, min(options.vq_codebook_size, pooled.shape[0]), seed=options.seed)
+        else:
+            pooled, _ = _stack(features)
+            if kind == "GMM":
+                models[label], _ = train_gmm(pooled, options.gmm_components, seed=options.seed)
+            else:  # VQ
+                models[label], _ = lbg_codebook(
+                    pooled, min(options.vq_codebook_size, pooled.shape[0]), seed=options.seed)
     return ModelBank(kind, labels, models,
                      feature_fingerprint(corpus_by_emotion[labels[0]]), options)
 
@@ -403,8 +402,7 @@ def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
     """Directory layout: one JSON document per emotion plus bank.json."""
     os.makedirs(out_dir, exist_ok=True)
     for label in bank.labels:
-        with open(os.path.join(out_dir, label + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(bank.models[label].to_dict(), fh, indent=2, sort_keys=True)
+        write_json_object(os.path.join(out_dir, label + ".json"), bank.models[label].to_dict())
     manifest = {
         "format": "model-bank", "version": 1, "kind": bank.kind, "labels": list(bank.labels),
         "fingerprint": bank.fingerprint, "options": bank.options.to_dict(),
@@ -414,28 +412,23 @@ def save_bank(bank: ModelBank, out_dir, provenance: dict | None = None) -> None:
     }
     if provenance is not None:
         manifest["provenance"] = provenance
-    with open(os.path.join(out_dir, BANK_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json_object(os.path.join(out_dir, BANK_MANIFEST), manifest)
 
 
 def load_bank(path) -> ModelBank:
     """Read a bank written by save_bank.
 
     Raises ManifestError when bank.json or a model document does not decode:
-    bank.json must be a model bank of a known kind with a non-empty list of
-    distinct string labels, a fingerprint object with an integer dim, and
-    options, when present, an object; every model must have that dim.
+    bank.json must be a model bank of a known kind with labels that pass
+    check_labels, a fingerprint object with an integer dim, and options,
+    when present, an object; every model must have that dim.
     """
     def decode(manifest):
         if manifest.get("format") != "model-bank":
             raise ValueError("does not contain a model bank")
-        kind, labels = manifest.get("kind"), manifest["labels"]
+        kind, labels = manifest.get("kind"), check_labels(manifest["labels"])
         if kind not in _MODEL_TYPES:
             raise ValueError("unknown bank kind %r" % (kind,))
-        if (not isinstance(labels, list) or not labels
-                or not all(isinstance(l, str) for l in labels)
-                or len(set(labels)) != len(labels)):
-            raise ValueError("labels must be a non-empty list of distinct strings")
         fingerprint, options = manifest["fingerprint"], manifest.get("options", {})
         if not isinstance(fingerprint, dict) or not isinstance(fingerprint.get("dim"), int):
             raise ValueError("fingerprint must be an object with an integer dim")
@@ -446,9 +439,9 @@ def load_bank(path) -> ModelBank:
                   for label in labels}
         for label, model in models.items():
             if model.dim != fingerprint["dim"]:
-                raise ValueError("model %r has dim %d, the fingerprint %d"
-                                 % (label, model.dim, fingerprint["dim"]))
-        return ModelBank(kind, tuple(labels), models, fingerprint,
+                raise ValueError("%s has dim %d, the fingerprint %d" % (
+                    os.path.join(path, label + ".json"), model.dim, fingerprint["dim"]))
+        return ModelBank(kind, labels, models, fingerprint,
                          TrainOptions.from_dict(options))
 
     return read_json_object(os.path.join(path, BANK_MANIFEST), decode)

@@ -42,6 +42,7 @@ from .corpus import (
     save_synthetic_corpus,
     split_utterances,
     synthesize_corpus,
+    write_json_object,
 )
 from .evaluation import (
     EvaluationReport,
@@ -65,11 +66,6 @@ def _provenance(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "config": config.to_dict(),
     }
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 def _load_corpus(path, config: ExperimentConfig, side=None):
@@ -133,7 +129,7 @@ def cmd_extract(args, config: ExperimentConfig) -> int:
         "num_failures": len(failures),
         "results": results,
     }
-    _write_json(os.path.join(args.out, "extract_summary.json"), summary)
+    write_json_object(os.path.join(args.out, "extract_summary.json"), summary)
     for failure in failures:
         print("error: %s: %s" % (failure["id"], failure["error"]), file=sys.stderr)
     print("extracted %d/%d utterances -> %s"
@@ -217,7 +213,7 @@ def cmd_classify(args, config: ExperimentConfig) -> int:
     ]
     doc = {"provenance": _provenance(config), "results": results}
     if args.out:
-        _write_json(args.out, doc)
+        write_json_object(args.out, doc)
     for r in results:
         print("%s\t%s" % (r["id"], r["label"]))
     return EXIT_OK
@@ -262,7 +258,7 @@ def cmd_ttest(args, config: ExperimentConfig) -> int:
         doc["relative_gain"] = (result.mean_x - result.mean_y) / result.mean_y
     doc["provenance"] = _provenance(config)
     if args.out:
-        _write_json(args.out, doc)
+        write_json_object(args.out, doc)
     print("t = %.4f (critical %.3f): %s"
           % (result.t_value, result.critical_value, result.verdict))
     print(json.dumps({k: doc[k] for k in

@@ -8,13 +8,12 @@ overrides both.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .classifiers import TrainOptions
-from .corpus import SplitSpec
+from .corpus import ManifestError, SplitSpec, check_labels, read_json_object
 from .features import MfccConfig
 
 SEED_ENV_VAR = "SUPRAHMM_SEED"
@@ -46,11 +45,6 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.labels is not None:
-            if (not isinstance(self.labels, list) or not self.labels
-                    or len({str(l) for l in self.labels}) != len(self.labels)):
-                raise ConfigError("labels must be a non-empty list without duplicates")
-            self.labels = [str(l) for l in self.labels]
         for name in ("features", "model"):
             if not isinstance(getattr(self, name) or {}, dict):
                 raise ConfigError("%s must be an object" % name)
@@ -73,6 +67,7 @@ class ExperimentConfig:
                 raise ConfigError("%s must be a finite number" % key)
         field_of_key = {key: name for name, key in _MODEL_NAMES.items()}
         try:
+            self.labels = None if self.labels is None else list(check_labels(self.labels))
             self.mfcc = MfccConfig(**{f.name: self.features[f.name]
                                       for f in fields(MfccConfig)})
             self.options = TrainOptions.from_dict(
@@ -111,17 +106,12 @@ class ExperimentConfig:
 
 def load_config(path=None, seed: int | None = None) -> ExperimentConfig:
     """Read the config document, apply a given seed, honor SUPRAHMM_SEED."""
-    doc = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config %s is not a JSON object" % path)
+    try:
+        doc = {} if path is None else read_json_object(path, dict)
+    except OSError as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
+    except ManifestError as exc:  # not JSON or not an object; names the file
+        raise ConfigError(str(exc)) from exc
     if seed is not None:
         doc["seed"] = seed
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -130,14 +120,12 @@ def load_config(path=None, seed: int | None = None) -> ExperimentConfig:
             doc["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError("%s must be an integer" % SEED_ENV_VAR) from exc
-    known = {"features", "model", "split", "labels", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError("unknown config sections: %s" % sorted(unknown))
-    return ExperimentConfig(
-        features=doc.get("features", {}),
-        model=doc.get("model", {}),
-        split=doc.get("split"),
-        labels=doc.get("labels"),
-        seed=doc.get("seed", 0),
-    )
+    try:
+        unknown = set(doc) - {"features", "model", "split", "labels", "seed"}
+        if unknown:
+            raise ConfigError("unknown config sections: %s" % sorted(unknown))
+        return ExperimentConfig(**doc)
+    except ConfigError as exc:
+        if path is None:
+            raise
+        raise ConfigError("%s (config %s)" % (exc, path)) from exc

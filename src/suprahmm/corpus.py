@@ -71,6 +71,29 @@ def read_json_object(path, decode):
             raise ManifestError("%s: %s" % (path, exc)) from exc
 
 
+def check_labels(labels) -> tuple:
+    """`labels` as a tuple, checked to be a non-empty list of distinct
+    strings that can each name a bank's model document <label>.json: its
+    own os.path.basename, not empty, "." or "..", free of NUL, and not
+    "bank" in any letter case (bank.json is the bank's manifest)."""
+    if not isinstance(labels, (list, tuple)) or not labels:
+        raise ValueError("labels must be a non-empty list, not %r" % (labels,))
+    for label in labels:
+        if not (isinstance(label, str) and label == os.path.basename(label)
+                and label not in ("", ".", "..") and "\0" not in label
+                and label.lower() != "bank"):
+            raise ValueError("labels must be names of model files, not %r" % (label,))
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct: %s" % list(labels))
+    return tuple(labels)
+
+
+def write_json_object(path, doc) -> None:
+    """Write `doc` to `path` as indented, key-sorted JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class UtteranceRecord:
     id: str
@@ -257,8 +280,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if min(self.num_speakers, self.num_texts, self.num_replicates) < 1:
             raise ValueError("speaker, text, and replicate counts must be >= 1")
-        if not self.labels:
-            raise ValueError("need at least one emotion label")
+        object.__setattr__(self, "labels", check_labels(self.labels))
         if set(self.labels) != set(self.generators):
             raise ValueError("need exactly one generator per label")
         if not 1 <= self.min_frames <= self.max_frames:
@@ -268,6 +290,11 @@ class SyntheticSpec:
             raise ValueError("all emotion generators must share one feature dim")
         if next(iter(dims)) % 2 != 0:
             raise ValueError("generator feature dim must be even")
+        sizes = (self.num_speakers, len(self.labels), self.num_texts, self.num_replicates,
+                 self.max_frames, next(iter(dims)))
+        if math.prod(sizes) > np.iinfo(np.intp).max:
+            raise ValueError("%d speakers x %d labels x %d texts x %d replicates x %d frames "
+                             "of %d values are more than a corpus can index" % sizes)
 
     def to_dict(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
@@ -284,7 +311,7 @@ class SyntheticSpec:
         scale = doc["speaker_scale"]
         if type(scale) not in (int, float) or not math.isfinite(scale):
             raise ValueError("speaker_scale must be a finite number, not %r" % (scale,))
-        return cls(labels=tuple(doc["labels"]), speaker_scale=float(scale),
+        return cls(labels=doc["labels"], speaker_scale=float(scale),
                    generators={label: EmotionGenerator.from_dict(g)
                                for label, g in doc["generators"].items()},
                    **{name: doc[name] for name in counts})
@@ -481,7 +508,6 @@ CORPUS_STORE = "corpus.npz"
 # corpus.npz: each array's (dtype, ndim); frames stack by row, tracks end to end.
 STORE_ARRAYS = {"frames": ("float64", 2), "f0_hz": ("float64", 1), "voiced": ("bool", 1),
                 "log_energy": ("float64", 1)}
-_TRACKS = ("f0_hz", "voiced", "log_energy")
 _STRING_FIELDS = ("id", "speaker", "emotion", "text")
 
 
@@ -492,10 +518,10 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
     spec, seed, and each utterance's record and frame count."""
     os.makedirs(out_dir, exist_ok=True)
     utts = corpus.utterances
-    np.savez(os.path.join(out_dir, CORPUS_STORE),
-             frames=np.vstack([u.features.frames for u in utts]),
-             **{name: np.concatenate([getattr(u.prosody, name) for u in utts])
-                for name in _TRACKS})
+    frames = np.vstack([u.features.frames for u in utts])
+    tracks = FrameProsody.concatenate([u.prosody for u in utts])
+    np.savez(os.path.join(out_dir, CORPUS_STORE), frames=frames,
+             **{f.name: getattr(tracks, f.name) for f in fields(FrameProsody)})
     sidecar = {"format": "synthetic-corpus", "version": 2, "seed": corpus.spec.seed,
                "spec": corpus.spec.to_dict(), "fingerprint": feature_fingerprint(utts),
                "utterances": [{**{k: getattr(u.record, k) for k in _STRING_FIELDS},
@@ -539,11 +565,12 @@ def _corpus_from_store(spec, dim, entries, arrays) -> SyntheticCorpus:
     for name, key in (("num_speakers", "speaker"), ("num_texts", "text")):
         if getattr(spec, name) != len({getattr(r, key) for r in records}):
             raise ValueError("spec %s does not match the %ss the utterances name" % (name, key))
-    frames, *tracks = (np.split(arrays[name], np.cumsum(counts)[:-1]) for name in STORE_ARRAYS)
+    pieces = {name: np.split(a, np.cumsum(counts)[:-1]) for name, a in arrays.items()}
     utterances = []
-    for r, f, *t in zip(records, frames, *tracks):
+    for i, (r, f) in enumerate(zip(records, pieces.pop("frames"))):
         try:
-            utterances.append(Utterance(r, FeatureSequence(f), FrameProsody(*t)))
+            prosody = FrameProsody(**{name: track[i] for name, track in pieces.items()})
+            utterances.append(Utterance(r, FeatureSequence(f), prosody))
         except ValueError as exc:
             raise ValueError("%s: utterance %r: %s" % (CORPUS_STORE, r.id, exc)) from exc
     return SyntheticCorpus(spec, utterances)

@@ -8,14 +8,13 @@ level with the pooled standard deviation sqrt((sd_x^2 + sd_y^2) / 2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .classifiers import ModelBank, bank_scores, pick_label
-from .corpus import ManifestError, read_json_object
+from .corpus import ManifestError, check_labels, read_json_object, write_json_object
 
 CRITICAL_T_005 = 1.645
 
@@ -77,9 +76,7 @@ class EvaluationReport:
     def from_dict(cls, doc: dict) -> "EvaluationReport":
         if doc.get("format") != "evaluation-report":
             raise ValueError("not an evaluation-report document")
-        labels = tuple(doc["labels"])
-        if not all(isinstance(l, str) for l in labels) or len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct strings")
+        labels = check_labels(doc["labels"])
         counts = doc["counts"]  # int64 entries, and type(True) is bool
         if not all(type(c) is int and 0 <= c < 2**63 for row in counts for c in row):
             raise ValueError("counts must be integers in [0, 2^63)")
@@ -111,8 +108,7 @@ class EvaluationReport:
         return "\n".join(lines)
 
     def save(self, json_path, text_path=None) -> None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        write_json_object(json_path, self.to_dict())
         if text_path is not None:
             with open(text_path, "w", encoding="utf-8") as fh:
                 fh.write(self.render_text())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.fft
@@ -281,6 +281,11 @@ class FrameProsody:
 
     def __len__(self) -> int:
         return self.f0_hz.size
+
+    @classmethod
+    def concatenate(cls, tracks) -> "FrameProsody":
+        """The tracks joined end to end."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tracks]) for f in fields(cls)))
 
     def segment_vectors(self, segment_ids: np.ndarray) -> np.ndarray:
         """Summarize each segment; returns an (S, 6) matrix.

@@ -593,14 +593,18 @@ class CompositeLattice:
         return [states[row, :n] for row, n in enumerate(lengths.tolist())], ends[rows, final]
 
 
-def _emission_batch(models, corpus):
-    """Checked utterances as the L models' padded, model-major log-emissions
-    (T_max, L * B, N), the frames stacked and padded once, and B lengths."""
+def _stack(corpus, models=()):
+    """The utterances checked, against each model's dim too, row-stacked; and their lengths."""
     frames_list = [_as_frames(seq) for seq in corpus]
     for model, frames in itertools.product(models, frames_list):
         _check_dim(model, frames)
-    lengths = np.array([f.shape[0] for f in frames_list])
-    stacked = np.vstack(frames_list)
+    return np.vstack(frames_list), np.array([f.shape[0] for f in frames_list])
+
+
+def _emission_batch(models, corpus):
+    """Checked utterances as the L models' padded, model-major log-emissions
+    (T_max, L * B, N), the frames stacked and padded once, and B lengths."""
+    stacked, lengths = _stack(corpus, models)
     log_b = _pad_rows(np.stack([m.emissions.log_prob_matrix(stacked) for m in models], axis=1),
                       lengths)  # (T, B, L, N)
     return log_b.transpose(0, 2, 1, 3).reshape(log_b.shape[0], -1, log_b.shape[3]), lengths
@@ -756,8 +760,7 @@ def _m_step(model: HmmModel, stats, center: np.ndarray,
 
 def corpus_variance_floor(corpus) -> np.ndarray:
     """Per-dimension variance floor from pooled corpus statistics."""
-    pooled = np.vstack([_as_frames(seq) for seq in corpus])
-    global_var = pooled.var(axis=0)
+    global_var = _stack(corpus)[0].var(axis=0)
     if np.any(global_var < ABS_VARIANCE_FLOOR):
         warnings.warn(
             "degenerate corpus: near-zero variance in some dimensions; "
@@ -792,17 +795,13 @@ def baum_welch_train(
     """
     if not corpus:
         raise ValueError("training corpus must be non-empty")
-    frames_list = [_as_frames(seq) for seq in corpus]
-    for frames in frames_list:
-        _check_dim(model, frames)
+    stacked, lengths = _stack(corpus, [model])
     if max_iters == 0:
         return model.copy(), []
     if variance_floor is None:
-        variance_floor = corpus_variance_floor(frames_list)
+        variance_floor = corpus_variance_floor([stacked])
     variance_floor = np.broadcast_to(np.asarray(variance_floor, dtype=np.float64),
                                      (model.dim,))
-    stacked = np.vstack(frames_list)
-    lengths = np.array([f.shape[0] for f in frames_list])
     center = stacked.mean(axis=0)
 
     current = model

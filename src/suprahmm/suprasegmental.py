@@ -30,15 +30,19 @@ class SuprasegmentalLayout:
     """Partition of the conventional states into prosodic groups.
 
     state_to_group[q] is the group owning conventional state q; groups
-    must be contiguous ids 0..G-1 and each must own at least one state.
+    must be contiguous integer ids 0..G-1 and each must own at least one
+    state.
     """
 
     state_to_group: tuple[int, ...]
 
     def __post_init__(self):
-        groups = sorted(set(self.state_to_group))
         if not self.state_to_group:
             raise ValueError("layout must cover at least one state")
+        for group in self.state_to_group:
+            if type(group) is not int:  # type(True) is bool
+                raise ValueError("group ids must be integers, not %r" % (group,))
+        groups = sorted(set(self.state_to_group))
         if groups != list(range(len(groups))):
             raise ValueError("group ids must be contiguous starting at 0")
 
@@ -305,8 +309,7 @@ def _segment_summaries(paths, prosodies, layout: SuprasegmentalLayout):
     if [len(p) for p in prosodies] != [len(path) for path in paths]:
         raise ValueError("each alignment must cover every frame of its prosody track")
     seg = segment_by_alignment(paths, layout)
-    track = FrameProsody(*(np.concatenate([getattr(p, name) for p in prosodies])
-                           for name in ("f0_hz", "voiced", "log_energy")))
+    track = FrameProsody.concatenate(prosodies)
     return (seg.groups, track.segment_vectors(seg.frame_segments), seg.rows,
             track.segment_vectors(seg.rows[seg.frame_segments]))
 

@@ -193,6 +193,17 @@ class TestBankTraining:
         with pytest.raises(IncompleteBankError):
             train_bank("CHMM3", grouped, MINI_OPTIONS)
 
+    @pytest.mark.parametrize("label", ["bank", "BANK", "../panic", "neutral"],
+                             ids=["bank", "BANK", "path", "repeated"])
+    def test_label_that_cannot_name_a_model_file_is_rejected_before_training(
+            self, mini_corpus, monkeypatch, label):
+        _, train, _ = mini_corpus
+        grouped = group_by_emotion(train)
+        grouped[label] = grouped["panic"]
+        monkeypatch.setattr(classifiers, "lbg_codebook", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="labels"):
+            train_bank("VQ", grouped, MINI_OPTIONS, labels=DEFAULT_EMOTIONS[:-1] + (label,))
+
     def test_unknown_kind_rejected(self, mini_corpus):
         _, train, _ = mini_corpus
         with pytest.raises(ValueError):

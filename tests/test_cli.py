@@ -213,16 +213,25 @@ class TestSynth:
         assert sidecar["provenance"]["seed"] == 99
 
     @pytest.mark.parametrize("damage", ["not_json", "not_object", "no_labels",
-                                        "negative_scale"])
+                                        "negative_scale", "repeated_label", "BANK_label",
+                                        "path_label"])
     def test_damaged_spec_file_is_data_error(self, tmp_path, capsys, damage):
         doc = default_synthetic_spec(seed=1, dim=4).to_dict()
         doc.update(num_speakers=1, num_texts=1, num_replicates=1,
                    min_frames=5, max_frames=6)
+
+        def only_label(label):  # a spec whose one model `train` would write to <label>.json
+            return json.dumps({**doc, "labels": [label],
+                               "generators": {label: doc["generators"]["neutral"]}})
+
         text = {
             "not_json": "{not json",
             "not_object": "[1]",
             "no_labels": json.dumps({k: v for k, v in doc.items() if k != "labels"}),
             "negative_scale": json.dumps({**doc, "speaker_scale": -1.0}),
+            "repeated_label": json.dumps({**doc, "labels": doc["labels"] + ["neutral"]}),
+            "BANK_label": only_label("BANK"),
+            "path_label": only_label("../escaped"),
         }[damage]
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(text)
@@ -839,6 +848,11 @@ BANK_DAMAGE = {
             "group_variances": _with_nan(doc["suprasegmental"]["group_variances"])}}),
     "model_dim_not_fingerprint": (0, "bank.json", lambda doc: {
         **doc, "fingerprint": {**doc["fingerprint"], "dim": doc["fingerprint"]["dim"] + 2}}),
+    "csphmm3_layout_group_true": (0, "neutral.json", lambda doc: {
+        **doc, "suprasegmental": {**doc["suprasegmental"], "layout": [True, 0, 0, 1, 1, 1]}}),
+    "csphmm3_layout_group_floats": (0, "neutral.json", lambda doc: {
+        **doc, "suprasegmental": {**doc["suprasegmental"],
+                                  "layout": [0.0, 0, 0, 1.0, 1, 1]}}),
 }
 
 
@@ -1024,6 +1038,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("doc, key", [
         ({"labels": 5}, "labels"),
         ({"labels": [1, "1"]}, "labels"),
+        ({"labels": [1, 2]}, "labels"),
+        ({"labels": ["neutral", "bank"]}, "labels"),
+        ({"labels": ["neutral", "a/b"]}, "labels"),
         ({"features": 5}, "features"),
         ({"model": ["num_states"]}, "model"),
     ])

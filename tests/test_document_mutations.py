@@ -1,8 +1,12 @@
-"""One damaged value in an input document ends in exit 3 naming the file.
+"""One damaged value in an input document ends in its documented exit code.
 
-Each case changes one value of a document the CLI reads (a bank's model
-document, a corpus.json, a report.json) and runs the command that reads it
-through `cli.main`, which must return 3, name the file and raise nothing.
+Each named case changes one value of a document the CLI reads (a bank's
+model document, a corpus.json, a report.json, a spec file, a config) and
+runs the command that reads it through `cli.main`, which must return the
+documented code, name the file and raise nothing.  The one-leaf sweep at
+the end replaces every leaf of each document kind in turn by one value of
+each JSON class and asks only that the command exits 0, 2, 3 or 4, raises
+nothing and names the file when it fails.
 """
 
 import json
@@ -10,7 +14,9 @@ import shutil
 
 import pytest
 
-from suprahmm.cli import EXIT_IO, EXIT_OK, main
+from suprahmm.classifiers import BANK_KINDS
+from suprahmm.cli import EXIT_CONFIG, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_OK, main
+from suprahmm.config import ExperimentConfig
 from suprahmm.corpus import (
     SyntheticSpec,
     default_synthetic_spec,
@@ -194,3 +200,118 @@ def test_report_column_total_past_int64_is_data_error(tmp_path, capsys, command)
     # Each count fits int64, but label a's column sums to 2^63.
     _assert_damaged_report_is_data_error(tmp_path, capsys, command,
                                          _setter("counts", value=[[2**62, 0], [2**62, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# A spec too large to index, and the one-leaf sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_LABELS = ["neutral", "sadness"]
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    """spec.json, the corpus synthesized from it, config.json, one bank per
+    kind trained on that corpus and report.json from the CSPHMM3 bank.  Two
+    labels, three states and two 12-16 frame utterances per side keep one
+    command to milliseconds."""
+    base = tmp_path_factory.mktemp("sweep")
+    spec = default_synthetic_spec(seed=42, dim=4, num_states=3).to_dict()
+    spec.update(labels=SWEEP_LABELS,
+                generators={label: spec["generators"][label] for label in SWEEP_LABELS},
+                num_speakers=2, num_texts=2, num_replicates=1, min_frames=12, max_frames=16)
+    (base / "spec.json").write_text(json.dumps(spec))
+    model = {"num_states": 3, "num_mixtures": 1, "train_iters": [1, 1, 1],
+             "gmm_components": 2, "vq_codebook_size": 2}
+    config = ExperimentConfig(model=model, labels=SWEEP_LABELS, seed=7)
+    (base / "config.json").write_text(json.dumps(config.to_dict()))
+    flags = ["--config", str(base / "config.json")]
+    assert main(["synth", "--spec-file", str(base / "spec.json"),
+                 "--out", str(base / "corpus")] + flags) == EXIT_OK
+    for kind in BANK_KINDS:
+        assert main(["train", "--corpus", str(base / "corpus"), "--kind", kind,
+                     "--out", str(base / kind)] + flags) == EXIT_OK
+    assert main(_evaluate(base, base / "CSPHMM3", base / "report")) == EXIT_OK
+    return base
+
+
+def _evaluate(base, bank, out=None):
+    return ["evaluate", "--bank", str(bank), "--corpus", str(base / "corpus"),
+            "--out", str(out or base / "out"), "--config", str(base / "config.json")]
+
+
+def _synth(base):
+    return ["synth", "--spec-file", str(base / "spec.json"), "--out", str(base / "synth")]
+
+
+def _with_value(path, keys, value):
+    """Rewrite the JSON document at `path` with doc[keys[0]][keys[1]]... = value."""
+    doc = json.loads(path.read_text())
+    _setter(*keys, value=value)(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["num_speakers", "num_texts", "num_replicates"])
+def test_spec_too_large_to_index_is_data_error(tmp_path, sweep_dir, capsys, key):
+    # Unchecked, synthesize_corpus samples until MemoryError.
+    spec = tmp_path / "spec.json"
+    shutil.copy(sweep_dir / "spec.json", spec)
+    _with_value(spec, (key,), 10**30)
+    _assert_data_error(["synth", "--spec-file", str(spec), "--out", str(tmp_path / "c")],
+                       spec, capsys)
+    assert not (tmp_path / "c").exists()
+
+
+# One value of each JSON class a loader can meet where another belongs.
+VALUE_CLASSES = (None, True, "x", [], {}, -1, 0, 1.0, 2.5, float("nan"), INF, 10**30, [[1]])
+
+
+def _leaves(doc, depth):
+    """Key paths to the values of `doc` down to `depth` levels: each key
+    of an object and each index of an array."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield (key,)
+        if depth > 1 and isinstance(value, (dict, list)):
+            yield from ((key, *rest) for rest in _leaves(value, depth - 1))
+
+
+# document: (file in the sweep directory, key depth or one key path, command)
+SWEEPS = {
+    "bank.json": ("CSPHMM3/bank.json", 2, lambda base: _evaluate(base, base / "CSPHMM3")),
+    **{"%s model" % kind: ("%s/neutral.json" % kind, 1,
+                           lambda base, kind=kind: _evaluate(base, base / kind))
+       for kind in BANK_KINDS},
+    "layout[0]": ("CSPHMM3/neutral.json", ("suprasegmental", "layout", 0),
+                  lambda base: _evaluate(base, base / "CSPHMM3")),
+    "config": ("config.json", 2, lambda base: _evaluate(base, base / "VQ")),
+    "spec file": ("spec.json", 2, _synth),
+    "report.json": ("report/report.json", 2,
+                    lambda base: ["report", "--report", str(base / "report" / "report.json")]),
+}
+
+
+@pytest.mark.parametrize("document", list(SWEEPS))
+def test_one_leaf_sweep_ends_in_a_documented_exit(sweep_dir, capsys, document):
+    name, depth, command = SWEEPS[document]
+    path, argv = sweep_dir / name, command(sweep_dir)
+    original = path.read_text()
+    leaves = [depth] if isinstance(depth, tuple) else list(_leaves(json.loads(original), depth))
+    failures = []
+    for keys in leaves:
+        for value in VALUE_CLASSES:
+            _with_value(path, keys, value)
+            try:
+                code = main(argv)
+            except Exception as exc:  # a traceback and exit 1 from the command line
+                failures.append((keys, value, repr(exc)))
+                continue
+            finally:
+                path.write_text(original)
+            err = capsys.readouterr().err
+            # A label names its model file, which the error may name instead.
+            named = [path] + ([path.parent / (value + ".json")]
+                              if keys[0] == "labels" and isinstance(value, str) else [])
+            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_INCOMPATIBLE)
+                    or code and not any(str(p) in err for p in named)):
+                failures.append((keys, value, code, err))
+    assert not failures, "\n".join(map(repr, failures))
