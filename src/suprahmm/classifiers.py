@@ -421,7 +421,8 @@ def load_bank(path) -> ModelBank:
     Raises ManifestError when bank.json or a model document does not decode:
     bank.json must be a model bank of a known kind with labels that pass
     check_labels, a fingerprint object with an integer dim, and options,
-    when present, an object; every model must have that dim.
+    when present, an object; every model must have that dim and, in a
+    CSPHMM3 bank, the options' alpha.
     """
     def decode(manifest):
         if manifest.get("format") != "model-bank":
@@ -437,11 +438,15 @@ def load_bank(path) -> ModelBank:
         models = {label: read_json_object(os.path.join(path, label + ".json"),
                                           _MODEL_TYPES[kind].from_dict)
                   for label in labels}
+        options = TrainOptions.from_dict(options)
         for label, model in models.items():
+            where = os.path.join(path, label + ".json")
             if model.dim != fingerprint["dim"]:
-                raise ValueError("%s has dim %d, the fingerprint %d" % (
-                    os.path.join(path, label + ".json"), model.dim, fingerprint["dim"]))
-        return ModelBank(kind, labels, models, fingerprint,
-                         TrainOptions.from_dict(options))
+                raise ValueError("%s has dim %d, the fingerprint %d"
+                                 % (where, model.dim, fingerprint["dim"]))
+            if kind == "CSPHMM3" and model.alpha != options.alpha:
+                raise ValueError("%s has alpha %r, the bank options %r"
+                                 % (where, model.alpha, options.alpha))
+        return ModelBank(kind, labels, models, fingerprint, options)
 
     return read_json_object(os.path.join(path, BANK_MANIFEST), decode)

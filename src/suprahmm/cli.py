@@ -220,19 +220,24 @@ def cmd_classify(args, config: ExperimentConfig) -> int:
 
 
 def cmd_synth(args, config: ExperimentConfig) -> int:
+    def synth(spec):
+        corpus = synthesize_corpus(spec)
+        save_synthetic_corpus(corpus, args.out, provenance=_provenance(config))
+        return corpus
+
     if args.spec_file:
-        # A spec whose values cannot be sampled (a negative scale, say) is
-        # as damaged as one that does not decode.
+        # A spec whose values cannot be sampled (a negative scale, say) or
+        # whose sampled prosody overflows is as damaged as one that does
+        # not decode.
         def decode(doc):
             if args.seed is not None:
                 doc["seed"] = config.seed
-            return synthesize_corpus(SyntheticSpec.from_dict(doc))
+            return synth(SyntheticSpec.from_dict(doc))
 
         corpus = read_json_object(args.spec_file, decode)
     else:
         builder = prosody_synthetic_spec if args.preset == "prosody" else default_synthetic_spec
-        corpus = synthesize_corpus(builder(seed=config.seed))
-    save_synthetic_corpus(corpus, args.out, provenance=_provenance(config))
+        corpus = synth(builder(seed=config.seed))
     print("synthesized %d utterances (%d emotions) -> %s"
           % (len(corpus.utterances), len(corpus.spec.labels), args.out))
     return EXIT_OK

@@ -317,13 +317,9 @@ class SyntheticSpec:
                    **{name: doc[name] for name in counts})
 
 
-def _stable_hash(text: str) -> int:
-    return zlib.crc32(text.encode("utf-8"))
-
-
 def _sub_rng(seed: int, tag: str) -> np.random.Generator:
     # Stated sub-seed rule: corpus seed XOR a stable hash of the tag.
-    return np.random.default_rng(seed ^ _stable_hash(tag))
+    return np.random.default_rng(seed ^ zlib.crc32(tag.encode("utf-8")))
 
 
 def _speaker_offsets(spec: SyntheticSpec, speaker: str):
@@ -515,11 +511,14 @@ def save_synthetic_corpus(corpus: SyntheticCorpus, out_dir,
                           provenance: dict | None = None) -> None:
     """corpus.npz with every utterance's frames and prosody tracks stacked
     in corpus order, plus a corpus.json sidecar (version 2) carrying the
-    spec, seed, and each utterance's record and frame count."""
-    os.makedirs(out_dir, exist_ok=True)
+    spec, seed, and each utterance's record and frame count.  Raises
+    ValueError, writing nothing, when a prosody track fails
+    FrameProsody.check_values."""
     utts = corpus.utterances
     frames = np.vstack([u.features.frames for u in utts])
     tracks = FrameProsody.concatenate([u.prosody for u in utts])
+    tracks.check_values([len(u.prosody) for u in utts], [u.record.id for u in utts])
+    os.makedirs(out_dir, exist_ok=True)
     np.savez(os.path.join(out_dir, CORPUS_STORE), frames=frames,
              **{f.name: getattr(tracks, f.name) for f in fields(FrameProsody)})
     sidecar = {"format": "synthetic-corpus", "version": 2, "seed": corpus.spec.seed,
@@ -565,6 +564,11 @@ def _corpus_from_store(spec, dim, entries, arrays) -> SyntheticCorpus:
     for name, key in (("num_speakers", "speaker"), ("num_texts", "text")):
         if getattr(spec, name) != len({getattr(r, key) for r in records}):
             raise ValueError("spec %s does not match the %ss the utterances name" % (name, key))
+    try:
+        FrameProsody(**{f.name: arrays[f.name] for f in fields(FrameProsody)}).check_values(
+            counts, [r.id for r in records])
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (CORPUS_STORE, exc)) from exc
     pieces = {name: np.split(a, np.cumsum(counts)[:-1]) for name, a in arrays.items()}
     utterances = []
     for i, (r, f) in enumerate(zip(records, pieces.pop("frames"))):
@@ -584,7 +588,8 @@ def load_synthetic_corpus(path) -> SyntheticCorpus:
     not of the spec's dim, frame counts that are not positive or do not sum
     to every array's rows, a non-integer replicate, a non-string id,
     speaker, emotion or text, a repeated id, spec speaker or text counts
-    the utterances do not match, a non-finite frame (named by its id).
+    the utterances do not match, a non-finite frame or a prosody track
+    that fails FrameProsody.check_values (each named by its utterance id).
     """
     def decode(sidecar):
         if sidecar.get("format") != "synthetic-corpus":

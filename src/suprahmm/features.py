@@ -134,14 +134,6 @@ def _frame_signal(samples: np.ndarray, frame_len: int, shift: int) -> np.ndarray
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::shift]
 
 
-@functools.lru_cache(maxsize=16)
-def _hamming(frame_len: int) -> np.ndarray:
-    """np.hamming(frame_len), built once per frame length; read-only."""
-    window = np.hamming(frame_len)
-    window.flags.writeable = False
-    return window
-
-
 def frame_and_window(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     """Split into overlapping frames and apply a Hamming window.
 
@@ -151,7 +143,7 @@ def frame_and_window(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     frame_len = cfg.frame_length_samples(clip.sample_rate_hz)
     shift = cfg.frame_shift_samples(clip.sample_rate_hz)
     frames = _frame_signal(clip.samples, frame_len, shift)
-    return frames * _hamming(frame_len)
+    return frames * np.hamming(frame_len)
 
 
 def hz_to_mel(freq_hz):
@@ -286,6 +278,19 @@ class FrameProsody:
     def concatenate(cls, tracks) -> "FrameProsody":
         """The tracks joined end to end."""
         return cls(*(np.concatenate([getattr(t, f.name) for t in tracks]) for f in fields(cls)))
+
+    def check_values(self, lengths, names) -> None:
+        """Raise ValueError naming the first of the utterances joined here
+        (`lengths` frames each, called `names`) with a track value that is
+        not finite or a voiced frame whose F0 is not positive.  Not in
+        __post_init__: per utterance it costs more than building the tracks.
+        """
+        ok = (np.isfinite(self.f0_hz) & np.isfinite(self.log_energy)
+              & ((self.f0_hz > 0) | ~self.voiced))
+        if not ok.all():
+            first = np.searchsorted(np.cumsum(lengths), np.argmin(ok), side="right")
+            raise ValueError("utterance %r: prosody tracks must be finite, with a positive "
+                             "F0 on every voiced frame" % names[first])
 
     def segment_vectors(self, segment_ids: np.ndarray) -> np.ndarray:
         """Summarize each segment; returns an (S, 6) matrix.

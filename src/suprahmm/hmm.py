@@ -783,7 +783,6 @@ def baum_welch_train(
     corpus,
     max_iters: int = 15,
     tol: float | None = 1e-4,
-    variance_floor: np.ndarray | None = None,
 ):
     """EM on the composite lattice; returns (model, per-iteration log-likelihoods).
 
@@ -798,10 +797,7 @@ def baum_welch_train(
     stacked, lengths = _stack(corpus, [model])
     if max_iters == 0:
         return model.copy(), []
-    if variance_floor is None:
-        variance_floor = corpus_variance_floor([stacked])
-    variance_floor = np.broadcast_to(np.asarray(variance_floor, dtype=np.float64),
-                                     (model.dim,))
+    variance_floor = corpus_variance_floor([stacked])
     center = stacked.mean(axis=0)
 
     current = model
@@ -986,18 +982,10 @@ def train_circular_chain(
 
     Returns (order-3 model, {"order1": lls, "order2": lls, "order3": lls}).
     """
-    frames_list = [_as_frames(seq) for seq in corpus]
-    variance_floor = corpus_variance_floor(frames_list)
-    model = initial_model(frames_list, num_states, num_mixtures, seed)
+    model = initial_model(corpus, num_states, num_mixtures, seed)
     history = {}
     for stage, stage_iters in enumerate(iters, start=1):
-        model, lls = baum_welch_train(
-            model,
-            frames_list,
-            max_iters=stage_iters,
-            tol=tol,
-            variance_floor=variance_floor,
-        )
+        model, lls = baum_welch_train(model, corpus, max_iters=stage_iters, tol=tol)
         history["order%d" % stage] = lls
         if stage < len(iters):
             model = promote_order(model)

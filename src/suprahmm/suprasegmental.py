@@ -62,9 +62,6 @@ class SuprasegmentalLayout:
     def num_groups(self) -> int:
         return max(self.state_to_group) + 1
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.state_to_group, dtype=np.intp)
-
 
 @dataclass(frozen=True)
 class Segmentation:
@@ -91,7 +88,7 @@ def segment_by_alignment(paths, layout: SuprasegmentalLayout) -> Segmentation:
     states = np.concatenate(paths).astype(np.intp)
     if states.ndim != 1 or states.min() < 0 or states.max() >= layout.num_states:
         raise ValueError("alignment states must be 1-D and inside the layout")
-    per_frame_group = layout.as_array()[states]
+    per_frame_group = np.asarray(layout.state_to_group, dtype=np.intp)[states]
     is_start = np.concatenate([[True], per_frame_group[1:] != per_frame_group[:-1]])
     is_start[np.cumsum(lengths) - lengths] = True
     starts = np.flatnonzero(is_start)

@@ -12,6 +12,7 @@ nothing and names the file when it fails.
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from suprahmm.classifiers import BANK_KINDS
@@ -148,6 +149,7 @@ PROSODY_DAMAGE = {
     "utterance_variance_nested": _setter("suprasegmental", "utterance_variance", value=[[1]]),
     "alpha_text": _setter("alpha", value="0.5"),
     "alpha_true": _setter("alpha", value=True),
+    "alpha_other_than_options": _setter("alpha", value=1.0),
 }
 
 
@@ -200,6 +202,23 @@ def test_report_column_total_past_int64_is_data_error(tmp_path, capsys, command)
     # Each count fits int64, but label a's column sums to 2^63.
     _assert_damaged_report_is_data_error(tmp_path, capsys, command,
                                          _setter("counts", value=[[2**62, 0], [2**62, 1]]))
+
+
+@pytest.mark.parametrize("f0", [0.0, -1.0, INF, float("nan")], ids=["0", "-1", "inf", "nan"])
+def test_stored_voiced_f0_that_is_not_positive_and_finite_is_data_error(
+        tmp_path, corpus_dir, config, capsys, f0):
+    corpus = tmp_path / "synth"
+    shutil.copytree(corpus_dir, corpus)
+    with np.load(corpus / "corpus.npz") as npz:
+        arrays = dict(npz)
+    entries = json.loads((corpus / "corpus.json").read_text())["utterances"]
+    frame = sum(e["frames"] for e in entries[:5]) + 3
+    arrays["f0_hz"][frame], arrays["voiced"][frame] = f0, True
+    np.savez(corpus / "corpus.npz", **arrays)
+    assert main(["train", "--corpus", str(corpus), "--kind", "VQ",
+                 "--out", str(tmp_path / "bank"), "--config", config]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(corpus / "corpus.json") in err and "utterance %r" % entries[5]["id"] in err
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +278,19 @@ def test_spec_too_large_to_index_is_data_error(tmp_path, sweep_dir, capsys, key)
     _with_value(spec, (key,), 10**30)
     _assert_data_error(["synth", "--spec-file", str(spec), "--out", str(tmp_path / "c")],
                        spec, capsys)
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_spec_whose_prosody_overflows_is_data_error(tmp_path, sweep_dir, capsys):
+    # A finite speaker_scale can still push exp(log F0) to inf or 0; unchecked,
+    # synth wrote the corpus and only evaluate refused the bank trained on it.
+    spec = tmp_path / "spec.json"
+    shutil.copy(sweep_dir / "spec.json", spec)
+    _with_value(spec, ("speaker_scale",), 1e30)
+    assert main(["synth", "--spec-file", str(spec), "--out", str(tmp_path / "c")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(spec) in err and "utterance 'spk00_" in err and "positive F0" in err
     assert not (tmp_path / "c").exists()
 
 

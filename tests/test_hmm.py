@@ -146,6 +146,10 @@ class TestJointLogProb:
         with pytest.raises(ValueError):
             joint_log_prob(model, [0, 1], np.zeros((2, 2)))
 
+    def test_illegal_move_is_log_zero(self):
+        model = uniform_model(3, 1, dim=2)
+        assert joint_log_prob(model, [0, 2], np.zeros((2, 2))) == -np.inf
+
 
 class TestForward:
     def test_single_state_model_equals_only_path(self):
@@ -633,6 +637,19 @@ class TestBaumWelch:
         with pytest.warns(RuntimeWarning):
             trained, _ = baum_welch_train(start, corpus, max_iters=2, tol=None)
         trained.validate(tol=1e-12)
+
+    def test_unreachable_state_keeps_its_mixtures(self):
+        # Start in state 0 and never leave it: states 1 and 2 get no
+        # occupancy, and an update from their zero counts would be NaN.
+        rng = np.random.default_rng(26)
+        model = random_model(rng, 3, 2, 2, order=1)
+        model.initial = np.array([1.0, 0.0, 0.0])
+        model.tensors[1].matrix[0] = [1.0, 0.0]
+        trained, _ = baum_welch_train(model, [rng.normal(size=(12, 2))], max_iters=1, tol=None)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(trained.emissions, name)[1:],
+                                          getattr(model.emissions, name)[1:])
+        assert not np.array_equal(trained.emissions.means[0], model.emissions.means[0])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -371,4 +371,4 @@ def test_zero_likelihood_utterance_is_named():
     # Frames of 1e160 overflow every squared distance: zero likelihood.
     corpus = [rng.normal(size=(5, DIM)), np.full((4, DIM), 1e160)]
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="sequence 1 "):
-        baum_welch_train(model, corpus, max_iters=1, variance_floor=1e-3)
+        baum_welch_train(model, corpus, max_iters=1)
