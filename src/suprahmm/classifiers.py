@@ -32,7 +32,6 @@ from .hmm import (
     GaussianMixtureEmission,
     HmmModel,
     UnscorableUtteranceError,
-    _as_frames,
     _converged,
     _emission_batch,
     _lse_last,
@@ -113,9 +112,9 @@ def train_gmm(frames, num_components: int = DEFAULT_GMM_COMPONENTS,
     """EM for a diagonal GMM, run as a one-state mixture emission through
     the HMM's mixture E-step and M-step from `initial_model`'s one-state
     start; returns (model, per-iteration mean frame LL)."""
-    frames = _as_frames(frames)
+    frames, _ = _stack([frames])
     emission = initial_model([frames], 1, min(num_components, frames.shape[0]), seed).emissions
-    var_floor = corpus_variance_floor([frames])
+    var_floor = corpus_variance_floor(frames)
     center = frames.mean(axis=0)
     centered = frames - center
 
@@ -172,7 +171,7 @@ def lbg_codebook(frames, num_centroids: int = DEFAULT_VQ_CODEBOOK, seed: int = 0
     not a power of two the final split only divides the highest-distortion
     cells.  Returns (model, distortion history).
     """
-    frames = _as_frames(frames)
+    frames, _ = _stack([frames])
     if frames.shape[0] < num_centroids:
         raise ValueError("need at least %d frames to build %d centroids"
                          % (num_centroids, num_centroids))

@@ -345,7 +345,8 @@ def _synthesize_utterance(spec: SyntheticSpec, speaker: str, emotion: str,
     p = generator.prosody
     voiced = rng.random(num_frames) < p.voiced_rate
     log_f0 = rng.normal(p.mean_log_f0 + f0_offset, p.sd_log_f0, size=num_frames)
-    f0 = np.where(voiced, np.exp(log_f0), 0.0)
+    with np.errstate(over="ignore"):  # an inf F0 is named by FrameProsody.check_values
+        f0 = np.where(voiced, np.exp(log_f0), 0.0)
     log_energy = rng.normal(p.mean_log_energy + energy_offset, p.sd_log_energy,
                             size=num_frames)
 

@@ -28,7 +28,6 @@ iteration, and one model or utterance is the one-column case.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -332,24 +331,6 @@ class HmmModel:
         return model
 
 
-def _as_frames(observations) -> np.ndarray:
-    frames = getattr(observations, "frames", observations)
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ValueError("observations must form a non-empty (T, D) matrix")
-    if not np.all(np.isfinite(frames)):
-        raise ValueError("observations contain non-finite values")
-    return frames
-
-
-def _check_dim(model: HmmModel, frames: np.ndarray) -> None:
-    if frames.shape[1] != model.dim:
-        raise ValueError(
-            "observation dim %d does not match emission dim %d"
-            % (frames.shape[1], model.dim)
-        )
-
-
 # ---------------------------------------------------------------------------
 # Path scoring
 # ---------------------------------------------------------------------------
@@ -377,8 +358,7 @@ def sequence_log_prob(model: HmmModel, states) -> float:
 
 def joint_log_prob(model: HmmModel, states, observations) -> float:
     """Log of the joint path/observation probability under the model."""
-    frames = _as_frames(observations)
-    _check_dim(model, frames)
+    frames, _ = _stack([observations], [model])
     states = [int(s) for s in np.asarray(states).ravel()]
     if len(states) != frames.shape[0]:
         raise ValueError("state path and observations must have equal length")
@@ -594,11 +574,24 @@ class CompositeLattice:
 
 
 def _stack(corpus, models=()):
-    """The utterances checked, against each model's dim too, row-stacked; and their lengths."""
-    frames_list = [_as_frames(seq) for seq in corpus]
-    for model, frames in itertools.product(models, frames_list):
-        _check_dim(model, frames)
-    return np.vstack(frames_list), np.array([f.shape[0] for f in frames_list])
+    """The HMM layer's one frame check: the corpus is non-empty, each
+    utterance (a matrix or anything with `.frames`) is a (T, D) matrix with
+    T >= 1, every frame is finite and D is each model's dim.  Returns the
+    utterances row-stacked (one float64 utterance as it is, not copied) and
+    their lengths."""
+    frames_list = [np.asarray(getattr(seq, "frames", seq), dtype=np.float64) for seq in corpus]
+    if not frames_list:
+        raise ValueError("corpus must be non-empty")
+    if any(f.ndim != 2 or f.shape[0] < 1 for f in frames_list):
+        raise ValueError("observations must form a non-empty (T, D) matrix")
+    stacked = frames_list[0] if len(frames_list) == 1 else np.vstack(frames_list)
+    if not np.isfinite(stacked).all():
+        raise ValueError("observations contain non-finite values")
+    for model in models:
+        if stacked.shape[1] != model.dim:
+            raise ValueError("observation dim %d does not match emission dim %d"
+                             % (stacked.shape[1], model.dim))
+    return stacked, np.array([f.shape[0] for f in frames_list])
 
 
 def _emission_batch(models, corpus):
@@ -758,9 +751,10 @@ def _m_step(model: HmmModel, stats, center: np.ndarray,
     return new
 
 
-def corpus_variance_floor(corpus) -> np.ndarray:
-    """Per-dimension variance floor from pooled corpus statistics."""
-    global_var = _stack(corpus)[0].var(axis=0)
+def corpus_variance_floor(stacked: np.ndarray) -> np.ndarray:
+    """Per-dimension variance floor from the variance of a corpus's stacked
+    frames, as `_stack` returns them."""
+    global_var = stacked.var(axis=0)
     if np.any(global_var < ABS_VARIANCE_FLOOR):
         warnings.warn(
             "degenerate corpus: near-zero variance in some dimensions; "
@@ -792,12 +786,10 @@ def baum_welch_train(
     early once the relative gain falls below `tol` (pass None to always
     run max_iters).
     """
-    if not corpus:
-        raise ValueError("training corpus must be non-empty")
     stacked, lengths = _stack(corpus, [model])
     if max_iters == 0:
         return model.copy(), []
-    variance_floor = corpus_variance_floor([stacked])
+    variance_floor = corpus_variance_floor(stacked)
     center = stacked.mean(axis=0)
 
     current = model
@@ -944,17 +936,13 @@ def initial_model(
     """Untrained order-1 model: uniform start and transitions, emission
     means from segmental k-means over uniform time slices, variances from
     global corpus statistics."""
-    frames_list = [_as_frames(seq) for seq in corpus]
-    if not frames_list:
-        raise ValueError("corpus must be non-empty")
+    pooled, lengths = _stack(corpus)
     topology = CircularTopology(num_states)
     rng = np.random.default_rng(seed)
-
-    pooled = np.vstack(frames_list)
     global_var = np.maximum(pooled.var(axis=0), ABS_VARIANCE_FLOOR)
 
     per_state: list[list[np.ndarray]] = [[] for _ in range(num_states)]
-    for frames in frames_list:
+    for frames in np.split(pooled, np.cumsum(lengths)[:-1]):
         for state, chunk in enumerate(np.array_split(frames, num_states)):
             if chunk.shape[0]:
                 per_state[state].append(chunk)

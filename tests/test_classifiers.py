@@ -185,6 +185,16 @@ class TestLbg:
             lbg_codebook(np.zeros((3, 2)), 8)
 
 
+class TestModelBank:
+    @pytest.mark.parametrize("kind, labels, error, message", [
+        ("SVM", ("neutral",), ValueError, "unknown bank kind 'SVM'"),
+        ("GMM", ("neutral", "panic"), IncompleteBankError, r"missing models for \['panic'\]"),
+    ], ids=["unknown kind", "missing model"])
+    def test_bad_bank_rejected(self, kind, labels, error, message):
+        with pytest.raises(error, match=message):
+            ModelBank(kind, labels, {"neutral": object()}, {})
+
+
 class TestBankTraining:
     def test_missing_emotion_rejected(self, mini_corpus):
         _, train, _ = mini_corpus

@@ -281,7 +281,6 @@ def test_spec_too_large_to_index_is_data_error(tmp_path, sweep_dir, capsys, key)
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_spec_whose_prosody_overflows_is_data_error(tmp_path, sweep_dir, capsys):
     # A finite speaker_scale can still push exp(log F0) to inf or 0; unchecked,
     # synth wrote the corpus and only evaluate refused the bank trained on it.

@@ -7,6 +7,7 @@ import pytest
 
 from suprahmm.evaluation import (
     CRITICAL_T_005,
+    ConfusionMatrix,
     EvaluationReport,
     compare_accuracies,
     confusion_from_pairs,
@@ -70,6 +71,10 @@ class TestConfusion:
     def test_empty_column_stays_zero(self):
         matrix = confusion_from_pairs(LABELS, [("neutral", "neutral")])
         assert matrix.percent[:, 1].sum() == 0.0
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ConfusionMatrix(LABELS, -np.eye(len(LABELS)))
 
 
 class TestReport:

@@ -60,6 +60,18 @@ class TestAudioClip:
             AudioClip(np.zeros(10), 0)
 
 
+class TestFeatureSequence:
+    @pytest.mark.parametrize("frames, message", [
+        (np.zeros(4), "2-D with at least one frame"),
+        (np.zeros((0, 4)), "2-D with at least one frame"),
+        (np.zeros((3, 3)), "dimension must be even"),
+        (np.array([[0.0, np.inf]]), "non-finite"),
+    ], ids=["1-D", "no frames", "odd dim", "inf"])
+    def test_bad_matrix_rejected(self, frames, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureSequence(frames)
+
+
 class TestPreemphasis:
     def test_zero_coeff_is_identity(self):
         clip = tone(440)

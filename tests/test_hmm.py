@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suprahmm.classifiers import lbg_codebook, train_gmm
 from suprahmm.corpus import prosody_synthetic_spec, synthesize_corpus
 from suprahmm.hmm import (
     CircularTopology,
@@ -18,6 +19,7 @@ from suprahmm.hmm import (
     TransitionTensor,
     _layout,
     _lse_last,
+    _stack,
     baum_welch_train,
     forward_log_likelihood,
     initial_model,
@@ -659,6 +661,60 @@ class TestBaumWelch:
         model = uniform_model(2, 1, dim=2)
         with pytest.raises(ValueError):
             baum_welch_train(model, [np.zeros((5, 3))], max_iters=1)
+
+
+def _frames_with(value):
+    frames = np.random.default_rng(31).normal(size=(6, 2))
+    frames[2, 1] = value
+    return frames
+
+
+GOOD_FRAMES = _frames_with(0.0)
+# Utterances that break the frame rule; "other dim" only against a model's dim.
+BAD_UTTERANCES = {
+    "nan frame": _frames_with(np.nan),
+    "inf frame": _frames_with(-np.inf),
+    "1-D": GOOD_FRAMES[:, 0],
+    "no frames": GOOD_FRAMES[:0],
+    "3-D": GOOD_FRAMES[:, :, None],
+    "other dim": GOOD_FRAMES[:, :1],
+}
+FRAME_RULE_MODEL = uniform_model(2, 1, dim=2)
+# Each public entry that takes frames, called on a list of utterances: the
+# one-utterance entries take its last, the corpus entries take it whole.
+FRAME_RULE_ENTRIES = {
+    "forward_log_likelihood": lambda utts: forward_log_likelihood(FRAME_RULE_MODEL, utts[-1]),
+    "viterbi_align": lambda utts: viterbi_align(FRAME_RULE_MODEL, utts[-1]),
+    "joint_log_prob": lambda utts: joint_log_prob(FRAME_RULE_MODEL, [0] * 6, utts[-1]),
+    "baum_welch_train": lambda utts: baum_welch_train(FRAME_RULE_MODEL, utts, max_iters=1),
+    "initial_model": lambda utts: initial_model(utts, 2, num_mixtures=1),
+    "train_circular_chain": lambda utts: train_circular_chain(
+        utts, num_states=2, num_mixtures=1, iters=(1, 1, 1)),
+    "train_gmm": lambda utts: train_gmm(utts[-1], 2),
+    "lbg_codebook": lambda utts: lbg_codebook(utts[-1], 2),
+}
+CORPUS_ENTRIES = ("baum_welch_train", "initial_model", "train_circular_chain")
+FRAME_RULE_CASES = [
+    (entry, bad) for entry in FRAME_RULE_ENTRIES for bad in BAD_UTTERANCES
+    if bad != "other dim" or entry not in ("train_gmm", "lbg_codebook")
+] + [(entry, "empty corpus") for entry in CORPUS_ENTRIES]
+
+
+@pytest.mark.parametrize("entry, bad", FRAME_RULE_CASES)
+def test_every_public_entry_enforces_the_frame_rule(entry, bad):
+    # In a corpus the bad utterance comes second, after a good one.
+    utterances = [] if bad == "empty corpus" else [GOOD_FRAMES, BAD_UTTERANCES[bad]]
+    FRAME_RULE_ENTRIES[entry]([GOOD_FRAMES, GOOD_FRAMES])
+    with pytest.raises(ValueError):
+        FRAME_RULE_ENTRIES[entry](utterances)
+
+
+def test_lone_utterance_is_its_own_stack():
+    # train_gmm and lbg_codebook stack one pooled matrix; a copy of it would
+    # hold each emotion's frames twice through training.
+    stacked, lengths = _stack([GOOD_FRAMES])
+    assert stacked is GOOD_FRAMES
+    assert lengths.tolist() == [GOOD_FRAMES.shape[0]]
 
 
 class TestTrainingChain:

@@ -1,7 +1,9 @@
 """Prosody layer: segmentation, training, scoring, fusion."""
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +42,21 @@ def make_model(rng=None, num_groups=2):
         rng.normal(size=PROSODY_DIM),
         np.ones(PROSODY_DIM),
     )
+
+
+class TestModelShapes:
+    @pytest.mark.parametrize("name, shape, message", [
+        ("group_means", (3, PROSODY_DIM), "group means must be (num_groups, %d)" % PROSODY_DIM),
+        ("group_variances", (2, PROSODY_DIM - 1), "group variances must match group means"),
+        ("transitions", (2, 3), "transition weights must be (G, G)"),
+        ("utterance_variance", (PROSODY_DIM + 1,),
+         "utterance mean and variance must have %d entries" % PROSODY_DIM),
+    ])
+    def test_wrong_shape_rejected(self, name, shape, message):
+        model = make_model()
+        parts = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SuprasegmentalModel(**dict(parts, **{name: np.ones(shape)}))
 
 
 class TestLayout:
