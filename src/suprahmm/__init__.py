@@ -36,6 +36,7 @@ from .hmm import (
     joint_log_prob,
     promote_order,
     sample_sequence,
+    sampler,
     sequence_log_prob,
     train_circular_chain,
     viterbi_align,
@@ -54,6 +55,7 @@ from .classifiers import (
     IncompatibleFeaturesError,
     IncompleteBankError,
     ModelBank,
+    ModelSizeError,
     TrainOptions,
     UnscorableUtteranceError,
     VqBaselineModel,

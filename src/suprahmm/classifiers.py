@@ -69,6 +69,11 @@ class IncompatibleFeaturesError(Exception):
     """Bank and utterance were built from different feature configurations."""
 
 
+class ModelSizeError(ValueError):
+    """Model sizes the bank kind or its training frames cannot take; the
+    message names the config key."""
+
+
 # ---------------------------------------------------------------------------
 # GMM baseline
 # ---------------------------------------------------------------------------
@@ -284,7 +289,8 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
 
     CSPHMM3 runs the order-promotion acoustic chain then fits the prosody
     layer on top; CHMM3 stops after the acoustic chain; GMM and VQ pool
-    all frames of the emotion.
+    all frames of the emotion.  Model sizes are checked before any emotion
+    trains (ModelSizeError).
     """
     options = options or TrainOptions()
     if kind not in BANK_KINDS:
@@ -293,6 +299,15 @@ def train_bank(kind: str, corpus_by_emotion: dict, options: TrainOptions | None 
     for label in labels:
         if not corpus_by_emotion.get(label):
             raise IncompleteBankError("no training utterances for %r" % label)
+    if kind == "CSPHMM3" and options.layout is None and options.num_states < 2:
+        raise ModelSizeError("num_states must be at least 2 for a CSPHMM3 bank without a "
+                             "supra_layout")
+    if kind in ("CSPHMM3", "CHMM3"):  # larger sizes exhaust memory before EM starts
+        fewest = min(sum(len(u.features) for u in corpus_by_emotion[label]) for label in labels)
+        for key in ("num_states", "num_mixtures"):
+            if getattr(options, key) > fewest:
+                raise ModelSizeError("%s of %d is more than the %d training frames of the emotion "
+                                     "with the fewest" % (key, getattr(options, key), fewest))
 
     models = {}
     for label in labels:

@@ -19,6 +19,7 @@ from .classifiers import (
     BANK_KINDS,
     IncompatibleFeaturesError,
     IncompleteBankError,
+    ModelSizeError,
     UnscorableUtteranceError,
     bank_scores,
     load_bank,
@@ -141,20 +142,10 @@ def cmd_train(args, config: ExperimentConfig) -> int:
     train_side, labels, _ = _load_corpus(args.corpus, config, "train")
     if not train_side:
         raise ConfigError("training split selected no utterances")
-    options, by_emotion = config.options, group_by_emotion(train_side)
-    if args.kind == "CSPHMM3" and options.layout is None and options.num_states < 2:
-        raise ConfigError("model.num_states must be at least 2 for a CSPHMM3 bank "
-                          "without a model.supra_layout")
-    if args.kind in ("CSPHMM3", "CHMM3"):
-        # Larger sizes exhaust memory before EM starts.  An emotion without
-        # utterances is train_bank's to report.
-        fewest = min((sum(len(u.features) for u in by_emotion[label])
-                      for label in labels if label in by_emotion), default=float("inf"))
-        for key in ("num_states", "num_mixtures"):
-            if getattr(options, key) > fewest:
-                raise ConfigError("model.%s of %d is more than the %d training frames of the "
-                                  "emotion with the fewest" % (key, getattr(options, key), fewest))
-    bank = train_bank(args.kind, by_emotion, options, labels)
+    try:
+        bank = train_bank(args.kind, group_by_emotion(train_side), config.options, labels)
+    except ModelSizeError as exc:
+        raise ConfigError("model.%s" % exc) from exc
     save_bank(bank, args.out, provenance=_provenance(config))
     print("trained %s bank on %d utterances -> %s"
           % (args.kind, len(train_side), args.out))

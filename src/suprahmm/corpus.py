@@ -38,7 +38,7 @@ from .hmm import (
     HmmModel,
     TransitionTensor,
     legal_contexts,
-    sample_sequence,
+    sampler,
 )
 
 MANIFEST_COLUMNS = ("id", "path", "speaker", "emotion", "text", "replicate")
@@ -331,15 +331,16 @@ def _speaker_offsets(spec: SyntheticSpec, speaker: str):
     return feature_offset, f0_offset, energy_offset
 
 
-def _synthesize_utterance(spec: SyntheticSpec, speaker: str, emotion: str,
+def _synthesize_utterance(spec: SyntheticSpec, draw, offsets, speaker: str, emotion: str,
                           text: str, replicate: int) -> Utterance:
+    """One utterance from its emotion's `sampler` draw and its speaker's offsets."""
     tag = "%s|%s|%s|%d" % (speaker, emotion, text, replicate)
     rng = _sub_rng(spec.seed, tag)
     generator = spec.generators[emotion]
     num_frames = int(rng.integers(spec.min_frames, spec.max_frames + 1))
-    _, obs = sample_sequence(generator.acoustic, num_frames, rng)
+    _, obs = draw(num_frames, rng)
 
-    feature_offset, f0_offset, energy_offset = _speaker_offsets(spec, speaker)
+    feature_offset, f0_offset, energy_offset = offsets
     obs = obs + feature_offset
 
     p = generator.prosody
@@ -381,11 +382,15 @@ def feature_fingerprint(utterances) -> dict:
 
 
 def synthesize_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
-    """Generate the full speaker x text x replicate x emotion grid."""
+    """Generate the full speaker x text x replicate x emotion grid; each
+    emotion's sampler and each speaker's offsets are built once."""
     speakers = ["spk%02d" % i for i in range(spec.num_speakers)]
     texts = ["txt%02d" % i for i in range(spec.num_texts)]
+    draws = {label: sampler(spec.generators[label].acoustic) for label in spec.labels}
+    offsets = {speaker: _speaker_offsets(spec, speaker) for speaker in speakers}
     utterances = [
-        _synthesize_utterance(spec, speaker, emotion, text, replicate)
+        _synthesize_utterance(spec, draws[emotion], offsets[speaker], speaker, emotion, text,
+                              replicate)
         for speaker in speakers
         for emotion in spec.labels
         for text in texts

@@ -845,37 +845,54 @@ def _choice_cdfs(probs) -> list[list[float]]:
     return cdf.tolist()
 
 
-def sample_sequence(model: HmmModel, num_frames: int, rng_seed):
-    """Ancestral sampling; returns (states, observations (T, D)).
+def sampler(model: HmmModel):
+    """`draw(num_frames, rng_seed)` -> (states, observations (T, D)): ancestral
+    sampling from `model`, its tables built once.
 
     Deterministic given the seed; the sampled path only uses legal moves.
     The draws are those of picking the start, every move and every mixture
     with `rng.choice(n, p=row)` and every frame with `rng.normal(mean, sd)`,
     in the same order: one uniform per state, then per frame one uniform
     for its mixture and D standard normals.  Every probability row of the
-    model is checked as `choice` checks it, visited or not.
+    model is checked here, as `choice` checks it, visited or not.  A draw
+    walks context ids, each with its (cdf, successors, next ids); id 0 is the
+    empty context before the start.
     """
-    if num_frames < 1:
-        raise ValueError("need at least one frame")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    moves = {}
-    for tensor in model.tensors.values():
-        for context, cdf in zip(tensor.contexts, _choice_cdfs(tensor.matrix)):
-            moves[context] = (cdf, model.topology.successors(context[-1]))
-    uniforms = rng.random(num_frames).tolist()
-    states = [bisect_right(_choice_cdfs(model.initial)[0], uniforms[0])]
-    for t in range(1, num_frames):
-        cdf, successors = moves[tuple(states[max(0, t - model.order) : t])]
-        states.append(successors[bisect_right(cdf, uniforms[t])])
+    contexts = [()] + [c for tensor in model.tensors.values() for c in tensor.contexts]
+    cdfs = _choice_cdfs(model.initial) + [
+        cdf for tensor in model.tensors.values() for cdf in _choice_cdfs(tensor.matrix)]
+    ids = {context: i for i, context in enumerate(contexts)}
+    table = []
+    for context, cdf in zip(contexts, cdfs):
+        successors = model.topology.successors(context[-1]) if context else range(model.num_states)
+        table.append((cdf, successors, [ids[(context + (s,))[-model.order:]] for s in successors]))
     em = model.emissions
-    weight_cdfs = _choice_cdfs(em.weights)
-    mixtures = []
-    normals = np.empty((num_frames, em.dim))
-    for t, q in enumerate(states):
-        mixtures.append(bisect_right(weight_cdfs[q], rng.random()))
-        rng.standard_normal(out=normals[t])
-    obs = em.means[states, mixtures] + np.sqrt(em.variances)[states, mixtures] * normals
-    return np.array(states, dtype=np.intp), obs
+    weight_cdfs, sds = _choice_cdfs(em.weights), np.sqrt(em.variances)
+
+    def draw(num_frames: int, rng_seed):
+        if num_frames < 1:
+            raise ValueError("need at least one frame")
+        rng = np.random.default_rng(rng_seed)  # a Generator is returned as it is
+        path = []
+        cdf, successors, next_ids = table[0]
+        for u in rng.random(num_frames).tolist():
+            j = bisect_right(cdf, u)
+            path.append(successors[j])
+            cdf, successors, next_ids = table[next_ids[j]]
+        mixtures = []
+        normals = np.empty((num_frames, em.dim))
+        for t, q in enumerate(path):
+            mixtures.append(bisect_right(weight_cdfs[q], rng.random()))
+            rng.standard_normal(out=normals[t])
+        obs = em.means[path, mixtures] + sds[path, mixtures] * normals
+        return np.array(path, dtype=np.intp), obs
+
+    return draw
+
+
+def sample_sequence(model: HmmModel, num_frames: int, rng_seed):
+    """`sampler(model)(num_frames, rng_seed)`: one draw, its tables built for it."""
+    return sampler(model)(num_frames, rng_seed)
 
 
 # ---------------------------------------------------------------------------

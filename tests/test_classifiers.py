@@ -214,6 +214,22 @@ class TestBankTraining:
         with pytest.raises(ValueError, match="labels"):
             train_bank("VQ", grouped, MINI_OPTIONS, labels=DEFAULT_EMOTIONS[:-1] + (label,))
 
+    @pytest.mark.parametrize("kind, sizes, key", [
+        ("CSPHMM3", {"num_states": 1}, "num_states"),
+        ("CSPHMM3", {"num_states": 10**8}, "num_states"),
+        ("CHMM3", {"num_states": 10**8}, "num_states"),
+        ("CHMM3", {"num_mixtures": 10**30}, "num_mixtures"),
+    ])
+    def test_model_size_rules_are_checked_before_training(self, mini_corpus, monkeypatch,
+                                                          kind, sizes, key):
+        # One state leaves no CSPHMM3 prosody layout; sizes above the fewest
+        # training frames of an emotion exhaust memory in initial_model.
+        _, train, _ = mini_corpus
+        monkeypatch.setattr(classifiers, "train_circular_chain",
+                            lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="^%s " % key):
+            train_bank(kind, group_by_emotion(train), dataclasses.replace(MINI_OPTIONS, **sizes))
+
     def test_unknown_kind_rejected(self, mini_corpus):
         _, train, _ = mini_corpus
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from suprahmm import hmm
 from suprahmm.corpus import (
     DEFAULT_EMOTIONS,
     ManifestError,
@@ -27,8 +29,9 @@ from suprahmm.corpus import (
     split_utterances,
     synthesize_corpus,
     SyntheticSpec,
+    _speaker_offsets,
 )
-from suprahmm.hmm import forward_log_likelihood
+from suprahmm.hmm import forward_log_likelihood, sample_sequence
 
 MANIFEST_HEADER = "id,path,speaker,emotion,text,replicate\n"
 
@@ -254,6 +257,45 @@ class TestSynthetic:
             }
             correct += max(scores, key=scores.get) == utt.emotion
         assert correct / len(corpus.utterances) >= 0.97
+
+    @pytest.mark.parametrize("num_texts, num_replicates", [(1, 1), (2, 1), (3, 2)])
+    def test_sampler_tables_are_built_once_per_generator(self, monkeypatch, num_texts,
+                                                         num_replicates):
+        # Three transition tensors, the initial row and the mixture weights
+        # of each order-3 generator: 5 cdf tables per label, whatever the
+        # utterance count.
+        calls = []
+        choice_cdfs = hmm._choice_cdfs
+        monkeypatch.setattr(hmm, "_choice_cdfs",
+                            lambda probs: calls.append(probs) or choice_cdfs(probs))
+        spec = tiny_spec(num_texts=num_texts, num_replicates=num_replicates)
+        assert {g.acoustic.order for g in spec.generators.values()} == {3}
+        synthesize_corpus(spec)
+        assert len(calls) == 5 * len(spec.labels)
+
+    def test_every_utterance_follows_the_per_utterance_recipe(self):
+        spec = tiny_spec(seed=19, num_replicates=2)
+        corpus = synthesize_corpus(spec)
+        assert len(corpus.utterances) == 2 * 2 * 2 * len(DEFAULT_EMOTIONS)
+        for utt in corpus.utterances:
+            r = utt.record
+            assert r.id == "%s_%s_%s_r%d" % (r.speaker, r.emotion, r.text, r.replicate)
+            tag = "%s|%s|%s|%d" % (r.speaker, r.emotion, r.text, r.replicate)
+            rng = np.random.default_rng(spec.seed ^ zlib.crc32(tag.encode("utf-8")))
+            generator = spec.generators[r.emotion]
+            num_frames = int(rng.integers(spec.min_frames, spec.max_frames + 1))
+            _, obs = sample_sequence(generator.acoustic, num_frames, rng)
+            feature_offset, f0_offset, energy_offset = _speaker_offsets(spec, r.speaker)
+            p = generator.prosody
+            voiced = rng.random(num_frames) < p.voiced_rate
+            log_f0 = rng.normal(p.mean_log_f0 + f0_offset, p.sd_log_f0, size=num_frames)
+            log_energy = rng.normal(p.mean_log_energy + energy_offset, p.sd_log_energy,
+                                    size=num_frames)
+            for got, want in [(utt.features.frames, obs + feature_offset),
+                              (utt.prosody.voiced, voiced),
+                              (utt.prosody.f0_hz, np.where(voiced, np.exp(log_f0), 0.0)),
+                              (utt.prosody.log_energy, log_energy)]:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), r.id
 
     def test_default_split_shapes(self):
         spec = default_synthetic_spec(seed=1, dim=2)

@@ -28,6 +28,7 @@ from suprahmm.hmm import (
     lloyd_kmeans,
     promote_order,
     sample_sequence,
+    sampler,
     sequence_log_prob,
     squared_distances,
     train_circular_chain,
@@ -440,7 +441,8 @@ class TestViterbi:
 
 def reference_sample(model, num_frames, seed):
     """The sampler written with `Generator.choice` and `Generator.normal`:
-    `sample_sequence` must draw exactly this."""
+    `sampler` and `sample_sequence` must draw exactly this.  `seed` may be
+    a Generator, which is drawn from as it is."""
     rng = np.random.default_rng(seed)
     states = [int(rng.choice(model.num_states, p=model.initial))]
     for t in range(1, num_frames):
@@ -465,9 +467,9 @@ class TestSampling:
     @given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 6),
            order=st.integers(1, 3), num_mixtures=st.integers(1, 3),
            dim=st.integers(1, 3), num_frames=st.integers(1, 60),
-           certain_moves=st.booleans())
+           certain_moves=st.booleans(), draws=st.integers(1, 3))
     def test_draws_equal_the_choice_and_normal_reference(
-            self, seed, num_states, order, num_mixtures, dim, num_frames, certain_moves):
+            self, seed, num_states, order, num_mixtures, dim, num_frames, certain_moves, draws):
         rng = np.random.default_rng(seed)
         model = random_model(rng, num_states, num_mixtures, dim, order=order)
         if certain_moves:
@@ -479,6 +481,14 @@ class TestSampling:
         states, obs = sample_sequence(model, num_frames, seed)
         np.testing.assert_array_equal(states, want_states)
         np.testing.assert_array_equal(obs, want_obs)
+        # One sampler's tables serve consecutive draws from one stream.
+        draw = sampler(model)
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            want_states, want_obs = reference_sample(model, num_frames, want_rng)
+            states, obs = draw(num_frames, rng)
+            np.testing.assert_array_equal(states, want_states)
+            np.testing.assert_array_equal(obs, want_obs)
 
     @pytest.mark.parametrize("damage", ["short_row", "negative", "nan_weight"])
     def test_bad_probability_rows_raise(self, damage):
@@ -491,7 +501,14 @@ class TestSampling:
         else:
             model.emissions.weights[1, 0] = np.nan
         with pytest.raises(ValueError, match="probabilities"):
+            sampler(model)  # before any draw
+        with pytest.raises(ValueError, match="probabilities"):
             sample_sequence(model, 20, 0)
+
+    def test_a_draw_needs_a_frame(self):
+        draw = sampler(random_model(np.random.default_rng(4), 3, 2, 2))
+        with pytest.raises(ValueError, match="at least one frame"):
+            draw(0, 0)
 
     def test_same_seed_same_output(self):
         rng = np.random.default_rng(6)
