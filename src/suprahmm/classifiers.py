@@ -28,7 +28,6 @@ from .hmm import (
     MIXTURE_WEIGHT_FLOOR,
     TRANSITION_FLOOR,
     VARIANCE_FLOOR_SCALE,
-    CompositeLattice,
     GaussianMixtureEmission,
     HmmModel,
     UnscorableUtteranceError,
@@ -373,8 +372,8 @@ def bank_scores(bank: ModelBank, utterances):
                 acoustic[rows, cols], supra[rows, cols] = score_components_batch(
                     group, features[rows], prosodies[rows])
             else:
-                _, lls = CompositeLattice(*group).forward(*_emission_batch(group, features[rows]))
-                acoustic[rows, cols] = lls.reshape(len(cols), -1).T
+                log_b, lattice = _emission_batch(group, features[rows])
+                acoustic[rows, cols] = lattice.forward(log_b)[1].reshape(len(cols), -1).T
     if not fused:
         return acoustic, None
     return fuse_scores(acoustic, supra, np.array([m.alpha for m in models])), (acoustic, supra)

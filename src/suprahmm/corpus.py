@@ -296,6 +296,11 @@ class SyntheticSpec:
             raise ValueError("%d speakers x %d labels x %d texts x %d replicates x %d frames "
                              "of %d values are more than a corpus can index" % sizes)
 
+    def speakers_and_texts(self) -> tuple[list[str], list[str]]:
+        """The speaker and text names of the grid, in generation order."""
+        return (["spk%02d" % i for i in range(self.num_speakers)],
+                ["txt%02d" % i for i in range(self.num_texts)])
+
     def to_dict(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "labels": list(self.labels),
@@ -384,8 +389,7 @@ def feature_fingerprint(utterances) -> dict:
 def synthesize_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     """Generate the full speaker x text x replicate x emotion grid; each
     emotion's sampler and each speaker's offsets are built once."""
-    speakers = ["spk%02d" % i for i in range(spec.num_speakers)]
-    texts = ["txt%02d" % i for i in range(spec.num_texts)]
+    speakers, texts = spec.speakers_and_texts()
     draws = {label: sampler(spec.generators[label].acoustic) for label in spec.labels}
     offsets = {speaker: _speaker_offsets(spec, speaker) for speaker in speakers}
     utterances = [
@@ -410,8 +414,7 @@ def default_split(spec: SyntheticSpec, train_speaker_count: int | None = None,
         train_speaker_count = max(1, spec.num_speakers * 5 // 8)
     if train_text_count is None:
         train_text_count = max(1, spec.num_texts // 2)
-    speakers = ["spk%02d" % i for i in range(spec.num_speakers)]
-    texts = ["txt%02d" % i for i in range(spec.num_texts)]
+    speakers, texts = spec.speakers_and_texts()
     return SplitSpec(
         frozenset(speakers[:train_speaker_count]),
         frozenset(speakers[train_speaker_count:]),

@@ -89,6 +89,13 @@ class MfccConfig:
     def frame_shift_samples(self, sample_rate_hz: int) -> int:
         return int(round(self.frame_shift_ms * sample_rate_hz / 1000.0))
 
+    def check_fft_size(self, sample_rate_hz: int) -> None:
+        """Refuse an FFT shorter than one frame at `sample_rate_hz`, rounded in floats."""
+        frame_len = np.round(self.frame_length_ms * sample_rate_hz / 1000.0)
+        if frame_len > self.fft_size:
+            raise ValueError("fft_size %d is smaller than the %.0f-sample frame"
+                             % (self.fft_size, frame_len))
+
 
 @dataclass(frozen=True)
 class FeatureSequence:
@@ -185,12 +192,8 @@ def _mel_weights(num_filters: int, fft_size: int, sample_rate_hz: int) -> np.nda
 
 def filterbank_energies(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     """Per-frame mel filterbank energies of the power spectrum, shape (T, K)."""
+    cfg.check_fft_size(clip.sample_rate_hz)
     frames = frame_and_window(clip, cfg)
-    if frames.shape[1] > cfg.fft_size:
-        raise ValueError(
-            "fft_size %d is smaller than the %d-sample frame"
-            % (cfg.fft_size, frames.shape[1])
-        )
     spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     weights = _mel_weights(cfg.num_mel_filters, cfg.fft_size, clip.sample_rate_hz)

@@ -15,14 +15,15 @@ All probability math runs in log space; illegal moves are structurally
 absent from the sparse tensors and therefore carry exactly zero mass.
 
 A lattice's layout (its slot-first edge arrays) is built once per
-(num_states, order) and shared; each lattice keeps its models' log weights
-apart.  Each step gathers whole rows of a layer along the edges, and
-forward and Viterbi share one recursion.  The recursions carry a batch
-axis of L models times B utterances: log-emissions are (T, L * B, N), time
-first, model-major, padded with log-emission 0 past each row's length and
-read at each row's own last frame.  A bank's models of one shape score in
-one pass, Baum-Welch runs one batched E-step over the corpus per
-iteration, and one model or utterance is the one-column case.
+(num_states, order) and shared; each lattice is built for one batch, its
+models' log weights spread over their columns.  Each step gathers whole
+rows of a layer along the edges, and forward and Viterbi share one
+recursion.  The recursions carry a batch axis of L models times B
+utterances: log-emissions are (T, L * B, N), time first, model-major,
+padded with log-emission 0 past each row's length and read at each row's
+own last frame.  A bank's models of one shape score in one pass,
+Baum-Welch runs one batched E-step over the corpus per iteration, and one
+model or utterance is the one-column case.
 """
 
 from __future__ import annotations
@@ -435,51 +436,48 @@ class CompositeLattice:
     as whole rows of a layer and sweeps the layer over them: a two-slot
     log-sum-exp (forward, backward) or max (Viterbi, the same `_sweep`).
 
-    One lattice runs L models of one num_states and order.  Its layout
+    One lattice runs L models of one num_states and order over the B
+    utterances whose frame counts `lengths` it is built for.  Its layout
     (`emit`, the edges and each tensor's rows) depends on that pair only
-    and is built once per pair, shared read-only; the models' weights are
-    kept apart: slot-first (2, S, L) `succ_logw` and `pred_logw` per step
-    and (S, L) `initial_logw`, -inf but at the length-1 contexts.  The
-    recursions step B utterances through time together, the L models on
-    the same batch axis: log-emissions are (T, L * B, N), model-major
-    (model l scores utterance b in column l * B + b), and each model's
-    weights broadcast over its B columns.  `lengths` holds the B frame
-    counts.  Frames past a row's end carry log-emission 0, and every
-    column is read, reset or backtracked at its own last frame, so the
-    padding reaches no result.  Lattice values are stored (T, S, L * B),
-    each time layer one contiguous block of rows for the gathers, and
-    returned as (T, L * B, S) views.  They stay in log space: on MFCC
-    frames one frame's log-emissions span thousands of nats across a
-    model's states, so a scaled-probability forward that shifts each frame
-    by its maximum underflows the states the path can reach.
+    and is built once per pair, shared read-only.  The recursions step
+    the B utterances through time together, the L models on the same
+    batch axis: log-emissions are (T, L * B, N), model-major (model l
+    scores utterance b in column l * B + b).  Built once per lattice, over
+    the L * B columns: slot-first (2, S, L * B) `succ_logw` and `pred_logw`
+    per step and (S, L * B) `initial_logw`, each model's weights spread
+    over its columns, -inf but at the length-1 contexts; the column
+    `lengths`; and `ending`, the columns ending at each frame.  Frames
+    past a column's end carry log-emission 0, and every column is read,
+    reset or backtracked at its own last frame, so the padding reaches no
+    result.  Lattice values are stored (T, S, L * B), each time layer one
+    contiguous block of rows for the gathers, and returned as (T, L * B, S)
+    views.  They stay in log space: on MFCC frames one frame's
+    log-emissions span thousands of nats across a model's states, so a
+    scaled-probability forward that shifts each frame by its maximum
+    underflows the states the path can reach.
     """
 
-    def __init__(self, *models: HmmModel):
+    def __init__(self, models, lengths):
         key = (models[0].num_states, models[0].order)
         if any((m.num_states, m.order) != key for m in models):
             raise ValueError("the models of one lattice must share num_states and order")
-        self.order, self.num_models = key[1], len(models)
+        self.order = key[1]
         self.emit, start, self.succ_idx, self.pred_idx, pred_slot, self.srcs = _layout(*key)
-        self.initial_logw = np.full((self.emit.size, len(models)), LOG_ZERO)
-        self.initial_logw[start] = _safe_log(np.column_stack([m.initial for m in models]))
-        self.succ_logw, self.pred_logw = [], []
+        self.lengths = np.tile(np.asarray(lengths), len(models))
+        self.ending: dict[int, list[int]] = {}  # the columns ending at each frame
+        for column, n in enumerate(self.lengths.tolist()):
+            self.ending.setdefault(n - 1, []).append(column)
+        initial = np.full((self.emit.size, len(models)), LOG_ZERO)
+        initial[start] = _safe_log(np.column_stack([m.initial for m in models]))
+        succ = []
         for k, src in enumerate(self.srcs, start=1):
             logw = _safe_log(np.stack([m.tensors[k].matrix.T for m in models], axis=-1))
-            succ = np.full(self.succ_idx.shape + (len(models),), LOG_ZERO)
-            succ[: logw.shape[0], src] = logw
-            self.succ_logw.append(succ)
-            self.pred_logw.append(succ[pred_slot, self.pred_idx])
-
-    def _prepare(self, log_b: np.ndarray, lengths, weights):
-        """Over the L * B columns: each of `weights`, per model on its last
-        axis, spread over that model's columns, the column lengths and the
-        columns ending at each frame."""
-        logw = [np.repeat(w, log_b.shape[1] // self.num_models, axis=-1) for w in weights]
-        lengths = np.tile(np.asarray(lengths), self.num_models)
-        ending: dict[int, list[int]] = {}
-        for row, n in enumerate(lengths.tolist()):
-            ending.setdefault(n - 1, []).append(row)
-        return logw, lengths, ending
+            succ.append(np.full(self.succ_idx.shape + (len(models),), LOG_ZERO))
+            succ[-1][: logw.shape[0], src] = logw
+        # Each model's weights, on the last axis, spread over its B columns.
+        self.initial_logw, *self.succ_logw = (np.repeat(w, len(lengths), axis=-1)
+                                              for w in (initial, *succ))
+        self.pred_logw = [w[pred_slot, self.pred_idx] for w in self.succ_logw]
 
     @staticmethod
     def _lse_slots(z: np.ndarray, out: np.ndarray) -> None:
@@ -497,51 +495,47 @@ class CompositeLattice:
         np.log1p(np.exp(lo, out=lo), out=lo)
         out += lo
 
-    def _sweep(self, log_b: np.ndarray, lengths, combine):
+    def _sweep(self, log_b: np.ndarray, combine):
         """Forward's and Viterbi's recursion (Rabiner 1989, section III).
         Each layer (S, C) is its contexts' emissions plus, at t = 0, the
         start weights and, at t > 0, `combine(z, out)` of the edge scores z
         (2, S, C): layer t - 1's rows gathered along the predecessor slots
         plus the step's weights.  Returns (layers (T, S, C), each column's
-        last layer (C, S), the column lengths, the columns ending at each
-        frame)."""
-        (initial, *logw), lengths, ending = self._prepare(
-            log_b, lengths, (self.initial_logw, *self.pred_logw))
+        last layer (C, S))."""
         layers = log_b.transpose(0, 2, 1).take(self.emit, axis=1)  # each context's emissions
-        layers[0] += initial
+        layers[0] += self.initial_logw
         step = np.empty(layers.shape[1:])
         with np.errstate(invalid="ignore"):
             for t in range(1, log_b.shape[0]):
                 z = layers[t - 1].take(self.pred_idx, axis=0)
-                z += logw[min(t, self.order) - 1]  # the step feeding the layer at time t
+                z += self.pred_logw[min(t, self.order) - 1]  # the step feeding layer t
                 combine(z, step)
                 layers[t] += step
-        return layers, layers[lengths - 1, :, np.arange(log_b.shape[1])], lengths, ending
+        return layers, layers[self.lengths - 1, :, np.arange(log_b.shape[1])]
 
-    def forward(self, log_b: np.ndarray, lengths):
+    def forward(self, log_b: np.ndarray):
         """Forward pass; returns (alphas (T, L * B, S), per-column
         log-likelihoods (L * B,))."""
-        alphas, ends, _, _ = self._sweep(log_b, lengths, self._lse_slots)
+        alphas, ends = self._sweep(log_b, self._lse_slots)
         return alphas.transpose(0, 2, 1), _lse_last(ends)
 
-    def backward(self, log_b: np.ndarray, lengths) -> np.ndarray:
+    def backward(self, log_b: np.ndarray) -> np.ndarray:
         """Backward pass; returns betas (T, L * B, S), 0 at each column's
         last frame."""
         T = log_b.shape[0]
-        logw, _, ending = self._prepare(log_b, lengths, self.succ_logw)
         betas = np.empty((T, self.emit.size, log_b.shape[1]))
         betas[T - 1] = 0.0
         with np.errstate(invalid="ignore"):
             for t in range(T - 1, 0, -1):
                 nxt = betas[t] + log_b[t].T.take(self.emit, axis=0)
                 z = nxt.take(self.succ_idx, axis=0)
-                z += logw[min(t, self.order) - 1]
+                z += self.succ_logw[min(t, self.order) - 1]
                 self._lse_slots(z, betas[t - 1])
-                if t - 1 in ending:
-                    betas[t - 1][:, ending[t - 1]] = 0.0
+                if t - 1 in self.ending:
+                    betas[t - 1][:, self.ending[t - 1]] = 0.0
         return betas.transpose(0, 2, 1)
 
-    def viterbi(self, log_b: np.ndarray, lengths):
+    def viterbi(self, log_b: np.ndarray):
         """Best path of every column and its log-probability: (list of
         L * B state paths, each as long as its utterance, scores (L * B,)).
 
@@ -558,19 +552,19 @@ class CompositeLattice:
             np.greater(z[1], z[0], out=next(record))  # only when strictly higher
             np.maximum(z[0], z[1], out=out)
 
-        _, ends, lengths, ending = self._sweep(log_b, lengths, pick)
+        _, ends = self._sweep(log_b, pick)
         final = np.argmax(ends, axis=1)
 
         rows, cur = np.arange(columns), final.copy()
         idx = np.empty((columns, T), dtype=np.intp)
         for t in range(T - 1, -1, -1):
-            if t in ending:
-                cur[ending[t]] = final[ending[t]]
+            if t in self.ending:
+                cur[self.ending[t]] = final[self.ending[t]]
             idx[:, t] = cur
             if t:
                 cur = self.pred_idx[slots[t, cur, rows], cur]
         states = self.emit[idx]
-        return [states[row, :n] for row, n in enumerate(lengths.tolist())], ends[rows, final]
+        return [states[row, :n] for row, n in enumerate(self.lengths.tolist())], ends[rows, final]
 
 
 def _stack(corpus, models=()):
@@ -596,19 +590,19 @@ def _stack(corpus, models=()):
 
 def _emission_batch(models, corpus):
     """Checked utterances as the L models' padded, model-major log-emissions
-    (T_max, L * B, N), the frames stacked and padded once, and B lengths."""
+    (T_max, L * B, N), the frames stacked and padded once, and their lattice."""
     stacked, lengths = _stack(corpus, models)
+    lattice = CompositeLattice(models, lengths)
     log_b = _pad_rows(np.stack([m.emissions.log_prob_matrix(stacked) for m in models], axis=1),
                       lengths)  # (T, B, L, N)
-    return log_b.transpose(0, 2, 1, 3).reshape(log_b.shape[0], -1, log_b.shape[3]), lengths
+    return log_b.transpose(0, 2, 1, 3).reshape(log_b.shape[0], -1, log_b.shape[3]), lattice
 
 
 def forward_log_likelihood_batch(model: HmmModel, corpus) -> np.ndarray:
     """log P(O | model) of many utterances, (B,), from one emission matrix,
     one lattice and one batched forward pass."""
-    log_b, lengths = _emission_batch([model], corpus)
-    _, lls = CompositeLattice(model).forward(log_b, lengths)
-    return lls
+    log_b, lattice = _emission_batch([model], corpus)
+    return lattice.forward(log_b)[1]
 
 
 def forward_log_likelihood(model: HmmModel, observations) -> float:
@@ -619,8 +613,8 @@ def forward_log_likelihood(model: HmmModel, observations) -> float:
 def viterbi_align_batch(model: HmmModel, corpus):
     """Viterbi paths and joint log-probabilities of many utterances, aligned
     in one batched pass: (list of state paths, list of scores)."""
-    log_b, lengths = _emission_batch([model], corpus)
-    paths, scores = CompositeLattice(model).viterbi(log_b, lengths)
+    log_b, lattice = _emission_batch([model], corpus)
+    paths, scores = lattice.viterbi(log_b)
     return paths, scores.tolist()
 
 
@@ -636,8 +630,8 @@ def viterbi_align(model: HmmModel, observations):
 
 
 def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.ndarray,
-                      lengths: np.ndarray, center: np.ndarray):
-    """E-step over row-stacked frames of B utterances.
+                      center: np.ndarray):
+    """E-step over row-stacked frames of B utterances, on the lattice built for them.
 
     Returns (log-likelihoods (B,), stats), stats being the expected initial
     occupancy (N,), the expected transition counts {k: counts shaped like
@@ -648,17 +642,17 @@ def _accumulate_batch(lattice: CompositeLattice, model: HmmModel, stacked: np.nd
     """
     comp_log = model.emissions.component_log_probs(stacked)
     log_b_stacked = _lse_last(comp_log)
-    log_b = _pad_rows(log_b_stacked, lengths)
+    log_b = _pad_rows(log_b_stacked, lattice.lengths)
     T = log_b.shape[0]
-    mask = _time_mask(lengths, T)
+    mask = _time_mask(lattice.lengths, T)
 
-    alphas, ll = lattice.forward(log_b, lengths)
+    alphas, ll = lattice.forward(log_b)
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
         raise UnscorableUtteranceError(
             "observation sequence %d has zero likelihood under the model" % bad[0],
             int(bad[0]))
-    betas = lattice.backward(log_b, lengths)
+    betas = lattice.backward(log_b)
 
     # Lattice posteriors, folded onto ring states.  Posteriors at padded
     # frames are computed but never read; the empty states of a boot layer
@@ -795,8 +789,8 @@ def baum_welch_train(
     current = model
     log_likelihoods: list[float] = []
     for _ in range(max_iters):
-        lls, stats = _accumulate_batch(CompositeLattice(current), current, stacked, lengths,
-                                       center)
+        lattice = CompositeLattice([current], lengths)
+        lls, stats = _accumulate_batch(lattice, current, stacked, center)
         log_likelihoods.append(sum(lls.tolist()))
         current = _m_step(current, stats, center, variance_floor)
         if _converged(log_likelihoods, tol):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import PROSODY_DIM, FrameProsody
-from .hmm import CompositeLattice, HmmModel, _emission_batch, viterbi_align_batch
+from .hmm import HmmModel, _emission_batch, viterbi_align_batch
 
 PROSODY_VARIANCE_FLOOR = 1e-4
 SUPRA_TRANSITION_FLOOR = 1e-6
@@ -324,16 +324,15 @@ def score_components_batch(models, features, prosodies):
     layout, num_rows = models[0].supra.layout, len(features)
     if any(m.supra.layout != layout for m in models):
         raise ValueError("models scored together must share one prosody layout")
-    acoustic = [m.acoustic for m in models]
-    lattice, (log_b, lengths) = CompositeLattice(*acoustic), _emission_batch(acoustic, features)
+    log_b, lattice = _emission_batch([m.acoustic for m in models], features)
     groups, vectors, rows, utterances = _segment_summaries(
-        lattice.viterbi(log_b, lengths)[0], prosodies * len(models), layout)
+        lattice.viterbi(log_b)[0], prosodies * len(models), layout)
     bounds = np.searchsorted(rows, np.arange(len(models) + 1) * num_rows)
     supra = [suprasegmental_log_likelihood_batch(
         m.supra, groups[a:b], vectors[a:b], rows[a:b] - l * num_rows,
         utterances[l * num_rows : (l + 1) * num_rows])
         for l, (m, a, b) in enumerate(zip(models, bounds, bounds[1:]))]
-    return lattice.forward(log_b, lengths)[1].reshape(-1, num_rows).T, np.column_stack(supra)
+    return lattice.forward(log_b)[1].reshape(-1, num_rows).T, np.column_stack(supra)
 
 
 def score_components(model: Csphmm3Model, observations, prosody) -> tuple[float, float]:

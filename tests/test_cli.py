@@ -1068,6 +1068,8 @@ class TestConfigHandling:
         ({"features": {"num_cepstra": True}}, [], "num_cepstra"),
         ({"features": {"delta_window": True}}, [], "delta_window"),
         ({"features": {"fft_size": 512.0}}, [], "fft_size"),
+        ({"features": {"fft_size": 256}}, [], "fft_size"),
+        ({"features": {"frame_length_ms": 1e306}}, [], "fft_size"),
         ({"features": {"num_mel_filters": "26"}}, [], "num_mel_filters"),
         ({"features": {"preemphasis_coeff": "0.97"}}, [], "preemphasis_coeff"),
         ({"features": {"frame_length_ms": None}}, [], "frame_length_ms"),

@@ -99,6 +99,17 @@ def _add_tensor_past_order(doc):
     doc["tensors"]["4"] = {"0,0,0,0": [0.5, 0.5]}
 
 
+def _overfull_row(doc):
+    rows = doc["tensors"]["3"]
+    rows[sorted(rows)[0]] = [0.7, 0.7]
+
+
+def _three_wide_rows(doc):
+    rows = doc["tensors"]["1"]
+    for key in rows:
+        rows[key] = [0.5, 0.25, 0.25]
+
+
 HMM_DAMAGE = {
     "num_states_4.2": _setter("num_states", value=4.2),
     "num_states_4.0": _setter("num_states", value=4.0),
@@ -116,6 +127,9 @@ HMM_DAMAGE = {
     "missing_row": _drop_row,
     "extra_row": _add_row,
     "tensor_past_order": _add_tensor_past_order,
+    "row_sum_1.4": _overfull_row,
+    "initial_sum_0.4": lambda doc: doc.update(initial=[0.1] * len(doc["initial"])),
+    "rows_three_wide": _three_wide_rows,
 }
 
 
@@ -150,6 +164,7 @@ PROSODY_DAMAGE = {
     "alpha_text": _setter("alpha", value="0.5"),
     "alpha_true": _setter("alpha", value=True),
     "alpha_other_than_options": _setter("alpha", value=1.0),
+    "layout_one_state_short": lambda doc: doc["suprasegmental"]["layout"].pop(),
 }
 
 
@@ -162,12 +177,31 @@ def test_damaged_prosody_part_is_data_error(tmp_path, corpus_dir, config, banks,
                         "--out", str(tmp_path / "out"), "--config", config], path, capsys)
 
 
+def _drop_last_dim(hmm_doc):
+    """The HMM document one feature dimension narrower, still consistent."""
+    emissions = hmm_doc["emissions"]
+    for key in ("means", "variances"):
+        emissions[key] = [[component[:-1] for component in state] for state in emissions[key]]
+    hmm_doc["dim"] -= 1
+
+
+def _generator_dims_differ(doc):
+    _drop_last_dim(doc["spec"]["generators"]["neutral"]["acoustic"])
+
+
+def _generator_dims_odd(doc):
+    for generator in doc["spec"]["generators"].values():
+        _drop_last_dim(generator["acoustic"])
+
+
 CORPUS_DAMAGE = {
     "replicate_inf": _setter("utterances", 3, "replicate", value=INF),
     "replicate_2.5": _setter("utterances", 3, "replicate", value=2.5),
     "num_speakers_1e30": _setter("spec", "num_speakers", value=10**30),
     "num_texts_1e30": _setter("spec", "num_texts", value=10**30),
     "num_texts_more": _setter("spec", "num_texts", value=5),
+    "generator_dims_differ": _generator_dims_differ,
+    "generator_dims_odd": _generator_dims_odd,
 }
 
 

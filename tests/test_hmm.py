@@ -200,7 +200,7 @@ class TestLatticeSteps:
         # either view carry -inf.
         model = random_model(np.random.default_rng(num_states + 10 * order),
                              num_states, 1, 1, order=order)
-        lattice = CompositeLattice(model)
+        lattice = CompositeLattice([model], [1])
         contexts = legal_contexts(model.topology, order)
         index = {c: j for j, c in enumerate(contexts)}
         assert [int(q) for q in lattice.emit] == [c[-1] for c in contexts]
@@ -256,7 +256,7 @@ class TestLatticeSteps:
             assert (pred_idx[0] != pred_idx[1]).all()
         model = random_model(np.random.default_rng(num_states + 10 * order),
                              num_states, 1, 1, order=order)
-        lattice = CompositeLattice(model)
+        lattice = CompositeLattice([model], [1])
         for logw in (*lattice.succ_logw, *lattice.pred_logw):
             assert logw.shape == (2, emit.size, 1)
             if num_states == 1:

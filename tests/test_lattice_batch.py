@@ -73,8 +73,8 @@ def _leaky_model(rng, num_states, order):
 
 def _accumulate(model, frames_list, center):
     lengths = np.array([f.shape[0] for f in frames_list])
-    lls, stats = _accumulate_batch(CompositeLattice(model), model, np.vstack(frames_list),
-                                   lengths, center)
+    lls, stats = _accumulate_batch(CompositeLattice([model], lengths), model,
+                                   np.vstack(frames_list), center)
     return stats, lls
 
 
@@ -224,12 +224,11 @@ def test_certain_and_impossible_moves_match_enumeration(seed, order, num_states,
         certain = rng.random(tensor.matrix.shape[0]) < 0.6
         tensor.matrix[certain] = np.eye(2)[rng.integers(2, size=certain.sum())]
     corpus = [rng.normal(size=(n, DIM)) for n in range(length, 0, -1)]
-    log_b, lengths = _emission_batch([model], corpus)
-    lattice = CompositeLattice(model)
+    log_b, lattice = _emission_batch([model], corpus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alphas, totals = lattice.forward(log_b, lengths)
-        betas = lattice.backward(log_b, lengths)
+        alphas, totals = lattice.forward(log_b)
+        betas = lattice.backward(log_b)
     assert not np.isnan(alphas).any() and not np.isnan(betas).any()
     for col, frames in enumerate(corpus):
         want = brute_forward(model, frames)
@@ -253,7 +252,8 @@ def test_batched_viterbi_full_tie_breaks_to_lowest_composite_index():
                            GaussianMixtureEmission(np.ones((3, 1)), np.full((3, 1, 1), l),
                                                    np.ones((3, 1, 1))))
                   for l in range(num_models)]
-        paths, scores = CompositeLattice(*models).viterbi(*_emission_batch(models, frames_list))
+        log_b, lattice = _emission_batch(models, frames_list)
+        paths, scores = lattice.viterbi(log_b)
         for l, model in enumerate(models):
             columns = slice(l * len(lengths), (l + 1) * len(lengths))
             for n, path, score in zip(lengths, paths[columns], scores[columns]):
@@ -270,21 +270,29 @@ def test_stacked_models_equal_one_lattice_per_model(num_models, seed, order, num
     rng = np.random.default_rng(seed)
     models = [_leaky_model(rng, num_states, order) for _ in range(num_models)]
     frames_list = _corpus(rng, drawn_lengths)
-    lattice = CompositeLattice(*models)
-    log_b, lengths = _emission_batch(models, frames_list)
-    _, lls = lattice.forward(log_b, lengths)
-    paths, scores = lattice.viterbi(log_b, lengths)
+    log_b, lattice = _emission_batch(models, frames_list)
+    _, lls = lattice.forward(log_b)
+    paths, scores = lattice.viterbi(log_b)
 
     for l, model in enumerate(models):
-        one = CompositeLattice(model)
-        one_b, _ = _emission_batch([model], frames_list)
-        _, want_lls = one.forward(one_b, lengths)
-        want_paths, want_scores = one.viterbi(one_b, lengths)
+        one_b, one = _emission_batch([model], frames_list)
+        _, want_lls = one.forward(one_b)
+        want_paths, want_scores = one.viterbi(one_b)
         columns = slice(l * len(frames_list), (l + 1) * len(frames_list))
         np.testing.assert_array_equal(lls[columns], want_lls)
         np.testing.assert_array_equal(scores[columns], want_scores)
         for path, want_path in zip(paths[columns], want_paths):
             np.testing.assert_array_equal(path, want_path)
+
+
+def test_models_of_one_lattice_must_share_num_states_and_order():
+    # An order-1 model listed first would otherwise lay out the lattice of
+    # the order-3 model beside it, of the same num_states, and score that
+    # model wrongly with no error.
+    rng = np.random.default_rng(0)
+    models = [random_model(rng, 3, 2, DIM, order=order) for order in (1, 3)]
+    with pytest.raises(ValueError, match="must share num_states and order"):
+        _emission_batch(models, [rng.normal(size=(4, DIM))])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -301,10 +309,9 @@ def test_each_column_ends_at_its_own_last_layer(num_models, seed, order, num_sta
     models = [_leaky_model(rng, num_states, order) for _ in range(num_models)]
     lengths = [1, longest] + rng.integers(1, longest + 1, size=more).tolist()
     frames_list = [rng.normal(size=(n, DIM)) for n in lengths]
-    lattice = CompositeLattice(*models)
-    log_b, batch_lengths = _emission_batch(models, frames_list)
-    _, totals = lattice.forward(log_b, batch_lengths)
-    paths, scores = lattice.viterbi(log_b, batch_lengths)
+    log_b, lattice = _emission_batch(models, frames_list)
+    _, totals = lattice.forward(log_b)
+    paths, scores = lattice.viterbi(log_b)
 
     for l, model in enumerate(models):
         for b, frames in enumerate(frames_list):
