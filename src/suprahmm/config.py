@@ -70,7 +70,7 @@ class ExperimentConfig:
             self.labels = None if self.labels is None else list(check_labels(self.labels))
             self.mfcc = MfccConfig(**{f.name: self.features[f.name]
                                       for f in fields(MfccConfig)})
-            self.mfcc.check_fft_size(self.features["sample_rate_hz"])
+            self.mfcc.check_sample_counts(self.features["sample_rate_hz"])
             self.options = TrainOptions.from_dict(
                 {**{field_of_key.get(k, k): v for k, v in self.model.items()},
                  "seed": self.seed})

@@ -578,12 +578,12 @@ def _corpus_from_store(spec, dim, entries, arrays) -> SyntheticCorpus:
             counts, [r.id for r in records])
     except ValueError as exc:
         raise ValueError("%s: %s" % (CORPUS_STORE, exc)) from exc
-    pieces = {name: np.split(a, np.cumsum(counts)[:-1]) for name, a in arrays.items()}
+    ends = np.cumsum(counts).tolist()
     utterances = []
-    for i, (r, f) in enumerate(zip(records, pieces.pop("frames"))):
+    for r, lo, hi in zip(records, [0] + ends, ends):
         try:
-            prosody = FrameProsody(**{name: track[i] for name, track in pieces.items()})
-            utterances.append(Utterance(r, FeatureSequence(f), prosody))
+            prosody = FrameProsody(**{f.name: arrays[f.name][lo:hi] for f in fields(FrameProsody)})
+            utterances.append(Utterance(r, FeatureSequence(arrays["frames"][lo:hi]), prosody))
         except ValueError as exc:
             raise ValueError("%s: utterance %r: %s" % (CORPUS_STORE, r.id, exc)) from exc
     return SyntheticCorpus(spec, utterances)

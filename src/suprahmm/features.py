@@ -89,12 +89,18 @@ class MfccConfig:
     def frame_shift_samples(self, sample_rate_hz: int) -> int:
         return int(round(self.frame_shift_ms * sample_rate_hz / 1000.0))
 
-    def check_fft_size(self, sample_rate_hz: int) -> None:
-        """Refuse an FFT shorter than one frame at `sample_rate_hz`, rounded in floats."""
-        frame_len = np.round(self.frame_length_ms * sample_rate_hz / 1000.0)
-        if frame_len > self.fft_size:
+    def check_sample_counts(self, sample_rate_hz: int) -> None:
+        """Refuse, at `sample_rate_hz`, a frame or shift under one sample or
+        an FFT shorter than one frame; samples are rounded in floats."""
+        samples = {key: np.round(getattr(self, key) * sample_rate_hz / 1000.0)
+                   for key in ("frame_length_ms", "frame_shift_ms")}
+        for key, count in samples.items():
+            if not count >= 1:  # NaN fails it too
+                raise ValueError("%s %g is under one sample at %d Hz"
+                                 % (key, getattr(self, key), sample_rate_hz))
+        if samples["frame_length_ms"] > self.fft_size:
             raise ValueError("fft_size %d is smaller than the %.0f-sample frame"
-                             % (self.fft_size, frame_len))
+                             % (self.fft_size, samples["frame_length_ms"]))
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ def _mel_weights(num_filters: int, fft_size: int, sample_rate_hz: int) -> np.nda
 
 def filterbank_energies(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     """Per-frame mel filterbank energies of the power spectrum, shape (T, K)."""
-    cfg.check_fft_size(clip.sample_rate_hz)
+    cfg.check_sample_counts(clip.sample_rate_hz)
     frames = frame_and_window(clip, cfg)
     spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2

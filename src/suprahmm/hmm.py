@@ -41,7 +41,11 @@ TRANSITION_FLOOR = 1e-6
 MIXTURE_WEIGHT_FLOOR = 1e-6
 VARIANCE_FLOOR_SCALE = 1e-4
 ABS_VARIANCE_FLOOR = 1e-8
-EMISSION_BLOCK_FRAMES = 256
+EMISSION_BLOCK_VALUES = 2 ** 17
+# A sum over n terms is taken in `_pairwise_sum`'s slab sweeps when the
+# slabs hold at least SWEEP_RATIO * n frames (or rows); on fewer, numpy's
+# one reduction per row costs less.
+SWEEP_RATIO = 2
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -90,17 +94,59 @@ def legal_contexts(topology: CircularTopology, order: int) -> list[tuple[int, ..
     return sorted(contexts)
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum `a` over its first axis into `a[0]`, and return `a[0]`.
+
+    The terms are added in the order numpy's pairwise sum adds one
+    contiguous row: below 8 terms in sequence; up to 128 as eight running
+    sums over blocks of 8, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rest in sequence; above 128 as two
+    halves split at n / 2 rounded down to a multiple of 8.  So each value
+    is bit for bit the `.sum(axis=-1)` of its row laid out last, while
+    every step is one sweep over whole slabs.
+    """
+    n, head = a.shape[0], a[0]
+    if n < 8:
+        for row in a[1:]:
+            head += row
+    elif n <= 128:
+        stop = n - n % 8
+        sums = a[:8]
+        for i in range(8, stop, 8):
+            sums += a[i : i + 8]
+        pairs, quads = a[0:8:2], a[0:8:4]
+        pairs += a[1:8:2]
+        quads += a[2:8:4]
+        head += a[4]
+        for row in a[stop:]:
+            head += row
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(a[:half])
+        head += _pairwise_sum(a[half:])
+    return head
+
+
 def _lse_last(z: np.ndarray) -> np.ndarray:
     """log-sum-exp over the last axis; rows that are all -inf give -inf.
 
-    The peak is taken over a copy with the last axis moved first, so the
-    max is one elementwise sweep per slab, not one short reduction per
-    row; `z` itself is left as it is.
+    With at least SWEEP_RATIO rows per term, the work runs on a copy with
+    the last axis moved first, so the max, the exp and the `_pairwise_sum`
+    are sweeps over whole slabs; fewer rows are reduced row by row.  The
+    sums agree bit for bit either way, and `z` itself is left as it is.
     """
-    peak = np.moveaxis(z, -1, 0).copy().max(axis=0)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
+    if z.size // z.shape[-1] >= SWEEP_RATIO * z.shape[-1]:
+        terms = z.transpose((z.ndim - 1,) + tuple(range(z.ndim - 1))).copy()
+        peak = terms.max(axis=0)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        terms -= shift
+        total = _pairwise_sum(np.exp(terms, out=terms))
+    else:
+        peak = z.max(axis=-1)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        total = np.exp(z - shift[..., None]).sum(axis=-1)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(z - shift[..., None]).sum(axis=-1)) + shift
+        return np.log(total) + shift
 
 
 def _safe_log(values: np.ndarray) -> np.ndarray:
@@ -188,22 +234,37 @@ class GaussianMixtureEmission:
     def component_log_probs(self, obs: np.ndarray) -> np.ndarray:
         """Weighted per-component log densities, shape (T, N, M).
 
-        Frames are scored in blocks through one (block, N, M, D) buffer, reused
-        so no block maps fresh pages, however many utterances `obs` stacks.
+        Frames are scored in blocks of about EMISSION_BLOCK_VALUES values
+        through one reused buffer.  A block of at least SWEEP_RATIO * D
+        frames is laid out (D, N, M, frames), frames last, and summed over
+        D by `_pairwise_sum` in whole-slab sweeps; a shorter one is laid
+        out (frames, N, M, D) and reduced row by row.  Both add in numpy's
+        own order, so every value is the same whatever the block.
         """
-        log_det = np.log(self.variances).sum(axis=2)
+        num_states, num_mixtures, dim = self.means.shape
+        const = dim * _LOG_2PI + np.log(self.variances).sum(axis=2)
         log_w = _safe_log(self.weights)
-        out = np.empty((obs.shape[0],) + self.weights.shape)
-        work = np.empty((min(obs.shape[0], EMISSION_BLOCK_FRAMES),) + self.means.shape)
-        for start in range(0, obs.shape[0], EMISSION_BLOCK_FRAMES):
-            x = obs[start : start + EMISSION_BLOCK_FRAMES, None, None, :]
-            diff = work[: x.shape[0]]
-            diff[...] = x
-            diff -= self.means
-            sq = np.divide(np.square(diff, out=diff), self.variances[None], out=diff).sum(axis=3)
-            out[start : start + EMISSION_BLOCK_FRAMES] = (
-                log_w[None] - 0.5 * (self.dim * _LOG_2PI + log_det[None] + sq)
-            )
+        block = max(1, EMISSION_BLOCK_VALUES // self.means.size)
+        out = np.empty((obs.shape[0], num_states, num_mixtures))
+        work = np.empty(self.means.size * min(obs.shape[0], block))
+        for start in range(0, obs.shape[0], block):
+            x = obs[start : start + block]
+            diff = work[: self.means.size * x.shape[0]]
+            if x.shape[0] >= SWEEP_RATIO * dim:
+                diff = diff.reshape(dim, num_states, num_mixtures, x.shape[0])
+                diff[...] = np.ascontiguousarray(x.T)[:, None, None, :]
+                diff -= self.means.transpose(2, 0, 1)[..., None]
+                np.divide(np.square(diff, out=diff), self.variances.transpose(2, 0, 1)[..., None],
+                          out=diff)
+                sq = _pairwise_sum(diff).transpose(2, 0, 1)
+            else:
+                diff = diff.reshape(x.shape[0], num_states, num_mixtures, dim)
+                diff[...] = x[:, None, None, :]
+                diff -= self.means
+                sq = np.divide(np.square(diff, out=diff), self.variances, out=diff).sum(axis=3)
+            sq += const
+            sq *= 0.5
+            np.subtract(log_w, sq, out=out[start : start + block])
         return out
 
     def log_prob_matrix(self, obs: np.ndarray) -> np.ndarray:

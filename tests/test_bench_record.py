@@ -56,3 +56,16 @@ def test_no_common_run_is_an_error(tmp_path):
     with pytest.raises(ValueError, match="both sides"):
         bench_record.build_record(bench_record.load_runs(tmp_path / "parent"),
                                   bench_record.load_runs(tmp_path / "change"), 8, [1.0], [1.0])
+
+
+def test_in_process_record_is_folded_in(tmp_path):
+    for side in ("parent", "change"):
+        _write_run(tmp_path / side, "desk", 1, 0, {"setup_s": 1.0}, 100)
+    timings = {"rounds": 10, "kernels": {"bank_scores/B1": {"change_wins": 10}}}
+    record = bench_record.build_record(bench_record.load_runs(tmp_path / "parent"),
+                                       bench_record.load_runs(tmp_path / "change"), 8,
+                                       [1.0], [1.0], timings)
+    assert record["in_process"] == timings
+    assert "in_process" not in bench_record.build_record(
+        bench_record.load_runs(tmp_path / "parent"), bench_record.load_runs(tmp_path / "change"),
+        8, [1.0], [1.0])

@@ -1070,6 +1070,8 @@ class TestConfigHandling:
         ({"features": {"fft_size": 512.0}}, [], "fft_size"),
         ({"features": {"fft_size": 256}}, [], "fft_size"),
         ({"features": {"frame_length_ms": 1e306}}, [], "fft_size"),
+        ({"features": {"frame_length_ms": 0.01, "frame_shift_ms": 0.01}}, [], "frame_length_ms"),
+        ({"features": {"frame_shift_ms": 0.01}}, [], "frame_shift_ms"),
         ({"features": {"num_mel_filters": "26"}}, [], "num_mel_filters"),
         ({"features": {"preemphasis_coeff": "0.97"}}, [], "preemphasis_coeff"),
         ({"features": {"frame_length_ms": None}}, [], "frame_length_ms"),

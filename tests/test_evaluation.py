@@ -184,6 +184,10 @@ class TestStudentsT:
         assert result.t_value == 0.0
         assert not result.significant
 
+    def test_negative_pooled_sd_rejected(self):
+        with pytest.raises(ValueError, match="^pooled standard deviation must be non-negative$"):
+            students_t(3.0, 2.0, -1.0)
+
 
 class TestCompareAccuracies:
     def test_sample_sd_path(self):
@@ -207,3 +211,10 @@ class TestCompareAccuracies:
         result = compare_accuracies(x, x)
         assert result.t_value == 0.0
         assert not result.significant
+
+    @pytest.mark.parametrize("acc_x, acc_y", [([], []), ([80.0, 70.0], [75.0])],
+                             ids=["empty", "unequal"])
+    def test_empty_or_unequal_vectors_rejected(self, acc_x, acc_y):
+        with pytest.raises(ValueError,
+                           match="^accuracy vectors must be non-empty and equally sized$"):
+            compare_accuracies(acc_x, acc_y)

@@ -222,6 +222,10 @@ class TestDeltas:
         bwd = append_deltas(rev, w).frames[::-1, 4:]
         np.testing.assert_allclose(bwd[w:-w], -fwd[w:-w], atol=1e-12)
 
+    def test_delta_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^delta window must be >= 1$"):
+            append_deltas(FeatureSequence(np.zeros((3, 4))), 0)
+
 
 class TestProsody:
     # Segment vector columns: 0 mean log F0, 1 its SD, 2 voiced ratio,
@@ -264,6 +268,13 @@ class TestProsody:
         clip = tone(150)
         with pytest.raises(ValueError):
             frame_prosody(clip).segment_vectors(np.zeros(3, dtype=int))
+
+    def test_frames_too_short_for_the_pitch_search_rejected(self):
+        # 32-sample frames at 16 kHz: the longest lag searched (31) is below
+        # the shortest, 40 (400 Hz)
+        cfg = MfccConfig(frame_length_ms=2.0, frame_shift_ms=1.0)
+        with pytest.raises(ValueError, match="^frames too short for the 60-400 Hz pitch search$"):
+            frame_prosody(tone(200), cfg)
 
     def test_utterance_vector_matches_single_segment(self):
         clip = tone(120, duration_s=0.3)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from suprahmm.classifiers import lbg_codebook, train_gmm
 from suprahmm.corpus import prosody_synthetic_spec, synthesize_corpus
 from suprahmm.hmm import (
+    EMISSION_BLOCK_VALUES,
+    SWEEP_RATIO,
     CircularTopology,
     CompositeLattice,
     GaussianMixtureEmission,
@@ -19,6 +21,7 @@ from suprahmm.hmm import (
     TransitionTensor,
     _layout,
     _lse_last,
+    _pairwise_sum,
     _stack,
     baum_welch_train,
     forward_log_likelihood,
@@ -263,23 +266,38 @@ class TestLatticeSteps:
                 assert np.isfinite(logw[0]).all() and (logw[1] == -np.inf).all()
 
 
+class TestPairwiseSum:
+    @pytest.mark.parametrize("n", [*range(1, 8), 8, 9, 15, 16, 17, 64, 127, 128,
+                                   129, 136, 257, 1031])
+    def test_bit_equal_to_numpy_row_sum(self, n):
+        rng = np.random.default_rng(n)
+        # magnitudes spread over 12 decades: a reordered sum shows
+        rows = rng.normal(size=(3, 5, n)) * 10.0 ** rng.uniform(-6, 6, size=(3, 5, n))
+        terms = rows.transpose(2, 0, 1).copy()
+        got = _pairwise_sum(terms)
+        np.testing.assert_array_equal(got, rows.sum(axis=-1))
+        assert np.shares_memory(got, terms[0])  # summed into the first slab
+
+
 class TestLseLast:
-    @pytest.mark.parametrize("num_mixtures", (1, 2, 3, 32))
+    @pytest.mark.parametrize("num_mixtures", (1, 2, 3, 32, 130))
     def test_bit_equal_to_max_reduce_and_leaves_its_argument(self, num_mixtures):
-        rng = np.random.default_rng(num_mixtures)
-        z = rng.normal(size=(40, 6, num_mixtures))  # near 0: a reordered sum shows
-        z[rng.random(z.shape) < 0.2] = -np.inf
-        z[2, 3] = -np.inf
-        z[5] = -np.inf
-        before = z.copy()
-        got = _lse_last(z)
-        np.testing.assert_array_equal(z, before)
-        peak = before.max(axis=-1)
-        shift = np.where(np.isfinite(peak), peak, 0.0)
-        with np.errstate(divide="ignore"):
-            want = np.log(np.exp(before - shift[..., None]).sum(axis=-1)) + shift
-        np.testing.assert_array_equal(got, want)
-        assert got[2, 3] == -np.inf and np.all(got[5] == -np.inf)
+        # 8 and 100 rows of 6 put each M on both sides of the sweep rule
+        for num_rows in (40, 8, 100):
+            rng = np.random.default_rng(num_mixtures)
+            z = rng.normal(size=(num_rows, 6, num_mixtures))  # near 0: a reordered sum shows
+            z[rng.random(z.shape) < 0.2] = -np.inf
+            z[2, 3] = -np.inf
+            z[5] = -np.inf
+            before = z.copy()
+            got = _lse_last(z)
+            np.testing.assert_array_equal(z, before)
+            peak = before.max(axis=-1)
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            with np.errstate(divide="ignore"):
+                want = np.log(np.exp(before - shift[..., None]).sum(axis=-1)) + shift
+            np.testing.assert_array_equal(got, want)
+            assert got[2, 3] == -np.inf and np.all(got[5] == -np.inf)
 
 
 class TestBootLayerProperties:
@@ -383,9 +401,18 @@ class TestSquaredDistances:
 
 
 class TestMixtureScoringBlocks:
-    @pytest.mark.parametrize("shape", [(6, 3, 8), (1, 32, 32)])
-    @pytest.mark.parametrize("num_frames", [1, 255, 256, 257, 600])
+    # (N, M, D): D from 1 to 130 and M from 1 to 32.  Frame counts run past
+    # the block edge (EMISSION_BLOCK_VALUES // (N M D) frames) and meet the
+    # sweep rule's (SWEEP_RATIO * D frames) on both sides.
+    @pytest.mark.parametrize("shape", [(6, 3, 8), (1, 32, 32), (2, 1, 1), (2, 13, 5),
+                                       (1, 13, 13), (1, 1, 130)])
+    @pytest.mark.parametrize("num_frames", [1, 255, 256, 257, 600, "block-1", "block",
+                                            "block+1", "sweep-1", "sweep"])
     def test_blocked_scores_are_bit_equal_to_unblocked(self, shape, num_frames):
+        block = EMISSION_BLOCK_VALUES // (shape[0] * shape[1] * shape[2])
+        sweep = SWEEP_RATIO * shape[2]
+        num_frames = {"block-1": block - 1, "block": block, "block+1": block + 1,
+                      "sweep-1": sweep - 1, "sweep": sweep}.get(num_frames, num_frames)
         rng = np.random.default_rng(num_frames)
         weights = rng.dirichlet(np.ones(shape[1]), size=shape[0])
         means = rng.normal(size=shape)

@@ -94,8 +94,9 @@ def test_frames_changed_on_load_are_not_content_identical(tmp_path):
     tree = _copy_tree(tmp_path, "scaled")
     corpus = tree / "src" / "suprahmm" / "corpus.py"
     text = corpus.read_text()
-    assert "FeatureSequence(f)" in text
-    corpus.write_text(text.replace("FeatureSequence(f)", "FeatureSequence(2 * f)"))
+    cut = 'FeatureSequence(arrays["frames"][lo:hi])'
+    assert cut in text
+    corpus.write_text(text.replace(cut, 'FeatureSequence(2 * arrays["frames"][lo:hi])'))
     record = identity_check.check(_ROOT, str(tree), [("tiny", 3, ("VQ",))], str(tmp_path))
     assert record["corpora"]["tiny-s3"]["identical"]
     assert not record["corpora"]["tiny-s3"]["content_identical"]

@@ -12,7 +12,9 @@ gives each side's median and quartiles (`statistics.quantiles`, n=4) over
 the paired runs, and how many pairs the change won (ties count for
 neither side).  It also records the pair counts, both sides' provenance
 (machine, versions, commit), the `src/suprahmm` line counts, failed
-operations and the tier-1 wall times given on the command line.  The
+operations and the tier-1 wall times given on the command line.  With
+--in-process, the record of `tools/ab_time.py` (paired in-process kernel
+timings of the same two trees) goes in as its `in_process` block.  The
 record is written to BENCH_<n>.json at the repository root.
 """
 
@@ -53,7 +55,8 @@ def metric_directions() -> dict:
     return {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
 
 
-def build_record(parent: dict, change: dict, pr: int, tier1_parent, tier1_change) -> dict:
+def build_record(parent: dict, change: dict, pr: int, tier1_parent, tier1_change,
+                 in_process: dict | None = None) -> dict:
     better = metric_directions()
     keys = sorted(set(parent) & set(change))
     if not keys:
@@ -92,7 +95,7 @@ def build_record(parent: dict, change: dict, pr: int, tier1_parent, tier1_change
             "all_correct": all(r["result"]["correct"] for r in chosen),
         }
 
-    return {
+    record = {
         "pr": pr,
         "pairs": pairs,
         "traced_pairs": sum(1 for k in keys if k[2] == 1),
@@ -100,6 +103,9 @@ def build_record(parent: dict, change: dict, pr: int, tier1_parent, tier1_change
         "change": {**side(change), "tier1_wall_s": tier1_change},
         "metrics": metrics,
     }
+    if in_process is not None:
+        record["in_process"] = in_process
+    return record
 
 
 def main(argv=None) -> int:
@@ -111,10 +117,15 @@ def main(argv=None) -> int:
                         help="tier-1 wall times of the parent, in seconds")
     parser.add_argument("--tier1-change", type=float, nargs="+", required=True,
                         help="tier-1 wall times of the change, in seconds")
+    parser.add_argument("--in-process", help="a JSON record written by tools/ab_time.py --out")
     args = parser.parse_args(argv)
     try:
+        in_process = None
+        if args.in_process:
+            with open(args.in_process, encoding="utf-8") as fh:
+                in_process = json.load(fh)
         record = build_record(load_runs(args.parent_dir), load_runs(args.change_dir),
-                              args.pr, args.tier1_parent, args.tier1_change)
+                              args.pr, args.tier1_parent, args.tier1_change, in_process)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
